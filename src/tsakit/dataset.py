@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +21,14 @@ import numpy as np
 from .grid_model import FaultSpec, Network, adjacency_from_network, format_network
 from .labeling import (
     CctSearchConfig,
+    cached_traces,
+    coarse_grid,
     find_cct_simulated,
     margin,
     tsi,
     tvs,
 )
-from .tds import PowerFlowError, Scenario, clearing_time_s, run_simulation, solve_equilibrium
+from .tds import PowerFlowError, Scenario, clearing_time_s, solve_equilibrium
 
 logger = logging.getLogger(__name__)
 
@@ -305,17 +307,20 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0):
     """Simulate and label the whole grid. Returns (samples, manifest dict).
 
     The critical clearing times are found once per fault context (line,
-    location, motor share) and shared by every clearing time on that context;
-    all probe traces go through one cache per context, so grid clearing times
-    that coincide with probe points are not simulated twice.
+    location, motor share) and shared by every clearing time on that context.
+    All traces of a context go through one cache, so grid clearing times that
+    coincide with probe points are not simulated twice. The coarse scan and
+    the grid clearing times are simulated first, as one lockstep batch.
     """
     validate_grid(cfg, network)
     scenarios = enumerate_scenarios(cfg)
     window_start = int(round(cfg.fault_start_s / cfg.step_s))
     cct_cfg = CctSearchConfig.from_cycles(network.nominal_hz)
 
+    timing = {"fault_start_s": cfg.fault_start_s, "duration_s": cfg.duration_s,
+              "step_s": cfg.step_s}
     equilibria: dict = {}
-    contexts: dict = {}
+    context = None  # (key, angle CCT, voltage CCT, trace cache) of the current context
     samples: list[Sample] = []
     failed: list[int] = []
     class_counts: dict = {}
@@ -339,31 +344,27 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0):
         net_f, eq = equilibria[frac]
 
         ckey = (sc.fault.line_index, sc.fault.location_fraction, frac)
-        if ckey not in contexts:
+        if context is None or context[0] != ckey:
+            # enumerate_scenarios keeps a context's scenarios adjacent: drop the
+            # previous context's traces before this one's are simulated
+            context = trace = None
             cache: dict = {}
+            grid_s = [
+                clearing_time_s(replace(sc, clearing_cycles=cyc), network.nominal_hz)
+                for cyc in cfg.clearing_cycles
+            ]
+            cached_traces(cache, net_f, eq, sc.fault, coarse_grid(cct_cfg) + grid_s, **timing)
             cct_a = find_cct_simulated(
-                net_f, eq, sc.fault, "angle", cfg=cct_cfg,
-                fault_start_s=cfg.fault_start_s, duration_s=cfg.duration_s,
-                step_s=cfg.step_s, trace_cache=cache,
+                net_f, eq, sc.fault, "angle", cfg=cct_cfg, trace_cache=cache, **timing
             )
             cct_v = find_cct_simulated(
-                net_f, eq, sc.fault, "voltage", cfg=cct_cfg,
-                fault_start_s=cfg.fault_start_s, duration_s=cfg.duration_s,
-                step_s=cfg.step_s, trace_cache=cache,
+                net_f, eq, sc.fault, "voltage", cfg=cct_cfg, trace_cache=cache, **timing
             )
-            contexts[ckey] = (cct_a, cct_v, cache)
-        cct_a, cct_v, cache = contexts[ckey]
+            context = (ckey, cct_a, cct_v, cache)
+        _, cct_a, cct_v, cache = context
 
         clear_s = clearing_time_s(sc, network.nominal_hz)
-        tkey = round(clear_s, 12)
-        trace = cache.get(tkey)
-        if trace is None:
-            trace = run_simulation(
-                net_f, eq, fault=sc.fault, clear_s=clear_s,
-                fault_start_s=cfg.fault_start_s, duration_s=cfg.duration_s,
-                step_s=cfg.step_s,
-            )
-            cache[tkey] = trace
+        trace = cached_traces(cache, net_f, eq, sc.fault, [clear_s], **timing)[0]
         angle_res = tsi(trace)
         volt_res = tvs(trace)
         features, clamped = extract_features(trace, window_start, cfg.window_steps)

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from collections.abc import Sequence
 from typing import Callable
 
 import numpy as np
 
 from .grid_model import FaultSpec, Network
-from .tds import EquilibriumState, Trace, run_simulation
+from .tds import EquilibriumState, Trace, run_simulation, run_simulations
 
 logger = logging.getLogger(__name__)
 
@@ -167,6 +168,16 @@ class CctResult:
     evaluations: int = 0
 
 
+def coarse_grid(cfg: CctSearchConfig) -> list[float]:
+    """Clearing times of the coarse scan: bracket bottom, every coarse step, top."""
+    cfg.validate()
+    grid = [cfg.t_min_s]
+    while grid[-1] + cfg.coarse_step_s < cfg.t_max_s - 1e-12:
+        grid.append(grid[-1] + cfg.coarse_step_s)
+    grid.append(cfg.t_max_s)
+    return grid
+
+
 def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = None) -> CctResult:
     """Locate the stability boundary of a clearing-time predicate.
 
@@ -176,11 +187,7 @@ def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = N
     stable-to-unstable transition to within the tolerance.
     """
     cfg = cfg or CctSearchConfig()
-    cfg.validate()
-    grid = [cfg.t_min_s]
-    while grid[-1] + cfg.coarse_step_s < cfg.t_max_s - 1e-12:
-        grid.append(grid[-1] + cfg.coarse_step_s)
-    grid.append(cfg.t_max_s)
+    grid = coarse_grid(cfg)
     verdicts = [bool(stable_at(t)) for t in grid]
     evaluations = len(grid)
     if not verdicts[0]:
@@ -213,6 +220,42 @@ def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = N
     return CctResult(t_cct_s=lo, nonmonotone=nonmonotone, evaluations=evaluations)
 
 
+def cached_traces(
+    cache: dict,
+    network: Network,
+    init: EquilibriumState,
+    fault: FaultSpec,
+    clear_times: Sequence[float],
+    fault_start_s: float = 1.0,
+    duration_s: float = 10.0,
+    step_s: float = 0.01,
+) -> list[Trace]:
+    """Traces of one fault context for the given clearing durations.
+
+    The cache maps a clearing duration rounded to 1e-12 s to its trace, so
+    probes that agree to that precision share one simulation. The durations
+    the cache lacks are simulated in one lockstep batch. A lone one (a
+    bisection probe) goes through run_simulation, the same engine with one
+    member, so span traces still count single runs under that name.
+    """
+    missing: dict = {}
+    for clear_s in clear_times:
+        key = round(clear_s, 12)
+        if key not in cache:
+            missing.setdefault(key, clear_s)
+    if len(missing) == 1:
+        ((key, clear_s),) = missing.items()
+        cache[key] = run_simulation(
+            network, init, fault, clear_s, fault_start_s, duration_s, step_s
+        )
+    elif missing:
+        traces = run_simulations(
+            network, init, fault, list(missing.values()), fault_start_s, duration_s, step_s
+        )
+        cache.update(zip(missing, traces))
+    return [cache[round(clear_s, 12)] for clear_s in clear_times]
+
+
 def find_cct_simulated(
     network: Network,
     init: EquilibriumState,
@@ -226,35 +269,26 @@ def find_cct_simulated(
 ) -> CctResult:
     """CCT search where the predicate runs a time-domain simulation.
 
-    criterion is "angle" or "voltage". The cache maps clearing durations to
-    traces and may be shared between the two criteria and with the scenario
-    grid, since the trace depends only on the clearing time.
+    criterion is "angle" or "voltage". The trace cache (see cached_traces)
+    may be shared between the two criteria and with the scenario grid, since
+    the trace depends only on the clearing time. The whole coarse scan is
+    simulated as one batch up front; bisection probes run one at a time.
     """
     if criterion not in ("angle", "voltage"):
         raise ValueError(f"unknown criterion {criterion!r}")
     cfg = cfg or CctSearchConfig.from_cycles(network.nominal_hz)
     cache = trace_cache if trace_cache is not None else {}
 
-    def run(clear_s: float) -> Trace:
-        key = round(clear_s, 12)
-        trace = cache.get(key)
-        if trace is None:
-            trace = run_simulation(
-                network,
-                init,
-                fault=fault,
-                clear_s=clear_s,
-                fault_start_s=fault_start_s,
-                duration_s=duration_s,
-                step_s=step_s,
-            )
-            cache[key] = trace
-        return trace
+    def traces(clear_times: Sequence[float]) -> list[Trace]:
+        return cached_traces(
+            cache, network, init, fault, clear_times, fault_start_s, duration_s, step_s
+        )
 
+    traces(coarse_grid(cfg))
     if criterion == "angle":
-        stable_at = lambda t: tsi(run(t)).stable
+        stable_at = lambda t: tsi(traces([t])[0]).stable
     else:
-        stable_at = lambda t: tvs(run(t)).stable
+        stable_at = lambda t: tvs(traces([t])[0]).stable
     return find_cct(stable_at, cfg)
 
 
@@ -290,11 +324,3 @@ def margin(t_cct_s: float, t_clear_s: float) -> MarginLabel:
         return MarginLabel(kind="margin", value=float(np.clip(value, 0.0, 1.0)))
     value = (t_clear_s - t_cct_s) / t_clear_s
     return MarginLabel(kind="degree", value=float(np.clip(value, 0.0, 1.0)))
-
-
-def mean_margin(values) -> float:
-    """Average of a nonempty collection of margin values."""
-    vals = [float(v) for v in values]
-    if not vals:
-        raise ValueError("mean margin of an empty collection is undefined")
-    return float(np.mean(vals))

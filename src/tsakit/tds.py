@@ -8,16 +8,27 @@ complex nodal equation Y(s) V = I(delta) is solved directly, with generator
 internal sources folded in as Norton equivalents and motor admittances
 refreshed from the current slips.
 
-Integration is fixed-step RK4. Topology switches (fault on, fault cleared)
-that fall inside a step split that step into exact sub-intervals, so the
+Integration is fixed-step RK4, run in lockstep for all clearing times of one
+fault context (run_simulations; run_simulation is its one-member case). The
+members share one (members, state) array, and each RK4 stage solves the
+networks of all members in one stacked np.linalg.solve per topology phase.
+The faulted network has one node more than the pre- and post-fault ones, so
+each phase gets its own stack: padding to a common size would change
+LAPACK's blocking and so the rounding. A stacked solve gives the same bits
+as one solve per matrix, so every member's trace is bit for bit its trace
+run alone. The voltages recorded at a step come from the step's first stage
+solve, which has the same inputs.
+
+Topology switches (fault on, fault cleared) that fall inside a step split
+that step into exact sub-intervals for the member concerned, so the
 recorded grid stays uniform while discontinuities land on stage boundaries.
 """
 
 from __future__ import annotations
 
-import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
+from types import SimpleNamespace
 from typing import IO
 
 import numpy as np
@@ -98,15 +109,36 @@ def _guard_slip(slip):
     return np.where(np.abs(s) < _SLIP_EPS, np.where(s < 0.0, -_SLIP_EPS, _SLIP_EPS), s)
 
 
+class _MotorCircuit:
+    """The motor equivalent circuit with its slip-independent parts precomputed.
+
+    The simulator evaluates it at every integrator stage, so the impedances
+    that do not depend on slip are formed once.
+    """
+
+    def __init__(self, rs, xs, rr, xr, xm):
+        self.rr = np.asarray(rr, dtype=float)
+        self.j_xr = 1j * np.asarray(xr, dtype=float)
+        self.z_mag = 1j * np.asarray(xm, dtype=float)
+        self.z_st = np.asarray(rs, dtype=float) + 1j * np.asarray(xs, dtype=float)
+        self.z_st_mag = self.z_st + self.z_mag
+        self.z_th = self.z_st * self.z_mag / self.z_st_mag
+
+    def admittance(self, slip):
+        s = _guard_slip(slip)
+        z_rot = self.rr / s + self.j_xr
+        return 1.0 / (self.z_st + (self.z_mag * z_rot) / (self.z_mag + z_rot))
+
+    def torque(self, slip, v_term):
+        s = _guard_slip(slip)
+        v_th = np.asarray(v_term) * self.z_mag / self.z_st_mag
+        i_rot = v_th / (self.z_th + self.rr / s + self.j_xr)
+        return np.abs(i_rot) ** 2 * self.rr / s
+
+
 def motor_input_admittance(rs, xs, rr, xr, xm, slip):
     """Admittance seen from the stator terminals at a given slip."""
-    s = _guard_slip(slip)
-    z_rot = rr / s + 1j * np.asarray(xr, dtype=float)
-    z_mag = 1j * np.asarray(xm, dtype=float)
-    z_in = (np.asarray(rs, dtype=float) + 1j * np.asarray(xs, dtype=float)) + (
-        z_mag * z_rot
-    ) / (z_mag + z_rot)
-    return 1.0 / z_in
+    return _MotorCircuit(rs, xs, rr, xr, xm).admittance(slip)
 
 
 def motor_torque(rs, xs, rr, xr, xm, slip, v_term):
@@ -115,13 +147,7 @@ def motor_torque(rs, xs, rr, xr, xm, slip, v_term):
     Uses the Thevenin reduction across the magnetizing branch; torque equals
     air-gap power in pu at synchronous-speed base.
     """
-    s = _guard_slip(slip)
-    z_st = np.asarray(rs, dtype=float) + 1j * np.asarray(xs, dtype=float)
-    z_mag = 1j * np.asarray(xm, dtype=float)
-    v_th = np.asarray(v_term) * z_mag / (z_st + z_mag)
-    z_th = z_st * z_mag / (z_st + z_mag)
-    i_rot = v_th / (z_th + rr / s + 1j * np.asarray(xr, dtype=float))
-    return np.abs(i_rot) ** 2 * rr / s
+    return _MotorCircuit(rs, xs, rr, xr, xm).torque(slip, v_term)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +358,13 @@ _PRE, _FAULT, _POST = 0, 1, 2
 
 
 class _DynamicModel:
-    """Precomputed arrays and per-phase admittance bases for one scenario."""
+    """Precomputed arrays and per-phase admittance bases for one fault context."""
+
+    # per-generator and per-motor constants that meet (members, ...) state arrays
+    _PER_MACHINE = (
+        "e_mag", "y_gen", "p_mech", "damping", "h2", "motor_scale", "motor_t0",
+        "m_rs", "m_xs", "m_rr", "m_xr", "m_xm", "m_h2", "m_exp",
+    )
 
     def __init__(self, network: Network, init: EquilibriumState, fault: FaultSpec | None):
         self.n = network.n_bus
@@ -373,51 +405,241 @@ class _DynamicModel:
         if fault is not None:
             self.y_base[_FAULT] = base("faulted")
             self.y_base[_POST] = base("postfault")
+        self._tiles: dict = {}
 
-    def solve_network(self, phase: int, delta: np.ndarray, slips: np.ndarray):
-        """Algebraic solve for nodal voltages given machine angles and slips."""
-        y = self.y_base[phase].copy()
-        if self.n_motor:
-            y_motor = self.motor_scale * motor_input_admittance(
-                self.m_rs, self.m_xs, self.m_rr, self.m_xr, self.m_xm, slips
+    def tiled(self, members: int) -> SimpleNamespace:
+        """The _PER_MACHINE constants repeated for `members` members, flat.
+
+        The elementwise arithmetic of a batch runs on flat arrays of equal
+        shape: at these sizes numpy's broadcasting and multi-dimensional
+        casting cost more than the arithmetic. Built once per member count.
+        """
+        tiles = self._tiles.get(members)
+        if tiles is None:
+            tiles = SimpleNamespace(
+                **{name: np.tile(getattr(self, name), members) for name in self._PER_MACHINE}
             )
-            y[self.motor_bus, self.motor_bus] += y_motor
-        e_src = self.e_mag * np.exp(1j * delta)
-        inj = np.zeros(y.shape[0], dtype=complex)
-        np.add.at(inj, self.gen_bus, e_src * self.y_gen)
-        v = np.linalg.solve(y, inj)
-        return v, e_src
+            tiles.motors = _MotorCircuit(tiles.m_rs, tiles.m_xs, tiles.m_rr, tiles.m_xr, tiles.m_xm)
+            self._tiles[members] = tiles
+        return tiles
 
-    def rhs(self, phase: int, x: np.ndarray) -> np.ndarray:
-        ng, nm = self.n_gen, self.n_motor
-        delta = x[:ng]
-        omega = x[ng : 2 * ng]
-        slips = x[2 * ng :]
-        v, e_src = self.solve_network(phase, delta, slips)
-        i_gen = (e_src - v[self.gen_bus]) * self.y_gen
+    def rhs(self, groups: list, x: np.ndarray):
+        """State derivatives of a batch of members and the bus voltages they came from.
+
+        groups lists (phase, rows) as _by_phase gives it. The network solves
+        of the members in one phase are one stack. Phases are not padded to a
+        common size (the faulted network has one node more): a padded matrix
+        would change LAPACK's blocking and so the rounding.
+        """
+        members, ng, nm = x.shape[0], self.n_gen, self.n_motor
+        c = self.tiled(members)
+        delta = x[:, :ng].ravel()
+        omega = x[:, ng : 2 * ng].ravel()
+        slips = x[:, 2 * ng :].ravel()
+        e_src = c.e_mag * np.exp(1j * delta)
+        src = (e_src * c.y_gen).reshape(members, ng)
+        if nm:
+            y_motor = (c.motor_scale * c.motors.admittance(slips)).reshape(members, nm)
+        v = np.empty((members, self.n), dtype=complex)
+        for phase, rows in groups:
+            stack_src = src[rows]
+            y = np.repeat(self.y_base[phase][None], stack_src.shape[0], axis=0)
+            if nm:
+                y[:, self.motor_bus, self.motor_bus] += y_motor[rows]
+            inj = np.zeros(y.shape[:2], dtype=complex)
+            np.add.at(inj, (slice(None), self.gen_bus), stack_src)
+            v[rows] = _solve_stack(y, inj)[:, : self.n]
+
+        i_gen = (e_src - v[:, self.gen_bus].ravel()) * c.y_gen
         p_elec = np.real(e_src * np.conj(i_gen))
         d_delta = self.omega_s * omega
-        d_omega = (self.p_mech - p_elec - self.damping * omega) / self.h2
+        d_omega = (c.p_mech - p_elec - c.damping * omega) / c.h2
         if nm:
-            t_elec = motor_torque(
-                self.m_rs, self.m_xs, self.m_rr, self.m_xr, self.m_xm,
-                slips, v[self.motor_bus],
-            )
-            t_load = self.motor_t0 * np.clip(1.0 - slips, 0.0, None) ** self.m_exp
-            d_slip = (t_load - t_elec) / self.m_h2
+            t_elec = c.motors.torque(slips, v[:, self.motor_bus].ravel())
+            t_load = c.motor_t0 * np.clip(1.0 - slips, 0.0, None) ** c.m_exp
+            d_slip = (t_load - t_elec) / c.m_h2
             # a stalled rotor stays at standstill instead of spinning backwards
             d_slip = np.where(slips >= 1.0, np.minimum(d_slip, 0.0), d_slip)
         else:
-            d_slip = np.empty(0)
-        return np.concatenate([d_delta, d_omega, d_slip])
+            d_slip = slips
+        dx = np.concatenate(
+            [d_delta.reshape(members, ng), d_omega.reshape(members, ng),
+             d_slip.reshape(members, nm)],
+            axis=1,
+        )
+        return dx, v
 
 
-def _rk4_span(model: _DynamicModel, phase: int, h: float, x: np.ndarray) -> np.ndarray:
-    k1 = model.rhs(phase, x)
-    k2 = model.rhs(phase, x + 0.5 * h * k1)
-    k3 = model.rhs(phase, x + 0.5 * h * k2)
-    k4 = model.rhs(phase, x + h * k3)
+def _solve_stack(y: np.ndarray, inj: np.ndarray) -> np.ndarray:
+    """Solve y[i] v[i] = inj[i] for every i; a singular y[i] gives NaN voltages.
+
+    A stacked solve gives the same bits as one solve per matrix. It fails as
+    a whole on one singular matrix, so that case is redone member by member
+    and only the singular member is lost (it then counts as diverged).
+    """
+    try:
+        return np.linalg.solve(y, inj[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        v = np.full(inj.shape, np.nan, dtype=complex)
+        for i in range(len(y)):
+            try:
+                v[i] = np.linalg.solve(y[i], inj[i])
+            except np.linalg.LinAlgError:
+                pass
+        return v
+
+
+def _by_phase(phase: np.ndarray) -> list:
+    """(phase, rows) for each topology phase the members are in.
+
+    rows is a slice when every member shares the phase, which is the usual
+    case and spares the copies fancy indexing makes.
+    """
+    if (phase == phase[0]).all():
+        return [(int(phase[0]), slice(None))]
+    return [(p, np.flatnonzero(phase == p)) for p in (_PRE, _FAULT, _POST) if (phase == p).any()]
+
+
+def _rk4_span(model: _DynamicModel, groups: list, h, x: np.ndarray,
+              k1: np.ndarray) -> np.ndarray:
+    """One RK4 span per member, of length h (a float or a column), given k1 = f(x)."""
+    k2 = model.rhs(groups, x + 0.5 * h * k1)[0]
+    k3 = model.rhs(groups, x + 0.5 * h * k2)[0]
+    k4 = model.rhs(groups, x + h * k3)[0]
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def run_simulations(
+    network: Network,
+    init: EquilibriumState,
+    fault: FaultSpec | None,
+    clear_times: Sequence[float | None],
+    fault_start_s: float = 1.0,
+    duration_s: float = 10.0,
+    step_s: float = 0.01,
+) -> list[Trace]:
+    """Integrate one fault context for several clearing durations in lockstep.
+
+    Member i clears clear_times[i] seconds after the fault starts. The
+    members share one (members, state) array, so each RK4 stage is one
+    stacked network solve per topology phase. Each trace is bit for bit the
+    one the member gives when run alone: a switching instant that falls
+    inside a step splits that step for its own member only, and a member
+    that goes non-finite stops there (diverged) without touching the others.
+
+    With fault=None the pre-fault topology runs for the whole window, which
+    is the configuration used to check that the equilibrium is stationary;
+    the clearing times are then ignored and only set the number of members.
+    """
+    if duration_s <= 0.0 or step_s <= 0.0:
+        raise ValueError("duration and step must be positive")
+    if fault is not None:
+        validate_fault(network, fault)
+        if any(c is None or c <= 0.0 for c in clear_times):
+            raise ValueError("a faulted run needs a positive clearing duration")
+        if fault_start_s < 0.0 or fault_start_s >= duration_s:
+            raise ValueError("fault start must lie inside the simulation window")
+    n_members = len(clear_times)
+    if n_members == 0:
+        return []
+
+    model = _DynamicModel(network, init, fault)
+    n_steps = int(round(duration_s / step_s)) + 1
+    times = np.arange(n_steps) * step_s
+
+    def snap(t: float) -> float:
+        on_grid = round(t / step_s) * step_s
+        return on_grid if abs(t - on_grid) < 1e-9 else t
+
+    t_fault = None if fault is None else snap(fault_start_s)
+    t_clear = [None if fault is None else snap(fault_start_s + c) for c in clear_times]
+    fault_on = np.inf if t_fault is None else t_fault
+    fault_off = np.array([np.inf if t is None else t for t in t_clear])
+
+    def phase_at(t, rows: np.ndarray) -> np.ndarray:
+        return np.where(t < fault_on, _PRE, np.where(t < fault_off[rows], _FAULT, _POST))
+
+    # per member: step index -> its switching instants strictly inside that step
+    inner: list[dict] = []
+    for t_c in t_clear:
+        splits: dict = {}
+        for s in (t_fault, t_c):
+            if s is not None:
+                for k in np.flatnonzero((times[:-1] < s) & (s < times[1:])):
+                    splits.setdefault(int(k), []).append(s)
+        inner.append(splits)
+    split_steps = set().union(*inner)
+
+    ng, n, nm = model.n_gen, model.n, model.n_motor
+    # one array per member, so a kept trace does not hold on to its batch
+    rotor = [np.zeros((n_steps, ng)) for _ in range(n_members)]
+    v_mag = [np.zeros((n_steps, n)) for _ in range(n_members)]
+    v_ang = [np.zeros((n_steps, n)) for _ in range(n_members)]
+    slips = [np.zeros((n_steps, nm)) for _ in range(n_members)]
+    diverged_step: list[int | None] = [None] * n_members
+    live = np.arange(n_members)  # members still integrating, rows of x
+    x = np.tile(np.concatenate([init.gen_delta, np.zeros(ng), init.motor_slip]), (n_members, 1))
+
+    for k in range(n_steps):
+        t_k = k * step_s
+        groups = _by_phase(phase_at(t_k, live))
+        # k1 of this step's first span; its network solve is also the recorded one
+        k1, v = model.rhs(groups, x)
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))
+        if bad.any():
+            if k == 0:
+                raise PowerFlowError("network solve failed at t = 0; initial state inconsistent")
+            for i in live[bad]:
+                for arr in (rotor[i], v_mag[i], v_ang[i], slips[i]):
+                    arr[k:] = arr[k - 1]
+                diverged_step[i] = k
+            keep = ~bad
+            live, x, k1, v = live[keep], x[keep], k1[keep], v[keep]
+            if live.size == 0:
+                break
+            groups = _by_phase(phase_at(t_k, live))
+        mag, ang = np.abs(v), np.angle(v)
+        for r, i in enumerate(live):
+            rotor[i][k] = x[r, :ng]
+            v_mag[i][k] = mag[r]
+            v_ang[i][k] = ang[r]
+            slips[i][k] = x[r, 2 * ng :]
+        if k == n_steps - 1:
+            break
+        t_next = (k + 1) * step_s
+        if k not in split_steps:
+            x = _rk4_span(model, groups, t_next - t_k, x, k1)
+            continue
+        # a member with a switching instant inside this step integrates it as
+        # sub-spans; the others take the whole step in the first span
+        points = [[t_k, *inner[i].get(k, ()), t_next] for i in live]
+        for j in range(max(map(len, points)) - 1):
+            rows = np.array([r for r, p in enumerate(points) if len(p) > j + 1])
+            a = np.array([points[r][j] for r in rows])
+            h = (np.array([points[r][j + 1] for r in rows]) - a)[:, None]
+            if j > 0:
+                groups = _by_phase(phase_at(a, live[rows]))
+                k1 = model.rhs(groups, x[rows])[0]
+            x[rows] = _rk4_span(model, groups, h, x[rows], k1)
+
+    load_buses = np.unique([ld.bus for ld in network.loads]).astype(int)
+    return [
+        Trace(
+            times=times,
+            rotor_angles=rotor[i],
+            bus_v_mag=v_mag[i],
+            bus_v_ang=v_ang[i],
+            motor_slips=slips[i],
+            step_s=step_s,
+            slack_bus=network.slack_bus,
+            load_buses=load_buses,
+            fault_start_s=t_fault,
+            clear_time_s=t_clear[i],
+            diverged=diverged_step[i] is not None,
+            diverged_step=diverged_step[i],
+        )
+        for i in range(n_members)
+    ]
 
 
 def run_simulation(
@@ -429,98 +651,14 @@ def run_simulation(
     duration_s: float = 10.0,
     step_s: float = 0.01,
 ) -> Trace:
-    """Integrate the scenario and return the sampled trace.
+    """Integrate one scenario and return the sampled trace.
 
-    With fault=None the pre-fault topology runs for the whole window, which is
-    the configuration used to check that the equilibrium is stationary.
+    This is run_simulations with a single member. With fault=None the
+    pre-fault topology runs for the whole window.
     """
-    if duration_s <= 0.0 or step_s <= 0.0:
-        raise ValueError("duration and step must be positive")
-    if fault is not None:
-        validate_fault(network, fault)
-        if clear_s is None or clear_s <= 0.0:
-            raise ValueError("a faulted run needs a positive clearing duration")
-        if fault_start_s < 0.0 or fault_start_s >= duration_s:
-            raise ValueError("fault start must lie inside the simulation window")
-
-    model = _DynamicModel(network, init, fault)
-    n_steps = int(round(duration_s / step_s)) + 1
-    t_fault = None if fault is None else fault_start_s
-    t_clear = None if fault is None else fault_start_s + clear_s
-
-    def snap(t: float | None) -> float | None:
-        if t is None:
-            return None
-        on_grid = round(t / step_s) * step_s
-        return on_grid if abs(t - on_grid) < 1e-9 else t
-
-    t_fault = snap(t_fault)
-    t_clear = snap(t_clear)
-    switches = [t for t in (t_fault, t_clear) if t is not None]
-
-    def phase_at(t: float) -> int:
-        if t_fault is None or t < t_fault:
-            return _PRE
-        if t_clear is None or t < t_clear:
-            return _FAULT
-        return _POST
-
-    ng, nm, n = model.n_gen, model.n_motor, model.n
-    times = np.arange(n_steps) * step_s
-    rotor = np.zeros((n_steps, ng))
-    v_mag = np.zeros((n_steps, n))
-    v_ang = np.zeros((n_steps, n))
-    slips = np.zeros((n_steps, nm))
-    x = np.concatenate([init.gen_delta, np.zeros(ng), init.motor_slip])
-    diverged = False
-    diverged_step = None
-
-    for k in range(n_steps):
-        t_k = k * step_s
-        ok = bool(np.all(np.isfinite(x)))
-        v = None
-        if ok:
-            try:
-                v, _ = model.solve_network(phase_at(t_k), x[:ng], x[2 * ng :])
-                ok = bool(np.all(np.isfinite(v)))
-            except np.linalg.LinAlgError:
-                ok = False
-        if not ok:
-            if k == 0:
-                raise PowerFlowError("network solve failed at t = 0; initial state inconsistent")
-            rotor[k:] = rotor[k - 1]
-            v_mag[k:] = v_mag[k - 1]
-            v_ang[k:] = v_ang[k - 1]
-            slips[k:] = slips[k - 1]
-            diverged = True
-            diverged_step = k
-            break
-        rotor[k] = x[:ng]
-        v_mag[k] = np.abs(v[:n])
-        v_ang[k] = np.angle(v[:n])
-        slips[k] = x[2 * ng :]
-        if k == n_steps - 1:
-            break
-        t_next = (k + 1) * step_s
-        points = [t_k] + [s for s in switches if t_k < s < t_next] + [t_next]
-        for a, b in zip(points[:-1], points[1:]):
-            x = _rk4_span(model, phase_at(a), b - a, x)
-
-    load_buses = np.unique([ld.bus for ld in network.loads]).astype(int)
-    return Trace(
-        times=times,
-        rotor_angles=rotor,
-        bus_v_mag=v_mag,
-        bus_v_ang=v_ang,
-        motor_slips=slips,
-        step_s=step_s,
-        slack_bus=network.slack_bus,
-        load_buses=load_buses,
-        fault_start_s=t_fault,
-        clear_time_s=t_clear,
-        diverged=diverged,
-        diverged_step=diverged_step,
-    )
+    return run_simulations(
+        network, init, fault, [clear_s], fault_start_s, duration_s, step_s
+    )[0]
 
 
 def simulate(network: Network, scenario: Scenario, init: EquilibriumState) -> Trace:
@@ -549,111 +687,8 @@ def simulate(network: Network, scenario: Scenario, init: EquilibriumState) -> Tr
 
 
 # ---------------------------------------------------------------------------
-# Trace serialization
+# Monitoring stream
 # ---------------------------------------------------------------------------
-
-_TRACE_MAGIC = b"TSA1"
-_TRACE_VERSION = 1
-
-
-def save_trace(trace: Trace, path: str | Path) -> None:
-    """Write the trace as little-endian float32 binary with a TSA1 header."""
-    n_steps, n_gen = trace.rotor_angles.shape
-    n_bus = trace.bus_v_mag.shape[1]
-    n_motor = trace.motor_slips.shape[1]
-    head = struct.pack(
-        "<4sIIIIII",
-        _TRACE_MAGIC,
-        _TRACE_VERSION,
-        n_steps,
-        n_bus,
-        n_gen,
-        n_motor,
-        trace.load_buses.size,
-    )
-    head += struct.pack(
-        "<fffBiI",
-        trace.step_s,
-        np.nan if trace.fault_start_s is None else trace.fault_start_s,
-        np.nan if trace.clear_time_s is None else trace.clear_time_s,
-        int(trace.diverged),
-        -1 if trace.diverged_step is None else trace.diverged_step,
-        trace.slack_bus,
-    )
-    body = trace.load_buses.astype("<u4").tobytes()
-    for arr in (trace.times, trace.rotor_angles, trace.bus_v_mag, trace.bus_v_ang, trace.motor_slips):
-        body += np.ascontiguousarray(arr, dtype="<f4").tobytes()
-    Path(path).write_bytes(head + body)
-
-
-def load_trace(path: str | Path) -> Trace:
-    """Read a TSA1 trace. Values come back at float32 precision."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _TRACE_MAGIC:
-        raise ValueError(f"{path}: not a TSA1 trace file")
-    (version, n_steps, n_bus, n_gen, n_motor, n_load) = struct.unpack_from("<IIIIII", raw, 4)
-    if version != _TRACE_VERSION:
-        raise ValueError(f"{path}: unsupported trace version {version}")
-    off = 4 + 24
-    step_s, fault_start, clear_time, diverged, diverged_step, slack = struct.unpack_from(
-        "<fffBiI", raw, off
-    )
-    off += struct.calcsize("<fffBiI")
-    load_buses = np.frombuffer(raw, dtype="<u4", count=n_load, offset=off).astype(int)
-    off += 4 * n_load
-
-    def take(count, shape):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off).astype(float)
-        off += 4 * count
-        return arr.reshape(shape)
-
-    times = take(n_steps, (n_steps,))
-    rotor = take(n_steps * n_gen, (n_steps, n_gen))
-    v_mag = take(n_steps * n_bus, (n_steps, n_bus))
-    v_ang = take(n_steps * n_bus, (n_steps, n_bus))
-    slips = take(n_steps * n_motor, (n_steps, n_motor))
-    return Trace(
-        times=times,
-        rotor_angles=rotor,
-        bus_v_mag=v_mag,
-        bus_v_ang=v_ang,
-        motor_slips=slips,
-        step_s=float(step_s),
-        slack_bus=int(slack),
-        load_buses=load_buses,
-        fault_start_s=None if np.isnan(fault_start) else float(fault_start),
-        clear_time_s=None if np.isnan(clear_time) else float(clear_time),
-        diverged=bool(diverged),
-        diverged_step=None if diverged_step < 0 else int(diverged_step),
-    )
-
-
-def trace_to_csv(trace: Trace, path: str | Path) -> None:
-    """Human-readable export: one row per step, columns for every channel."""
-    n_gen = trace.rotor_angles.shape[1]
-    n_bus = trace.bus_v_mag.shape[1]
-    n_motor = trace.motor_slips.shape[1]
-    cols = (
-        ["t"]
-        + [f"delta_{i}" for i in range(n_gen)]
-        + [f"v_mag_{i}" for i in range(n_bus)]
-        + [f"v_ang_{i}" for i in range(n_bus)]
-        + [f"slip_{i}" for i in range(n_motor)]
-    )
-    data = np.hstack(
-        [
-            trace.times[:, None],
-            trace.rotor_angles,
-            trace.bus_v_mag,
-            trace.bus_v_ang,
-            trace.motor_slips,
-        ]
-    )
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in data:
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
 
 
 def write_stream(trace: Trace, fh: IO[str]) -> None:

@@ -3,6 +3,7 @@
 import itertools
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from tsakit.dataset import (
     write_labels_csv,
     write_manifest,
 )
+from tsakit import labeling
 from tsakit.grid_model import adjacency_from_network
-from tsakit.labeling import margin
+from tsakit.labeling import CctSearchConfig, coarse_grid, margin
 from tsakit.tds import Trace
 
 
@@ -503,3 +505,42 @@ class TestBuildDataset:
             for k in ("stable_stable", "stable_unstable", "unstable_stable", "unstable_unstable")
         )
         assert total == manifest["n_samples"]
+
+    def test_contexts_simulate_once_and_release_their_traces(self, ieee39, monkeypatch):
+        """Per context: the coarse scan and the grid in one batch, then single
+        bisection probes, no clearing time twice; and no trace of the previous
+        context is alive when the next context starts simulating."""
+        runs = []  # (fault location, clearing times) per simulation call
+        alive = []  # (fault location, weak reference to a trace)
+        batch, single = labeling.run_simulations, labeling.run_simulation
+
+        def tracked_batch(network, init, fault, clear_times, *timing):
+            loc = fault.location_fraction
+            assert all(ref() is None for other, ref in alive if other != loc)
+            traces = batch(network, init, fault, clear_times, *timing)
+            runs.append((loc, list(clear_times)))
+            alive.extend((loc, weakref.ref(t)) for t in traces)
+            return traces
+
+        def tracked_single(network, init, fault, clear_s, *timing):
+            trace = single(network, init, fault, clear_s, *timing)
+            runs.append((fault.location_fraction, [clear_s]))
+            alive.append((fault.location_fraction, weakref.ref(trace)))
+            return trace
+
+        monkeypatch.setattr(labeling, "run_simulations", tracked_batch)
+        monkeypatch.setattr(labeling, "run_simulation", tracked_single)
+        cfg = GridConfig(
+            lines=(13,), location_fractions=(0.1, 0.9), motor_fractions=(0.6,),
+            clearing_cycles=(3.0, 4.0), duration_s=1.6,
+        )
+        build_dataset(ieee39, cfg, seed=0)
+        coarse = coarse_grid(CctSearchConfig.from_cycles(ieee39.nominal_hz))
+        assert [loc for loc, _ in runs] == sorted(loc for loc, _ in runs)
+        for loc in cfg.location_fractions:
+            calls = [clears for other, clears in runs if other == loc]
+            # 3 cycles is a coarse-scan point; 4 cycles is not
+            assert calls[0] == coarse + [4.0 / 60.0]
+            assert all(len(clears) == 1 for clears in calls[1:])
+            keys = [round(c, 12) for clears in calls for c in clears]
+            assert len(keys) == len(set(keys))

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsakit import labeling
 from tsakit.grid_model import FaultSpec
 from tsakit.labeling import (
     CctResult,
     CctSearchConfig,
     MarginLabel,
+    cached_traces,
     find_cct,
     find_cct_simulated,
     margin,
-    mean_margin,
     tsi,
     tvs,
 )
@@ -298,6 +299,28 @@ class TestFindCctSimulated:
         # the voltage pass reuses every coarse-scan trace
         assert len(cache) - n_after_angle <= 6
 
+    def test_cache_simulates_only_what_it_lacks(self, monkeypatch):
+        calls = []
+
+        def batch(network, init, fault, clear_times, *timing):
+            calls.append(("batch", list(clear_times)))
+            return [f"trace {c}" for c in clear_times]
+
+        def single(network, init, fault, clear_s, *timing):
+            calls.append(("single", clear_s))
+            return f"trace {clear_s}"
+
+        monkeypatch.setattr(labeling, "run_simulations", batch)
+        monkeypatch.setattr(labeling, "run_simulation", single)
+        cache = {round(0.1, 12): "cached"}
+        traces = cached_traces(cache, None, None, None, [0.1, 0.2, 0.3, 0.2 + 1e-14])
+        assert traces == ["cached", "trace 0.2", "trace 0.3", "trace 0.2"]
+        assert calls == [("batch", [0.2, 0.3])]
+        assert cached_traces(cache, None, None, None, [0.3, 0.4]) == ["trace 0.3", "trace 0.4"]
+        assert calls[-1] == ("single", 0.4)
+        assert cached_traces(cache, None, None, None, [0.4]) == ["trace 0.4"]
+        assert len(calls) == 2
+
     def test_unknown_criterion_rejected(self, ieee39_eq06):
         net, eq = ieee39_eq06
         with pytest.raises(ValueError, match="criterion"):
@@ -354,8 +377,3 @@ class TestMargin:
             margin(0.0, 0.1)
         with pytest.raises(ValueError):
             margin(0.1, -0.1)
-
-    def test_mean_margin(self):
-        assert mean_margin([0.2, 0.4, 0.6]) == pytest.approx(0.4)
-        with pytest.raises(ValueError, match="empty"):
-            mean_margin([])

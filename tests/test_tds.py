@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from tsakit import tds
 from tsakit.grid_model import (
     Bus,
     CompositeLoad,
@@ -18,14 +19,12 @@ from tsakit.tds import (
     PowerFlowError,
     Scenario,
     clearing_time_s,
-    load_trace,
     motor_input_admittance,
     motor_torque,
     run_simulation,
-    save_trace,
+    run_simulations,
     simulate,
     solve_equilibrium,
-    trace_to_csv,
     write_stream,
 )
 
@@ -324,8 +323,107 @@ class TestSimulation:
             run_simulation(net, eq, fault=FaultSpec(13, 0.5), clear_s=0.1, fault_start_s=20.0)
 
 
+TRACE_FIELDS = ("times", "rotor_angles", "bus_v_mag", "bus_v_ang", "motor_slips")
+
+
+def same_trace(a, b):
+    """Bit-for-bit equality of two traces, signed zeros and NaN payloads included."""
+    return (
+        all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in TRACE_FIELDS)
+        and (a.fault_start_s, a.clear_time_s, a.diverged, a.diverged_step)
+        == (b.fault_start_s, b.clear_time_s, b.diverged, b.diverged_step)
+    )
+
+
+class TestLockstep:
+    FAULT = FaultSpec(13, 0.5)
+    # 1 cycle and 0.08371 s clear inside a step (split), 0.1 s on a grid point;
+    # from 1.0167 s to 1.5 s some members are faulted while others are cleared
+    CLEARS = [0.05, 1.0 / 60.0, 0.5, 0.08371, 0.1]
+
+    def test_matches_single_runs_bit_for_bit(self, ieee39_eq06):
+        net, eq = ieee39_eq06
+        batch = run_simulations(net, eq, self.FAULT, self.CLEARS, duration_s=1.6)
+        assert len(batch) == len(self.CLEARS)
+        for clear_s, trace in zip(self.CLEARS, batch):
+            alone = run_simulation(net, eq, self.FAULT, clear_s, duration_s=1.6)
+            assert same_trace(trace, alone), clear_s
+
+    def test_member_order_does_not_matter(self, ieee39_eq06):
+        net, eq = ieee39_eq06
+        forward = run_simulations(net, eq, self.FAULT, self.CLEARS, duration_s=1.3)
+        backward = run_simulations(net, eq, self.FAULT, self.CLEARS[::-1], duration_s=1.3)
+        for a, b in zip(forward, backward[::-1]):
+            assert same_trace(a, b)
+
+    def test_without_fault(self, ieee39_eq06):
+        net, eq = ieee39_eq06
+        batch = run_simulations(net, eq, None, [None, 0.1], duration_s=0.5)
+        alone = run_simulation(net, eq, duration_s=0.5)
+        for trace in batch:
+            assert trace.clear_time_s is None and trace.fault_start_s is None
+            assert same_trace(trace, alone)
+
+    def test_invalid_arguments(self, ieee39_eq06):
+        net, eq = ieee39_eq06
+        with pytest.raises(ValueError, match="positive"):
+            run_simulations(net, eq, self.FAULT, [0.1], duration_s=0.0)
+        for clears in ([0.1, None], [0.1, 0.0], [-0.1]):
+            with pytest.raises(ValueError, match="clearing"):
+                run_simulations(net, eq, self.FAULT, clears)
+        with pytest.raises(ValueError, match="fault start"):
+            run_simulations(net, eq, self.FAULT, [0.1], fault_start_s=20.0)
+        with pytest.raises(ValueError):
+            run_simulations(net, eq, FaultSpec(999, 0.5), [0.1])
+        assert run_simulations(net, eq, self.FAULT, []) == []
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_stays_with_its_member(self, ieee39_eq06, monkeypatch):
+        """A member that loses synchronism is made to blow up; only it stops."""
+        net, eq = ieee39_eq06
+        clears = [0.3, 0.1, 0.5]
+        healthy = run_simulation(net, eq, self.FAULT, 0.1, duration_s=2.0)
+        rhs = tds._DynamicModel.rhs
+
+        def blow_up_past_180_degrees(model, groups, x):
+            dx, v = rhs(model, groups, x)
+            delta = x[:, : model.n_gen]
+            dx[delta.max(axis=1) - delta.min(axis=1) > np.pi] = np.nan
+            return dx, v
+
+        monkeypatch.setattr(tds._DynamicModel, "rhs", blow_up_past_180_degrees)
+        batch = run_simulations(net, eq, self.FAULT, clears, duration_s=2.0)
+        alone = [run_simulation(net, eq, self.FAULT, c, duration_s=2.0) for c in clears]
+        assert [t.diverged for t in batch] == [True, False, True]
+        assert batch[0].diverged_step != batch[2].diverged_step
+        for a, b in zip(batch, alone):
+            assert same_trace(a, b)
+        assert same_trace(batch[1], healthy)
+        k = batch[0].diverged_step
+        assert np.array_equal(batch[0].rotor_angles[k:], np.repeat(
+            batch[0].rotor_angles[k - 1 : k], batch[0].n_steps - k, axis=0))
+
+    def test_recorded_voltages_reuse_the_first_stage_solve(self, ieee39_eq06, monkeypatch):
+        """Four network solves per RK4 step, plus one for the last sample."""
+        net, eq = ieee39_eq06
+        calls = []
+        solve = tds._solve_stack
+        monkeypatch.setattr(tds, "_solve_stack", lambda y, inj: calls.append(1) or solve(y, inj))
+        trace = run_simulation(net, eq, duration_s=0.1)
+        assert len(calls) == 4 * (trace.n_steps - 1) + 1
+
+    def test_singular_member_does_not_fail_the_stack(self, rng):
+        y = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        y[1] = 0.0
+        inj = rng.standard_normal((3, 5)) + 0j
+        v = tds._solve_stack(y, inj)
+        assert np.all(np.isnan(v[1]))
+        for i in (0, 2):
+            assert v[i].tobytes() == np.linalg.solve(y[i], inj[i]).tobytes()
+
+
 # ---------------------------------------------------------------------------
-# Trace serialization
+# Monitoring stream
 # ---------------------------------------------------------------------------
 
 
@@ -335,38 +433,6 @@ class TestTraceIO:
         return run_simulation(
             net, eq, fault=FaultSpec(2, 0.3), clear_s=0.1, duration_s=1.5
         )
-
-    def test_binary_round_trip(self, ieee39_eq06, tmp_path):
-        trace = self.small_trace(ieee39_eq06)
-        path = tmp_path / "case.tsa"
-        save_trace(trace, path)
-        back = load_trace(path)
-        assert back.n_steps == trace.n_steps
-        assert back.slack_bus == trace.slack_bus
-        assert np.array_equal(back.load_buses, trace.load_buses)
-        assert back.diverged == trace.diverged
-        assert back.fault_start_s == pytest.approx(trace.fault_start_s, abs=1e-6)
-        assert back.clear_time_s == pytest.approx(trace.clear_time_s, abs=1e-6)
-        # payload stored as float32
-        assert np.max(np.abs(back.rotor_angles - trace.rotor_angles)) < 1e-5
-        assert np.max(np.abs(back.bus_v_mag - trace.bus_v_mag)) < 1e-6
-
-    def test_magic_checked(self, tmp_path):
-        path = tmp_path / "bogus.tsa"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="TSA1"):
-            load_trace(path)
-
-    def test_csv_export(self, ieee39_eq06, tmp_path):
-        trace = self.small_trace(ieee39_eq06)
-        path = tmp_path / "case.csv"
-        trace_to_csv(trace, path)
-        rows = path.read_text().strip().split("\n")
-        assert len(rows) == trace.n_steps + 1
-        header = rows[0].split(",")
-        assert header[0] == "t"
-        assert header.count("t") == 1
-        assert len(rows[1].split(",")) == len(header)
 
     def test_stream_round_trips_exact_values(self, ieee39_eq06):
         trace = self.small_trace(ieee39_eq06)
