@@ -226,6 +226,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
     network = _network_from_args(args)
     cfg = desk_grid(network) if args.grid == "desk" else paper_grid(network)
     if args.config:
@@ -238,7 +240,7 @@ def cmd_generate(args) -> int:
         print(f"scenarios: {cfg.n_scenarios}")
         return 0
     out = _out_dir(args)
-    samples, manifest = build_dataset(network, cfg, seed=args.seed)
+    samples, manifest = build_dataset(network, cfg, seed=args.seed, jobs=args.jobs)
     if not samples:
         raise CliError("no scenario produced a sample; see the log", code=1)
     save_dataset(samples, out / "dataset.tsd")
@@ -443,6 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--config", help="key = value grid overrides")
     gen.add_argument("--out", help="output directory (default: current)")
     gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument(
+        "--jobs", type=int,
+        help="worker processes labelling fault contexts (default: every available CPU); "
+        "the output does not depend on it",
+    )
     gen.add_argument(
         "--enumerate-only", action="store_true",
         help="print the scenario count and exit without simulating",

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import os
 import struct
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,13 @@ from .labeling import (
     tsi,
     tvs,
 )
-from .tds import PowerFlowError, Scenario, clearing_time_s, solve_equilibrium
+from .tds import (
+    EquilibriumState,
+    PowerFlowError,
+    Scenario,
+    clearing_time_s,
+    solve_equilibrium,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -303,110 +312,142 @@ def split_dataset(joint_labels, seed: int, ratios=(0.7, 0.1, 0.2)) -> DatasetSpl
 # ---------------------------------------------------------------------------
 
 
-def build_dataset(network: Network, cfg: GridConfig, seed: int = 0):
-    """Simulate and label the whole grid. Returns (samples, manifest dict).
+# manifest count_<name> of each per-sample flag, in manifest order
+_FLAG_COUNTS = (
+    ("tas_cct_above", FLAG_TAS_CCT_ABOVE),
+    ("tas_cct_below", FLAG_TAS_CCT_BELOW),
+    ("tvs_cct_above", FLAG_TVS_CCT_ABOVE),
+    ("tvs_cct_below", FLAG_TVS_CCT_BELOW),
+    ("diverged", FLAG_DIVERGED),
+    ("clamped", FLAG_CLAMPED),
+    ("tas_nonmonotone", FLAG_TAS_NONMONOTONE),
+    ("tvs_nonmonotone", FLAG_TVS_NONMONOTONE),
+)
+# samples whose verdict and margin side disagree, per criterion
+_DISAGREE_COUNTS = ("tas_disagree", "tvs_disagree")
 
-    The critical clearing times are found once per fault context (line,
-    location, motor share) and shared by every clearing time on that context.
-    All traces of a context go through one cache, so grid clearing times that
-    coincide with probe points are not simulated twice. The coarse scan and
-    the grid clearing times are simulated first, as one lockstep batch.
+
+@dataclass
+class ContextLabels:
+    """What label_context returns for one fault context."""
+
+    samples: list[Sample]
+    counts: dict  # count_<name> contributions, _FLAG_COUNTS then _DISAGREE_COUNTS
+    records: list[logging.LogRecord]  # what the labelling logged, in order
+
+
+class _RecordList(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@contextmanager
+def _captured_logs():
+    """Collect the records of the tsakit loggers instead of emitting them.
+
+    The package logger is opened to every level meanwhile, so a worker whose
+    logging was never configured still records everything; the parent drops
+    what its own levels would not have emitted when it replays the records.
     """
-    validate_grid(cfg, network)
-    scenarios = enumerate_scenarios(cfg)
+    pkg = logging.getLogger("tsakit")
+    capture = _RecordList()
+    saved = pkg.handlers, pkg.propagate, pkg.level
+    pkg.handlers, pkg.propagate = [capture], False
+    pkg.setLevel(logging.DEBUG)
+    try:
+        yield capture.records
+    finally:
+        pkg.handlers, pkg.propagate = saved[:2]
+        pkg.setLevel(saved[2])
+
+
+def _replay(records: list[logging.LogRecord]) -> None:
+    for rec in records:
+        log = logging.getLogger(rec.name)
+        if log.isEnabledFor(rec.levelno):
+            log.handle(rec)
+
+
+def label_context(
+    network: Network,
+    eq: EquilibriumState,
+    fault: FaultSpec,
+    cfg: GridConfig,
+    scenarios: list[tuple[int, Scenario]],
+) -> ContextLabels:
+    """Simulate and label one fault context (line, location and motor share).
+
+    network carries the context's motor share and eq is its equilibrium;
+    scenarios are the context's (scenario id, Scenario) pairs, which differ
+    only in clearing time. The critical clearing times are searched once and
+    shared by every scenario. All traces go through one cache that lives as
+    long as this call, so clearing times that coincide with probe points are
+    not simulated twice; the coarse scan and the grid clearing times are
+    simulated first, as one lockstep batch. The records the labelling logs
+    are returned instead of emitted, so a worker process can hand them back.
+    """
+    with _captured_logs() as records:
+        samples, counts = _label_scenarios(network, eq, fault, cfg, scenarios)
+    return ContextLabels(samples, counts, records)
+
+
+def _label_scenarios(network, eq, fault, cfg, scenarios):
     window_start = int(round(cfg.fault_start_s / cfg.step_s))
     cct_cfg = CctSearchConfig.from_cycles(network.nominal_hz)
-
     timing = {"fault_start_s": cfg.fault_start_s, "duration_s": cfg.duration_s,
               "step_s": cfg.step_s}
-    equilibria: dict = {}
-    context = None  # (key, angle CCT, voltage CCT, trace cache) of the current context
+    clears = [clearing_time_s(sc, network.nominal_hz) for _, sc in scenarios]
+    cache: dict = {}
+    cached_traces(cache, network, eq, fault, coarse_grid(cct_cfg) + clears, **timing)
+    cct_a = find_cct_simulated(
+        network, eq, fault, "angle", cfg=cct_cfg, trace_cache=cache, **timing
+    )
+    cct_v = find_cct_simulated(
+        network, eq, fault, "voltage", cfg=cct_cfg, trace_cache=cache, **timing
+    )
+    adjacency = adjacency_from_network(network, without_line=fault.line_index)
+    context_flags = (
+        (FLAG_TAS_CCT_ABOVE, cct_a.above_bracket),
+        (FLAG_TAS_CCT_BELOW, cct_a.below_bracket),
+        (FLAG_TVS_CCT_ABOVE, cct_v.above_bracket),
+        (FLAG_TVS_CCT_BELOW, cct_v.below_bracket),
+        (FLAG_TAS_NONMONOTONE, cct_a.nonmonotone),
+        (FLAG_TVS_NONMONOTONE, cct_v.nonmonotone),
+    )
+    base_flags = sum(bit for bit, on in context_flags if on)
+
     samples: list[Sample] = []
-    failed: list[int] = []
-    class_counts: dict = {}
-    flag_totals = {name: 0 for name in (
-        "tas_cct_above", "tas_cct_below", "tvs_cct_above", "tvs_cct_below",
-        "diverged", "clamped",
-    )}
-
-    for sid, sc in enumerate(scenarios):
-        frac = sc.motor_fraction
-        if frac not in equilibria:
-            net_f = network.with_motor_fraction(frac)
-            try:
-                equilibria[frac] = (net_f, solve_equilibrium(net_f))
-            except PowerFlowError as exc:
-                logger.warning("equilibrium failed for motor share %s: %s", frac, exc)
-                equilibria[frac] = None
-        if equilibria[frac] is None:
-            failed.append(sid)
-            continue
-        net_f, eq = equilibria[frac]
-
-        ckey = (sc.fault.line_index, sc.fault.location_fraction, frac)
-        if context is None or context[0] != ckey:
-            # enumerate_scenarios keeps a context's scenarios adjacent: drop the
-            # previous context's traces before this one's are simulated
-            context = trace = None
-            cache: dict = {}
-            grid_s = [
-                clearing_time_s(replace(sc, clearing_cycles=cyc), network.nominal_hz)
-                for cyc in cfg.clearing_cycles
-            ]
-            cached_traces(cache, net_f, eq, sc.fault, coarse_grid(cct_cfg) + grid_s, **timing)
-            cct_a = find_cct_simulated(
-                net_f, eq, sc.fault, "angle", cfg=cct_cfg, trace_cache=cache, **timing
-            )
-            cct_v = find_cct_simulated(
-                net_f, eq, sc.fault, "voltage", cfg=cct_cfg, trace_cache=cache, **timing
-            )
-            context = (ckey, cct_a, cct_v, cache)
-        _, cct_a, cct_v, cache = context
-
-        clear_s = clearing_time_s(sc, network.nominal_hz)
-        trace = cached_traces(cache, net_f, eq, sc.fault, [clear_s], **timing)[0]
+    disagree = dict.fromkeys(_DISAGREE_COUNTS, 0)
+    for (sid, _), clear_s in zip(scenarios, clears):
+        trace = cached_traces(cache, network, eq, fault, [clear_s], **timing)[0]
         angle_res = tsi(trace)
         volt_res = tvs(trace)
         features, clamped = extract_features(trace, window_start, cfg.window_steps)
-        adjacency = adjacency_from_network(network, without_line=sc.fault.line_index)
 
         m_a = margin(cct_a.t_cct_s, clear_s)
         m_v = margin(cct_v.t_cct_s, clear_s)
         if (m_a.kind == "margin") != angle_res.stable:
+            disagree["tas_disagree"] += 1
             logger.info(
                 "scenario %d: angle verdict and boundary side disagree near the "
                 "boundary (clear %.4f s, cct %.4f s)", sid, clear_s, cct_a.t_cct_s,
             )
         if (m_v.kind == "margin") != volt_res.stable:
+            disagree["tvs_disagree"] += 1
             logger.info(
                 "scenario %d: voltage verdict and boundary side disagree near the "
                 "boundary (clear %.4f s, cct %.4f s)", sid, clear_s, cct_v.t_cct_s,
             )
 
-        flags = 0
-        if cct_a.above_bracket:
-            flags |= FLAG_TAS_CCT_ABOVE
-            flag_totals["tas_cct_above"] += 1
-        if cct_a.below_bracket:
-            flags |= FLAG_TAS_CCT_BELOW
-            flag_totals["tas_cct_below"] += 1
-        if cct_v.above_bracket:
-            flags |= FLAG_TVS_CCT_ABOVE
-            flag_totals["tvs_cct_above"] += 1
-        if cct_v.below_bracket:
-            flags |= FLAG_TVS_CCT_BELOW
-            flag_totals["tvs_cct_below"] += 1
-        if cct_a.nonmonotone:
-            flags |= FLAG_TAS_NONMONOTONE
-        if cct_v.nonmonotone:
-            flags |= FLAG_TVS_NONMONOTONE
+        flags = base_flags
         if trace.diverged:
             flags |= FLAG_DIVERGED
-            flag_totals["diverged"] += 1
         if clamped:
             flags |= FLAG_CLAMPED
-            flag_totals["clamped"] += 1
-
         samples.append(
             Sample(
                 scenario_id=sid,
@@ -423,10 +464,92 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0):
                 features=features,
             )
         )
-        key = (angle_res.stable, volt_res.stable)
-        class_counts[key] = class_counts.get(key, 0) + 1
-        if (sid + 1) % 50 == 0 or sid + 1 == len(scenarios):
-            logger.info("labeled %d / %d scenarios", sid + 1, len(scenarios))
+    counts = {name: sum(bool(s.flags & bit) for s in samples) for name, bit in _FLAG_COUNTS}
+    counts.update(disagree)
+    return samples, counts
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _label_contexts(contexts: list[tuple], workers: int):
+    """label_context over argument tuples, results in order.
+
+    Two or more workers run it in a process pool, otherwise in this process.
+    """
+    if not contexts:
+        return
+    columns = list(zip(*contexts))
+    if workers < 2:
+        yield from map(label_context, *columns)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only when a pool starts
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(label_context, *columns)
+
+
+def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | None = None):
+    """Simulate and label the whole grid. Returns (samples, manifest dict).
+
+    The grid splits into fault contexts (line, location, motor share), which
+    label_context labels independently of each other. They run through an
+    ordered process pool of `jobs` workers (None: every CPU this process may
+    use), capped at the number of contexts; with one worker they run in this
+    process through the same label_context. This function keeps the rest:
+    one equilibrium per motor share, the sample order, the class and flag
+    totals, the progress log, the records each context logged (replayed in
+    context order) and the manifest. The output does not depend on jobs.
+    """
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    validate_grid(cfg, network)
+    scenarios = enumerate_scenarios(cfg)
+    window_start = int(round(cfg.fault_start_s / cfg.step_s))
+
+    equilibria: dict = {}
+    for frac in cfg.motor_fractions:
+        if frac in equilibria:
+            continue
+        net_f = network.with_motor_fraction(frac)
+        try:
+            equilibria[frac] = (net_f, solve_equilibrium(net_f))
+        except PowerFlowError as exc:
+            logger.warning("equilibrium failed for motor share %s: %s", frac, exc)
+            equilibria[frac] = None
+
+    # enumerate_scenarios keeps a context's scenarios adjacent
+    contexts: list[tuple] = []
+    failed: list[int] = []
+    for (fault, frac), group in groupby(
+        enumerate(scenarios), key=lambda item: (item[1].fault, item[1].motor_fraction)
+    ):
+        group = list(group)
+        if equilibria[frac] is None:
+            failed.extend(sid for sid, _ in group)
+        else:
+            net_f, eq = equilibria[frac]
+            contexts.append((net_f, eq, fault, cfg, group))
+
+    samples: list[Sample] = []
+    class_counts: dict = {}
+    totals = dict.fromkeys([name for name, _ in _FLAG_COUNTS] + list(_DISAGREE_COUNTS), 0)
+    workers = min(jobs or _available_cpus(), len(contexts))
+    for labels in _label_contexts(contexts, workers):
+        _replay(labels.records)
+        for name, count in labels.counts.items():
+            totals[name] += count
+        for sample in labels.samples:
+            samples.append(sample)
+            key = (sample.tas_stable, sample.tvs_stable)
+            class_counts[key] = class_counts.get(key, 0) + 1
+            done = sample.scenario_id + 1
+            if done % 50 == 0 or done == len(scenarios):
+                logger.info("labeled %d / %d scenarios", done, len(scenarios))
 
     digest = hashlib.sha256()
     digest.update(format_network(network).encode())
@@ -457,7 +580,7 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0):
         "count_unstable_stable": class_counts.get((False, True), 0),
         "count_unstable_unstable": class_counts.get((False, False), 0),
     }
-    for name, count in flag_totals.items():
+    for name, count in totals.items():
         manifest[f"count_{name}"] = count
     return samples, manifest
 

@@ -21,7 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .grid_model import FaultSpec, Network
-from .tds import EquilibriumState, Trace, run_simulation, run_simulations
+from .tds import (
+    EquilibriumState,
+    Trace,
+    clearing_instant,
+    run_simulation,
+    run_simulations,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -232,15 +238,16 @@ def cached_traces(
 ) -> list[Trace]:
     """Traces of one fault context for the given clearing durations.
 
-    The cache maps a clearing duration rounded to 1e-12 s to its trace, so
-    probes that agree to that precision share one simulation. The durations
-    the cache lacks are simulated in one lockstep batch. A lone one (a
-    bisection probe) goes through run_simulation, the same engine with one
-    member, so span traces still count single runs under that name.
+    The cache maps the absolute clearing instant the simulator integrates
+    (tds.clearing_instant) to its trace, so durations share one simulation
+    exactly when they give the same trace. The durations the cache lacks
+    are simulated in one lockstep batch. A lone one (a bisection probe) goes
+    through run_simulation, the same engine with one member, so span traces
+    still count single runs under that name.
     """
+    keys = [clearing_instant(fault_start_s, c, step_s) for c in clear_times]
     missing: dict = {}
-    for clear_s in clear_times:
-        key = round(clear_s, 12)
+    for key, clear_s in zip(keys, clear_times):
         if key not in cache:
             missing.setdefault(key, clear_s)
     if len(missing) == 1:
@@ -253,7 +260,7 @@ def cached_traces(
             network, init, fault, list(missing.values()), fault_start_s, duration_s, step_s
         )
         cache.update(zip(missing, traces))
-    return [cache[round(clear_s, 12)] for clear_s in clear_times]
+    return [cache[key] for key in keys]
 
 
 def find_cct_simulated(

@@ -509,6 +509,22 @@ def _rk4_span(model: _DynamicModel, groups: list, h, x: np.ndarray,
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _snap(t: float, step_s: float) -> float:
+    """t moved onto the sample grid when it lies within 1e-9 s of a grid point."""
+    on_grid = round(t / step_s) * step_s
+    return on_grid if abs(t - on_grid) < 1e-9 else t
+
+
+def clearing_instant(fault_start_s: float, clear_s: float, step_s: float) -> float:
+    """The absolute time at which the simulator removes the fault.
+
+    This is the only place the clearing duration enters the integration, so
+    two durations with the same instant give the same trace, and two with
+    different instants (even one ulp apart) do not.
+    """
+    return _snap(fault_start_s + clear_s, step_s)
+
+
 def run_simulations(
     network: Network,
     init: EquilibriumState,
@@ -547,12 +563,11 @@ def run_simulations(
     n_steps = int(round(duration_s / step_s)) + 1
     times = np.arange(n_steps) * step_s
 
-    def snap(t: float) -> float:
-        on_grid = round(t / step_s) * step_s
-        return on_grid if abs(t - on_grid) < 1e-9 else t
-
-    t_fault = None if fault is None else snap(fault_start_s)
-    t_clear = [None if fault is None else snap(fault_start_s + c) for c in clear_times]
+    t_fault = None if fault is None else _snap(fault_start_s, step_s)
+    t_clear = [
+        None if fault is None else clearing_instant(fault_start_s, c, step_s)
+        for c in clear_times
+    ]
     fault_on = np.inf if t_fault is None else t_fault
     fault_off = np.array([np.inf if t is None else t for t in t_clear])
 

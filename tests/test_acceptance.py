@@ -302,7 +302,8 @@ def test_criterion_07_desk_end_to_end(desk_run):
 
 def test_criterion_08_determinism(desk_run, ieee39, tmp_path):
     with criterion(8, "bit-identical dataset and checkpoint on repeat run") as res:
-        samples2, _ = build_dataset(ieee39, desk_run["cfg"], seed=0)
+        # desk_run labels in a process pool; this rebuild labels in-process
+        samples2, _ = build_dataset(ieee39, desk_run["cfg"], seed=0, jobs=1)
         save_dataset(samples2, tmp_path / "dataset.tsd")
         first = (desk_run["dir"] / "dataset.tsd").read_bytes()
         second = (tmp_path / "dataset.tsd").read_bytes()

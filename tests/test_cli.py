@@ -97,6 +97,26 @@ class TestGenerate:
         assert (out / "labels.csv").read_text().count("\n") == 3
         assert "n_scenarios = 2" in (out / "manifest.txt").read_text()
 
+    @pytest.mark.slow
+    def test_jobs_do_not_change_the_dataset(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            "lines = 13\nlocation_fractions = 0.1, 0.9\nmotor_fractions = 0.6\n"
+            "clearing_cycles = 3, 4\nduration_s = 1.6\n"
+        )
+        for jobs in ("1", "2"):
+            rc = cli.main([
+                "generate", "--config", str(cfg), "--out", str(tmp_path / jobs), "--jobs", jobs,
+            ])
+            assert rc == 0
+        assert (tmp_path / "1" / "dataset.tsd").read_bytes() == (
+            tmp_path / "2" / "dataset.tsd"
+        ).read_bytes()
+
+    def test_jobs_below_one_rejected(self, capsys):
+        assert cli.main(["generate", "--jobs", "0"]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
 
 class TestLabel:
     def test_rewrites_labels(self, toy_dataset, tmp_path, capsys):

@@ -3,19 +3,25 @@
 import itertools
 import logging
 import math
+import os
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsakit import dataset
 from tsakit.dataset import (
     FLAG_CLAMPED,
+    FLAG_TAS_NONMONOTONE,
+    FLAG_TVS_NONMONOTONE,
     GridConfig,
     Sample,
     build_dataset,
     desk_grid,
+    label_context,
     enumerate_scenarios,
     extract_features,
     load_dataset,
@@ -28,8 +34,8 @@ from tsakit.dataset import (
     write_manifest,
 )
 from tsakit import labeling
-from tsakit.grid_model import adjacency_from_network
-from tsakit.labeling import CctSearchConfig, coarse_grid, margin
+from tsakit.grid_model import FaultSpec, adjacency_from_network
+from tsakit.labeling import CctResult, CctSearchConfig, coarse_grid, margin
 from tsakit.tds import Trace
 
 
@@ -506,6 +512,14 @@ class TestBuildDataset:
         )
         assert total == manifest["n_samples"]
 
+    def test_manifest_counts_nonmonotone_and_disagreeing_samples(self, tiny_build):
+        (samples, manifest), _ = tiny_build
+        for name, bit in (("tas_nonmonotone", FLAG_TAS_NONMONOTONE),
+                          ("tvs_nonmonotone", FLAG_TVS_NONMONOTONE)):
+            assert manifest[f"count_{name}"] == sum(bool(s.flags & bit) for s in samples)
+        # 3 cycles clears well before the boundary, 11 cycles well after it
+        assert manifest["count_tas_disagree"] == manifest["count_tvs_disagree"] == 0
+
     def test_contexts_simulate_once_and_release_their_traces(self, ieee39, monkeypatch):
         """Per context: the coarse scan and the grid in one batch, then single
         bisection probes, no clearing time twice; and no trace of the previous
@@ -534,7 +548,7 @@ class TestBuildDataset:
             lines=(13,), location_fractions=(0.1, 0.9), motor_fractions=(0.6,),
             clearing_cycles=(3.0, 4.0), duration_s=1.6,
         )
-        build_dataset(ieee39, cfg, seed=0)
+        build_dataset(ieee39, cfg, seed=0, jobs=1)
         coarse = coarse_grid(CctSearchConfig.from_cycles(ieee39.nominal_hz))
         assert [loc for loc, _ in runs] == sorted(loc for loc, _ in runs)
         for loc in cfg.location_fractions:
@@ -544,3 +558,69 @@ class TestBuildDataset:
             assert all(len(clears) == 1 for clears in calls[1:])
             keys = [round(c, 12) for clears in calls for c in clears]
             assert len(keys) == len(set(keys))
+
+
+# two fault contexts of line 13 with 1.6 s traces: about a second each
+TWO_CONTEXTS = GridConfig(
+    lines=(13,), location_fractions=(0.1, 0.9), motor_fractions=(0.6,),
+    clearing_cycles=(3.0, 4.0), duration_s=1.6,
+)
+
+
+class TestContextPool:
+    def test_pool_and_serial_builds_are_identical(self, ieee39, tmp_path):
+        serial, serial_manifest = build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=1)
+        pooled, pooled_manifest = build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=2)
+        save_dataset(serial, tmp_path / "serial.tsd")
+        save_dataset(pooled, tmp_path / "pooled.tsd")
+        assert (tmp_path / "serial.tsd").read_bytes() == (tmp_path / "pooled.tsd").read_bytes()
+        assert serial_manifest == pooled_manifest
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_context_warnings_reach_the_caller_once_in_order(self, ieee39, monkeypatch,
+                                                             caplog, jobs):
+        search = dataset.find_cct_simulated
+
+        def loud_search(network, eq, fault, criterion, **kwargs):
+            logging.getLogger("tsakit.labeling").warning(
+                "search %s at %s", criterion, fault.location_fraction
+            )
+            return search(network, eq, fault, criterion, **kwargs)
+
+        # set before the pool starts, so forked workers inherit it
+        monkeypatch.setattr(dataset, "find_cct_simulated", loud_search)
+        with caplog.at_level(logging.WARNING):
+            build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
+        records = [r for r in caplog.records if r.getMessage().startswith("search")]
+        assert [r.getMessage() for r in records] == [
+            "search angle at 0.1", "search voltage at 0.1",
+            "search angle at 0.9", "search voltage at 0.9",
+        ]
+        assert all((r.process != os.getpid()) == (jobs == 2) for r in records)
+
+    def test_rejects_fewer_than_one_job(self, ieee39):
+        with pytest.raises(ValueError, match="jobs"):
+            build_dataset(ieee39, TWO_CONTEXTS, jobs=0)
+
+
+def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, monkeypatch):
+    """A boundary below every clearing time puts stable traces on the degree
+    side: each sample then disagrees on both criteria and carries both
+    non-monotone flags, and the INFO lines come back as records."""
+    net, eq = ieee39_eq06
+    monkeypatch.setattr(
+        dataset, "find_cct_simulated",
+        lambda *a, **k: CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True),
+    )
+    cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
+    labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,
+                           list(enumerate(enumerate_scenarios(cfg))))
+    assert [s.tas_stable and s.tvs_stable for s in labels.samples] == [True, True]
+    nonmonotone = FLAG_TAS_NONMONOTONE | FLAG_TVS_NONMONOTONE
+    assert all(s.flags & nonmonotone == nonmonotone for s in labels.samples)
+    assert labels.counts["tas_nonmonotone"] == labels.counts["tvs_nonmonotone"] == 2
+    assert labels.counts["tas_disagree"] == labels.counts["tvs_disagree"] == 2
+    assert [(r.levelname, r.getMessage().split(" verdict")[0]) for r in labels.records] == [
+        ("INFO", "scenario 0: angle"), ("INFO", "scenario 0: voltage"),
+        ("INFO", "scenario 1: angle"), ("INFO", "scenario 1: voltage"),
+    ]

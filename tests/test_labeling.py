@@ -10,13 +10,14 @@ from tsakit.labeling import (
     CctSearchConfig,
     MarginLabel,
     cached_traces,
+    coarse_grid,
     find_cct,
     find_cct_simulated,
     margin,
     tsi,
     tvs,
 )
-from tsakit.tds import Trace
+from tsakit.tds import Trace, clearing_instant
 
 
 def make_trace(
@@ -312,7 +313,7 @@ class TestFindCctSimulated:
 
         monkeypatch.setattr(labeling, "run_simulations", batch)
         monkeypatch.setattr(labeling, "run_simulation", single)
-        cache = {round(0.1, 12): "cached"}
+        cache = {clearing_instant(1.0, 0.1, 0.01): "cached"}
         traces = cached_traces(cache, None, None, None, [0.1, 0.2, 0.3, 0.2 + 1e-14])
         assert traces == ["cached", "trace 0.2", "trace 0.3", "trace 0.2"]
         assert calls == [("batch", [0.2, 0.3])]
@@ -320,6 +321,37 @@ class TestFindCctSimulated:
         assert calls[-1] == ("single", 0.4)
         assert cached_traces(cache, None, None, None, [0.4]) == ["trace 0.4"]
         assert len(calls) == 2
+
+    def test_28_cycle_probe_and_grid_value_keep_their_own_traces(self, ieee39_eq06):
+        """The first bisection midpoint between 27 and 29 cycles and 28/60 s
+        agree to 1e-12 but clear one ulp apart, so each gets its own trace."""
+        net, eq = ieee39_eq06
+        grid = coarse_grid(CctSearchConfig.from_cycles(net.nominal_hz))
+        probe, grid_value = 0.5 * (grid[13] + grid[14]), 28.0 / 60.0
+        assert round(probe, 12) == round(grid_value, 12)
+        assert 1.0 + probe != 1.0 + grid_value
+        cache = {}
+        a, b = cached_traces(cache, net, eq, FaultSpec(13, 0.5), [probe, grid_value],
+                             duration_s=1.6)
+        assert len(cache) == 2
+        assert (a.clear_time_s, b.clear_time_s) == (1.0 + probe, 1.0 + grid_value)
+
+    def test_durations_with_one_clearing_instant_share_a_simulation(self, ieee39_eq06,
+                                                                     monkeypatch):
+        net, eq = ieee39_eq06
+        runs = []
+        batch, single = labeling.run_simulations, labeling.run_simulation
+        monkeypatch.setattr(labeling, "run_simulations",
+                            lambda *a: runs.append(a[3]) or batch(*a))
+        monkeypatch.setattr(labeling, "run_simulation",
+                            lambda *a: runs.append([a[3]]) or single(*a))
+        # 1.15 s is a sample instant; 5e-10 s off it snaps onto it
+        durations = [0.15, 0.15 + 5e-10]
+        assert round(durations[0], 12) != round(durations[1], 12)
+        a, b = cached_traces({}, net, eq, FaultSpec(13, 0.5), durations, duration_s=1.6)
+        assert a is b
+        assert runs == [[0.15]]
+        assert a.clear_time_s == clearing_instant(1.0, 0.15 + 5e-10, 0.01)
 
     def test_unknown_criterion_rejected(self, ieee39_eq06):
         net, eq = ieee39_eq06
