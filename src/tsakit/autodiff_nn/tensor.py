@@ -4,7 +4,10 @@ Every operation records its inputs and a closure that routes the output
 gradient back to them; backward() runs the closures in reverse topological
 order. Only the handful of operations the stability model needs exist here,
 all in float64. Gradients accumulate into .grad like any tape system, so
-training code zeroes parameter gradients between steps.
+training code zeroes parameter gradients between steps. A backward closure
+computes an operand's gradient only when that operand requires one, and a
+stored gradient array is never written in place, so an array may be shared
+between nodes and with the caller's seed.
 """
 
 from __future__ import annotations
@@ -67,9 +70,7 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad=None) -> None:
         """Populate .grad on every tensor this value depends on."""
@@ -114,8 +115,10 @@ class Tensor:
         data = self.data + other.data
 
         def backward_fn(g):
-            self._accumulate(_sum_to_shape(g, self.data.shape))
-            other._accumulate(_sum_to_shape(g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_sum_to_shape(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_sum_to_shape(g, other.data.shape))
 
         return self._result(data, (self, other), backward_fn)
 
@@ -138,8 +141,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward_fn(g):
-            self._accumulate(_sum_to_shape(g * other.data, self.data.shape))
-            other._accumulate(_sum_to_shape(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_sum_to_shape(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_sum_to_shape(g * self.data, other.data.shape))
 
         return self._result(data, (self, other), backward_fn)
 
@@ -150,10 +155,12 @@ class Tensor:
         data = self.data / other.data
 
         def backward_fn(g):
-            self._accumulate(_sum_to_shape(g / other.data, self.data.shape))
-            other._accumulate(
-                _sum_to_shape(-g * self.data / other.data**2, other.data.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_sum_to_shape(g / other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(
+                    _sum_to_shape(-g * self.data / other.data**2, other.data.shape)
+                )
 
         return self._result(data, (self, other), backward_fn)
 
@@ -177,12 +184,14 @@ class Tensor:
         data = self.data @ other.data
 
         def backward_fn(g):
-            self._accumulate(
-                _sum_to_shape(g @ np.swapaxes(other.data, -1, -2), self.data.shape)
-            )
-            other._accumulate(
-                _sum_to_shape(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(
+                    _sum_to_shape(g @ np.swapaxes(other.data, -1, -2), self.data.shape)
+                )
+            if other.requires_grad:
+                other._accumulate(
+                    _sum_to_shape(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)
+                )
 
         return self._result(data, (self, other), backward_fn)
 
@@ -201,22 +210,6 @@ class Tensor:
 
         def backward_fn(g):
             self._accumulate(g * (1.0 - data**2))
-
-        return self._result(data, (self,), backward_fn)
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward_fn(g):
-            self._accumulate(g * data)
-
-        return self._result(data, (self,), backward_fn)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward_fn(g):
-            self._accumulate(g / self.data)
 
         return self._result(data, (self,), backward_fn)
 
@@ -250,16 +243,6 @@ class Tensor:
 
         def backward_fn(g):
             self._accumulate(g.reshape(self.data.shape))
-
-        return self._result(data, (self,), backward_fn)
-
-    def __getitem__(self, index) -> "Tensor":
-        data = self.data[index]
-
-        def backward_fn(g):
-            buf = np.zeros_like(self.data)
-            np.add.at(buf, index, g)
-            self._accumulate(buf)
 
         return self._result(data, (self,), backward_fn)
 

@@ -294,9 +294,11 @@ def cmd_train(args) -> int:
         model_cfg = ModelConfig(in_dim=in_dim, seed=run_seed, **model_fields)
         result = train(samples, split, cfg, model_cfg)
         suffix = "" if args.repeats == 1 else f"_seed{run_seed}"
-        save_checkpoint(result.model, out / f"checkpoint{suffix}.tsm")
+        checkpoint = out / f"checkpoint{suffix}.tsm"
+        save_checkpoint(result.model, checkpoint)
         write_training_log(result.log_rows, out / f"training_log{suffix}.csv")
-        report = evaluate(result.model, samples, split.test_ids)
+        # report on the float32 weights the file holds, as `tsa eval` sees them
+        report = evaluate(load_checkpoint(checkpoint), samples, split.test_ids)
         rows.append(
             {
                 "seed": run_seed,

@@ -156,7 +156,12 @@ def multitask_loss(outputs: ModelOutput, targets: dict, weights: LossWeights):
 
 
 class Adam:
-    """Adaptive-moment gradient descent over a named parameter dict."""
+    """Adaptive-moment gradient descent over a named parameter dict.
+
+    The moments live in flat buffers in parameter order, and each step
+    updates them in place over all parameters at once, with the same
+    per-element operations as a loop over the parameters.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -168,20 +173,39 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._slices = []
+        size = 0
+        for p in params.values():
+            self._slices.append(slice(size, size + p.data.size))
+            size += p.data.size
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self) -> None:
-        self.t += 1
         for name, p in self.params.items():
             if p.grad is None:
                 raise RuntimeError(f"parameter {name} has no gradient")
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g**2
-            m_hat = self.m[name] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[name] / (1.0 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.t += 1
+        # b: the gradient, then (1 - beta2) g**2, then sqrt(v_hat) + eps;
+        # a: (1 - beta1) g, then the step lr * m_hat / (sqrt(v_hat) + eps)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=b)
+        np.multiply(b, 1.0 - self.beta1, out=a)
+        m *= self.beta1
+        m += a
+        np.square(b, out=b)
+        b *= 1.0 - self.beta2
+        v *= self.beta2
+        v += b
+        np.divide(m, 1.0 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        for p, part in zip(self.params.values(), self._slices):
+            p.data = p.data - a[part].reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -102,12 +102,6 @@ class TestNonlinearities:
     def test_tanh(self, rng):
         check_op(lambda a: a.tanh().sum(), (3, 3), rng=rng)
 
-    def test_exp_log(self, rng):
-        def build(a):
-            return ((a * a + 1.0).log() + (a * 0.1).exp()).sum()
-
-        check_op(build, (6,), rng=rng)
-
 
 class TestReductions:
     def test_sum_all(self, rng):
@@ -131,12 +125,6 @@ class TestReductions:
 
     def test_reshape(self, rng):
         check_op(lambda a: (a.reshape(6) ** 2).sum(), (2, 3), rng=rng)
-
-    def test_getitem_slice(self, rng):
-        check_op(lambda a: (a[1:, :2] ** 2).sum(), (4, 3), rng=rng)
-
-    def test_getitem_int_row(self, rng):
-        check_op(lambda a: (a[2] ** 2).sum(), (4, 3), rng=rng)
 
     def test_stack(self, rng):
         def build(a, b):
@@ -263,6 +251,36 @@ class TestTapeSemantics:
         (a * c).sum().backward()
         assert c.grad is None
         np.testing.assert_allclose(a.grad, 2.0, atol=1e-14)
+
+    def test_constant_operand_gradient_is_not_evaluated(self):
+        # d(a/c)/dc = -a/c**2 would overflow in the square
+        a = Tensor(np.ones(3), requires_grad=True)
+        c = Tensor(np.full(3, 1e200))
+        with np.errstate(all="raise"):
+            (a / c).sum().backward()
+        assert c.grad is None
+        np.testing.assert_array_equal(a.grad, 1.0 / 1e200)
+
+    def test_self_sum_gets_both_operand_gradients(self):
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        (x + x).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2.0)
+
+    def test_seed_is_not_mutated(self, rng):
+        a = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+        out = a + 0.0
+        seed = np.arange(4.0).reshape(2, 2)
+        out.backward(seed)
+        out.backward(seed)
+        np.testing.assert_array_equal(seed, np.arange(4.0).reshape(2, 2))
+
+    def test_stored_gradient_is_not_mutated_by_a_later_backward(self, rng):
+        a = Tensor(rng.standard_normal(3), requires_grad=True)
+        (a * 3.0).sum().backward()
+        first = a.grad
+        (a * 2.0).sum().backward()
+        np.testing.assert_array_equal(first, 3.0)
+        np.testing.assert_array_equal(a.grad, 5.0)
 
     def test_deep_chain_does_not_overflow(self):
         x = Tensor(np.ones(2), requires_grad=True)

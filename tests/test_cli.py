@@ -166,6 +166,30 @@ class TestTrain:
         ])
         assert rc == 2
 
+    def test_printed_test_metrics_describe_the_written_checkpoint(
+        self, toy_dataset, tmp_path, capsys
+    ):
+        rc = cli.main([
+            "train", "--data", str(toy_dataset), "--out", str(tmp_path),
+            "--seed", "0", "--epochs", "10",
+        ])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        report = tmp_path / "report.csv"
+        rc = cli.main([
+            "eval", "--data", str(toy_dataset),
+            "--checkpoint", str(tmp_path / "checkpoint.tsm"),
+            "--split", "test", "--report-csv", str(report),
+        ])
+        assert rc == 0
+        header, values = report.read_text().splitlines()
+        ev = dict(zip(header.split(","), values.split(",")))
+        assert (
+            f"test acc tas {float(ev['tas_accuracy']):.4f} "
+            f"tvs {float(ev['tvs_accuracy']):.4f}, "
+            f"test mse tas {float(ev['tas_mse']):.5f} tvs {float(ev['tvs_mse']):.5f}"
+        ) in printed
+
     def test_identical_runs_identical_checkpoints(self, toy_dataset, tmp_path):
         outs = []
         for name in ("a", "b"):

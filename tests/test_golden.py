@@ -9,10 +9,11 @@ with a stated reason why the numerics changed.
 import hashlib
 
 import numpy as np
+import pytest
 
 from tsakit.autodiff_nn import ModelConfig, save_checkpoint
 from tsakit.dataset import DatasetSplit, GridConfig, build_dataset, save_dataset
-from tsakit.training_eval import TrainConfig, train
+from tsakit.training_eval import TrainConfig, train, write_training_log
 
 # one fault context, one clearing time on the CCT coarse scan and one off it;
 # the trace ends just after the top of the clearing-time bracket
@@ -25,22 +26,44 @@ GRID = GridConfig(
 )
 DATASET_SHA256 = "583cd29a1e83243bcbe875ee54c15e9805c7ae8293e228e031f40c964200b9a9"
 CHECKPOINT_SHA256 = "7545897c46d521c3f2af6f24acaa2275f2c1859c94a052fb9b7b952def5bf285"
+# the float32 checkpoint rounds away last-bit drift in the float64 weights
+# and the logged losses; these two digests see it
+PARAMS_F64_SHA256 = "fe323e09f4b881ff95543a30052979dd76e1ad01c8e8389c17616082b75e9d9b"
+TRAINING_LOG_SHA256 = "edeb7da298395ddda828794cb8bb8f2548154eeeb0b7f17392b59ba4a4d607e6"
 
 
-def test_tiny_pipeline_bytes_are_pinned(ieee39, tmp_path):
+def sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(ieee39, tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden")
     samples, manifest = build_dataset(ieee39, GRID, seed=0)
     assert manifest["n_samples"] == 2
-    save_dataset(samples, tmp_path / "dataset.tsd")
+    save_dataset(samples, out / "dataset.tsd")
     both = np.array([0, 1])
     split = DatasetSplit(train_ids=both, val_ids=both, test_ids=np.array([], dtype=int), seed=0)
     result = train(
         samples, split, TrainConfig(epochs=3, batch_size=2, seed=0),
         ModelConfig(in_dim=2 * GRID.window_steps, hidden_dim=16, expert_hidden=16, seed=0),
     )
-    save_checkpoint(result.model, tmp_path / "checkpoint.tsm")
+    save_checkpoint(result.model, out / "checkpoint.tsm")
+    write_training_log(result.log_rows, out / "training_log.csv")
+    return out, result.model
 
-    def sha(name):
-        return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
-    assert sha("dataset.tsd") == DATASET_SHA256
-    assert sha("checkpoint.tsm") == CHECKPOINT_SHA256
+def test_tiny_pipeline_bytes_are_pinned(tiny_run):
+    out, _ = tiny_run
+    assert sha(out / "dataset.tsd") == DATASET_SHA256
+    assert sha(out / "checkpoint.tsm") == CHECKPOINT_SHA256
+
+
+def test_tiny_training_float64_bits_are_pinned(tiny_run):
+    out, model = tiny_run
+    digest = hashlib.sha256()
+    for name, p in model.params.items():
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PARAMS_F64_SHA256
+    assert sha(out / "training_log.csv") == TRAINING_LOG_SHA256

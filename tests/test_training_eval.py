@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from toyset import make_toy_samples
 
-from tsakit.autodiff_nn import ModelConfig, ModelOutput, Tensor, save_checkpoint
+from tsakit.autodiff_nn import ModelConfig, ModelOutput, StabilityModel, Tensor, save_checkpoint
 from tsakit.dataset import split_dataset
 from tsakit.training_eval import (
     Adam,
@@ -240,6 +240,39 @@ class TestAdam:
     def test_bad_learning_rate_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             Adam({}, lr=0.0)
+
+    def test_fused_step_matches_per_parameter_loop_bitwise(self):
+        def reference(params, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+            """One array per parameter, updated out of place."""
+            m = {name: np.zeros_like(x) for name, x in params.items()}
+            v = {name: np.zeros_like(x) for name, x in params.items()}
+            for t, step_grads in enumerate(grads, start=1):
+                for name, g in step_grads.items():
+                    m[name] = beta1 * m[name] + (1.0 - beta1) * g
+                    v[name] = beta2 * v[name] + (1.0 - beta2) * g**2
+                    m_hat = m[name] / (1.0 - beta1**t)
+                    v_hat = v[name] / (1.0 - beta2**t)
+                    params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            return params
+
+        model = StabilityModel(ModelConfig(in_dim=40, seed=0))
+        rng = np.random.default_rng(7)
+        grads = []
+        for _ in range(50):
+            step_grads = {}
+            for name, p in model.params.items():
+                g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                g[rng.random(p.shape) < 0.1] = 0.0
+                step_grads[name] = g
+            grads.append(step_grads)
+        want = reference({name: p.data.copy() for name, p in model.params.items()}, grads)
+        opt = Adam(model.params)
+        for step_grads in grads:
+            for name, p in model.params.items():
+                p.grad = step_grads[name]
+            opt.step()
+        for name, p in model.params.items():
+            assert p.data.tobytes() == want[name].tobytes(), name
 
 
 class TestTrainConfig:
