@@ -73,7 +73,11 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad=None) -> None:
-        """Populate .grad on every tensor this value depends on."""
+        """Populate .grad on every tensor this value depends on.
+
+        Leaves accumulate across calls until zero_grad; the .grad of interior
+        (computed) nodes holds this call's gradient only.
+        """
         if not self.requires_grad:
             raise RuntimeError("backward on a tensor that tracks no gradients")
         if not self._parents:
@@ -100,6 +104,11 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
 
+        # interior nodes start from zero on every call, so a second backward
+        # of one graph adds its gradients to the leaves only once
+        for node in order:
+            if node._parents:
+                node.grad = None
         self._accumulate(grad)
         for node in reversed(order):
             if node._backward is not None:

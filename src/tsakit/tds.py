@@ -4,20 +4,26 @@ Machine model is the classical second-order swing equation (constant EMF
 behind transient reactance). Composite loads are a first-order induction
 motor (slip dynamics, steady-state equivalent circuit) plus a constant
 impedance remainder. The network is algebraic: at every integrator stage the
-complex nodal equation Y(s) V = I(delta) is solved directly, with generator
-internal sources folded in as Norton equivalents and motor admittances
-refreshed from the current slips.
+complex nodal equation Y(s) V = I(delta) is solved, with generator internal
+sources folded in as Norton equivalents and motor admittances refreshed from
+the current slips.
+
+In each topology phase (pre-fault, faulted, post-fault) Y(s) is a constant
+matrix plus the motor admittances on the motor buses' diagonals, and current
+is injected only at the generator buses. Each phase's constant part is
+inverted once, and every stage solves the network reduced to the motor
+terminals (the Woodbury identity; network reduction as in Kundur, Power
+System Stability and Control, ch. 13): one 19x19 system for the bundled
+network, whichever the phase.
 
 Integration is fixed-step RK4, run in lockstep for all clearing times of one
 fault context (run_simulations; run_simulation is its one-member case). The
-members share one (members, state) array, and each RK4 stage solves the
-networks of all members in one stacked np.linalg.solve per topology phase.
-The faulted network has one node more than the pre- and post-fault ones, so
-each phase gets its own stack: padding to a common size would change
-LAPACK's blocking and so the rounding. A stacked solve gives the same bits
-as one solve per matrix, so every member's trace is bit for bit its trace
-run alone. The voltages recorded at a step come from the step's first stage
-solve, which has the same inputs.
+members share one (members, state) array, and each RK4 stage solves all
+members' reduced systems as one stacked np.linalg.solve, members in
+different phases included. A stacked solve gives the same bits as one solve
+per matrix and every product is stacked per member, so every member's trace
+is bit for bit its trace run alone. The bus voltages recorded at a step come
+from the step's first stage, the only stage that forms all of them.
 
 Topology switches (fault on, fault cleared) that fall inside a step split
 that step into exact sub-intervals for the member concerned, so the
@@ -358,7 +364,17 @@ _PRE, _FAULT, _POST = 0, 1, 2
 
 
 class _DynamicModel:
-    """Precomputed arrays and per-phase admittance bases for one fault context."""
+    """Precomputed arrays and per-phase reduced network blocks for one fault context.
+
+    Each phase's constant admittance (lines, shunts, static loads and the
+    generators' Norton admittances) is inverted once into Z. Only the blocks
+    the reduced solve uses are kept, stacked along a leading phase axis
+    indexed by _PRE, _FAULT and _POST: Z_MM between motors, and the
+    transposes of Z_MG, Z_GG, Z_GM and of the bus rows Z[:n, G] and
+    Z[:n, M], for row-vector products. G and M index the generators and the
+    motors by their buses. The faulted network's midpoint node carries
+    neither, so it drops out and every phase reduces to the same size.
+    """
 
     # per-generator and per-motor constants that meet (members, ...) state arrays
     _PER_MACHINE = (
@@ -395,16 +411,29 @@ class _DynamicModel:
         self.m_exp = np.array([m.motor_params.load_torque_exponent for m in motors])
         self.n_motor = len(motors)
 
-        def base(state: str) -> np.ndarray:
+        def inverse(state: str) -> np.ndarray:
             y = build_admittance(network, state, fault)
             y[np.arange(self.n), np.arange(self.n)] += init.static_admittance
             np.add.at(y, (self.gen_bus, self.gen_bus), self.y_gen)
-            return y
+            try:
+                return np.linalg.inv(y)
+            except np.linalg.LinAlgError:
+                # every member in this phase gets NaN voltages and so diverges
+                return np.full(y.shape, np.nan, dtype=complex)
 
-        self.y_base = {_PRE: base("prefault")}
-        if fault is not None:
-            self.y_base[_FAULT] = base("faulted")
-            self.y_base[_POST] = base("postfault")
+        states = ("prefault",) if fault is None else ("prefault", "faulted", "postfault")
+        z = [inverse(state) for state in states]  # indexed by _PRE, _FAULT, _POST
+        g, m, bus = self.gen_bus, self.motor_bus, np.arange(self.n)
+
+        def transposed(rows, cols) -> np.ndarray:
+            return np.stack([zp[np.ix_(rows, cols)].T for zp in z])
+
+        self.z_mm = np.stack([zp[np.ix_(m, m)] for zp in z])
+        self.zt_mg = transposed(m, g)  # zt_xy is the transpose of Z_XY
+        self.zt_gg = transposed(g, g)
+        self.zt_gm = transposed(g, m)
+        self.zt_ng = transposed(bus, g)
+        self.zt_nm = transposed(bus, m)
         self._tiles: dict = {}
 
     def tiled(self, members: int) -> SimpleNamespace:
@@ -423,39 +452,51 @@ class _DynamicModel:
             self._tiles[members] = tiles
         return tiles
 
-    def rhs(self, groups: list, x: np.ndarray):
-        """State derivatives of a batch of members and the bus voltages they came from.
+    def rhs(self, phase: np.ndarray, x: np.ndarray, record: bool = False):
+        """State derivatives of a batch of members, and their bus voltages if record.
 
-        groups lists (phase, rows) as _by_phase gives it. The network solves
-        of the members in one phase are one stack. Phases are not padded to a
-        common size (the faulted network has one node more): a padded matrix
-        would change LAPACK's blocking and so the rounding.
+        phase gives each member's topology phase. The network is solved in
+        its reduced form: with I_G the generators' Norton currents and y_m the
+        motors' admittances at the current slips, the motor terminal voltages
+        solve (I + Z_MM diag(y_m)) V_M = Z_MG I_G, one stacked 19x19 solve for
+        all members whatever their phase, and the generator terminal voltages
+        are V_G = Z_GG I_G - Z_GM (y_m V_M). This is the nodal solve with the
+        19 slip-dependent diagonals moved to the right-hand side (Woodbury),
+        and two motors on one bus simply add their currents. The voltages of
+        all buses are formed only when record is set, for the step's first
+        stage.
+
+        Every product is stacked per member, (members, 1, k) @ (k, m) or
+        (members, 1, k) @ (members, k, m), so each member's bits are those
+        of its run alone; a 2-D (members, k) @ (k, m) product would not be.
         """
         members, ng, nm = x.shape[0], self.n_gen, self.n_motor
         c = self.tiled(members)
         delta = x[:, :ng].ravel()
         omega = x[:, ng : 2 * ng].ravel()
         slips = x[:, 2 * ng :].ravel()
+        # one phase for all members (the usual case) indexes a shared block
+        sel = int(phase[0]) if (phase == phase[0]).all() else phase
         e_src = c.e_mag * np.exp(1j * delta)
-        src = (e_src * c.y_gen).reshape(members, ng)
-        if nm:
-            y_motor = (c.motor_scale * c.motors.admittance(slips)).reshape(members, nm)
-        v = np.empty((members, self.n), dtype=complex)
-        for phase, rows in groups:
-            stack_src = src[rows]
-            y = np.repeat(self.y_base[phase][None], stack_src.shape[0], axis=0)
-            if nm:
-                y[:, self.motor_bus, self.motor_bus] += y_motor[rows]
-            inj = np.zeros(y.shape[:2], dtype=complex)
-            np.add.at(inj, (slice(None), self.gen_bus), stack_src)
-            v[rows] = _solve_stack(y, inj)[:, : self.n]
+        src = (e_src * c.y_gen).reshape(members, 1, ng)
+        y_motor = (c.motor_scale * c.motors.admittance(slips)).reshape(members, nm)
+        a = self.z_mm[sel] * y_motor[:, None, :]
+        a[:, np.arange(nm), np.arange(nm)] += 1.0
+        v_motor = _solve_stack(a, (src @ self.zt_mg[sel])[:, 0])
+        i_motor = (y_motor * v_motor)[:, None, :]
+        if record:
+            v = (src @ self.zt_ng[sel] - i_motor @ self.zt_nm[sel])[:, 0]
+            v_gen = v[:, self.gen_bus].ravel()
+        else:
+            v = None
+            v_gen = (src @ self.zt_gg[sel] - i_motor @ self.zt_gm[sel]).ravel()
 
-        i_gen = (e_src - v[:, self.gen_bus].ravel()) * c.y_gen
+        i_gen = (e_src - v_gen) * c.y_gen
         p_elec = np.real(e_src * np.conj(i_gen))
         d_delta = self.omega_s * omega
         d_omega = (c.p_mech - p_elec - c.damping * omega) / c.h2
         if nm:
-            t_elec = c.motors.torque(slips, v[:, self.motor_bus].ravel())
+            t_elec = c.motors.torque(slips, v_motor.ravel())
             t_load = c.motor_t0 * np.clip(1.0 - slips, 0.0, None) ** c.m_exp
             d_slip = (t_load - t_elec) / c.m_h2
             # a stalled rotor stays at standstill instead of spinning backwards
@@ -470,42 +511,31 @@ class _DynamicModel:
         return dx, v
 
 
-def _solve_stack(y: np.ndarray, inj: np.ndarray) -> np.ndarray:
-    """Solve y[i] v[i] = inj[i] for every i; a singular y[i] gives NaN voltages.
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a[i] u[i] = b[i] for every i; a singular a[i] gives NaN for that i.
 
     A stacked solve gives the same bits as one solve per matrix. It fails as
     a whole on one singular matrix, so that case is redone member by member
     and only the singular member is lost (it then counts as diverged).
     """
     try:
-        return np.linalg.solve(y, inj[..., None])[..., 0]
+        return np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        v = np.full(inj.shape, np.nan, dtype=complex)
-        for i in range(len(y)):
+        u = np.full(b.shape, np.nan, dtype=complex)
+        for i in range(len(a)):
             try:
-                v[i] = np.linalg.solve(y[i], inj[i])
+                u[i] = np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError:
                 pass
-        return v
+        return u
 
 
-def _by_phase(phase: np.ndarray) -> list:
-    """(phase, rows) for each topology phase the members are in.
-
-    rows is a slice when every member shares the phase, which is the usual
-    case and spares the copies fancy indexing makes.
-    """
-    if (phase == phase[0]).all():
-        return [(int(phase[0]), slice(None))]
-    return [(p, np.flatnonzero(phase == p)) for p in (_PRE, _FAULT, _POST) if (phase == p).any()]
-
-
-def _rk4_span(model: _DynamicModel, groups: list, h, x: np.ndarray,
+def _rk4_span(model: _DynamicModel, phase: np.ndarray, h, x: np.ndarray,
               k1: np.ndarray) -> np.ndarray:
     """One RK4 span per member, of length h (a float or a column), given k1 = f(x)."""
-    k2 = model.rhs(groups, x + 0.5 * h * k1)[0]
-    k3 = model.rhs(groups, x + 0.5 * h * k2)[0]
-    k4 = model.rhs(groups, x + h * k3)[0]
+    k2 = model.rhs(phase, x + 0.5 * h * k1)[0]
+    k3 = model.rhs(phase, x + 0.5 * h * k2)[0]
+    k4 = model.rhs(phase, x + h * k3)[0]
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -597,9 +627,9 @@ def run_simulations(
 
     for k in range(n_steps):
         t_k = k * step_s
-        groups = _by_phase(phase_at(t_k, live))
+        phase = phase_at(t_k, live)
         # k1 of this step's first span; its network solve is also the recorded one
-        k1, v = model.rhs(groups, x)
+        k1, v = model.rhs(phase, x, record=True)
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))
         if bad.any():
             if k == 0:
@@ -609,10 +639,9 @@ def run_simulations(
                     arr[k:] = arr[k - 1]
                 diverged_step[i] = k
             keep = ~bad
-            live, x, k1, v = live[keep], x[keep], k1[keep], v[keep]
+            live, x, k1, v, phase = live[keep], x[keep], k1[keep], v[keep], phase[keep]
             if live.size == 0:
                 break
-            groups = _by_phase(phase_at(t_k, live))
         mag, ang = np.abs(v), np.angle(v)
         for r, i in enumerate(live):
             rotor[i][k] = x[r, :ng]
@@ -623,7 +652,7 @@ def run_simulations(
             break
         t_next = (k + 1) * step_s
         if k not in split_steps:
-            x = _rk4_span(model, groups, t_next - t_k, x, k1)
+            x = _rk4_span(model, phase, t_next - t_k, x, k1)
             continue
         # a member with a switching instant inside this step integrates it as
         # sub-spans; the others take the whole step in the first span
@@ -633,9 +662,9 @@ def run_simulations(
             a = np.array([points[r][j] for r in rows])
             h = (np.array([points[r][j + 1] for r in rows]) - a)[:, None]
             if j > 0:
-                groups = _by_phase(phase_at(a, live[rows]))
-                k1 = model.rhs(groups, x[rows])[0]
-            x[rows] = _rk4_span(model, groups, h, x[rows], k1)
+                phase = phase_at(a, live[rows])
+                k1 = model.rhs(phase, x[rows])[0]
+            x[rows] = _rk4_span(model, phase, h, x[rows], k1)
 
     load_buses = np.unique([ld.bus for ld in network.loads]).astype(int)
     return [

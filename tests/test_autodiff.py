@@ -231,6 +231,15 @@ class TestTapeSemantics:
         a.zero_grad()
         assert a.grad is None
 
+    def test_second_backward_of_one_graph_counts_once(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        scaled = a * 2.0
+        out = scaled.sum()
+        out.backward()
+        out.backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(scaled.grad, [1.0, 1.0])
+
     def test_shared_subexpression_counts_both_paths(self, rng):
         # y = x*2 + x*3 must see dy/dx = 5 through the shared leaf
         x = Tensor(rng.standard_normal(3), requires_grad=True)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsakit import labeling
+from tsakit.dataset import desk_grid, paper_grid
 from tsakit.grid_model import FaultSpec
 from tsakit.labeling import (
     CctResult,
@@ -201,6 +202,38 @@ class TestTvs:
             tvs(make_trace(bus_v_mag=v, clear_time_s=0.0), v_threshold=-0.1)
         with pytest.raises(ValueError):
             tvs(make_trace(bus_v_mag=v, clear_time_s=0.0), recovery_window_s=0.0)
+
+
+class TestTvsRule:
+    """With a post-clearing trace shorter than the recovery window, TVS is a
+    last-sample rule: not diverged and every load bus strictly above the
+    threshold at the last sample."""
+
+    @pytest.mark.parametrize("grid", [desk_grid, paper_grid])
+    def test_grids_trace_less_than_the_window_after_clearing(self, ieee39, grid):
+        cfg = grid(ieee39)
+        cct = CctSearchConfig.from_cycles(ieee39.nominal_hz)
+        # the shortest clearing any label build simulates, grid or CCT probe
+        shortest = min(cct.t_min_s, min(cfg.clearing_cycles) / ieee39.nominal_hz)
+        t_clear = clearing_instant(cfg.fault_start_s, shortest, cfg.step_s)
+        times = np.arange(int(round(cfg.duration_s / cfg.step_s)) + 1) * cfg.step_s
+        start = int(np.searchsorted(times, t_clear, side="left"))
+        assert times[-1] - times[start] < labeling.RECOVERY_WINDOW_S
+
+    def test_verdict_is_the_last_sample_rule(self, rng):
+        levels = np.array([0.5, 0.75, 0.8, 0.85, 1.0])
+        for _ in range(300):
+            n_bus = int(rng.integers(1, 5))
+            v = np.empty((1001, n_bus))  # t = 0 .. 10 s
+            for j in range(n_bus):
+                # a few long flat runs, so excursions of every length occur
+                cuts = np.sort(rng.integers(0, 1001, size=int(rng.integers(0, 4))))
+                for seg in np.split(np.arange(1001), cuts):
+                    v[seg, j] = rng.choice(levels)
+            clear = 1.0 + rng.uniform(1.0 / 60.0, 0.5)
+            trace = make_trace(bus_v_mag=v, clear_time_s=clear, diverged=rng.random() < 0.1)
+            expected = not trace.diverged and bool((v[-1] > labeling.V_THRESHOLD_PU).all())
+            assert tvs(trace).stable == expected
 
 
 # ---------------------------------------------------------------------------

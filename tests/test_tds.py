@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,30 @@ def two_bus(p_load=0.8, q_load=0.2, motor_fraction=0.0, x_line=0.2):
         if p_load > 0.0
         else (),
     )
+
+
+def nodal_system(net, eq, rotor_angles, motor_slips, state="prefault", fault=None):
+    """Oracle: the full nodal matrix Y and injection I of the dynamic model.
+
+    Y holds the topology, the static loads, the generators' Norton
+    admittances and the motors' admittances at the given slips; I the
+    generators' Norton currents at the given rotor angles.
+    """
+    n = net.n_bus
+    y = build_admittance(net, state, fault)
+    y[np.arange(n), np.arange(n)] += eq.static_admittance
+    inj = np.zeros(y.shape[0], dtype=complex)
+    for g_i, gen in enumerate(net.generators):
+        y_g = 1.0 / (1j * gen.xd_prime)
+        y[gen.bus, gen.bus] += y_g
+        inj[gen.bus] += eq.gen_e_prime[g_i] * np.exp(1j * rotor_angles[g_i]) * y_g
+    motors = [ld.motor_params for ld in net.loads if ld.motor_fraction * ld.p_total > 0.0]
+    for i, (b, mp) in enumerate(zip(eq.motor_bus, motors)):
+        y[b, b] += eq.motor_scale[i] * motor_input_admittance(
+            mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x,
+            motor_slips[i],
+        )
+    return y, inj
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +201,7 @@ class TestEquilibrium:
     def test_kcl_residual_of_dynamic_model(self, ieee39_eq06):
         """The equilibrium must satisfy the dynamic model's nodal equations."""
         net, eq = ieee39_eq06
-        n = net.n_bus
-        y = build_admittance(net, "prefault")
-        y[np.arange(n), np.arange(n)] += eq.static_admittance
-        inj = np.zeros(n, dtype=complex)
-        for g_i, gen in enumerate(net.generators):
-            y_g = 1.0 / (1j * gen.xd_prime)
-            y[gen.bus, gen.bus] += y_g
-            e = eq.gen_e_prime[g_i] * np.exp(1j * eq.gen_delta[g_i])
-            inj[gen.bus] += e * y_g
-        for i, b in enumerate(eq.motor_bus):
-            ld = next(l for l in net.loads if l.bus == b)
-            mp = ld.motor_params
-            y[b, b] += eq.motor_scale[i] * motor_input_admittance(
-                mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x,
-                eq.motor_slip[i],
-            )
+        y, inj = nodal_system(net, eq, eq.gen_delta, eq.motor_slip)
         residual = y @ eq.v_bus - inj
         assert np.max(np.abs(residual)) < 1e-9
 
@@ -238,6 +248,41 @@ class TestSimulation:
         assert drift < 1e-8
         assert np.max(np.abs(trace.bus_v_mag - trace.bus_v_mag[0])) < 1e-9
         assert np.max(np.abs(trace.motor_slips - trace.motor_slips[0])) < 1e-10
+
+    def test_two_motor_loads_on_one_bus_stay_at_equilibrium(self, ieee39_eq06):
+        """Load 0 split into two half loads on its bus: both motors must count."""
+        net, _ = ieee39_eq06
+        first = net.loads[0]
+        half = replace(first, p_total=0.5 * first.p_total, q_total=0.5 * first.q_total)
+        split = replace(net, loads=(half, half, *net.loads[1:]))
+        eq = solve_equilibrium(split)
+        assert list(eq.motor_bus[:2]) == [first.bus, first.bus]
+        trace = run_simulation(split, eq, duration_s=2.0)
+        assert not trace.diverged
+        drift = np.max(np.abs(trace.rotor_angles - trace.rotor_angles[0]))
+        assert drift < 1e-8
+        assert np.max(np.abs(trace.bus_v_mag - trace.bus_v_mag[0])) < 1e-9
+        assert np.max(np.abs(trace.motor_slips - trace.motor_slips[0])) < 1e-10
+
+    def test_recorded_voltages_solve_the_full_nodal_equations(self, ieee39_eq06):
+        """Recorded steps before, during and after the fault satisfy Y V = I.
+
+        Y takes the recorded slips' motor admittances, I the recorded rotor
+        angles. The faulted network's midpoint node is not recorded, so its
+        voltage is taken from its own (source-free) row.
+        """
+        net, eq = ieee39_eq06
+        fault = FaultSpec(13, 0.5)
+        trace = run_simulation(net, eq, fault, clear_s=0.1, duration_s=2.0)
+        n = net.n_bus
+        for k, state in ((50, "prefault"), (105, "faulted"), (150, "postfault"), (200, "postfault")):
+            y, inj = nodal_system(
+                net, eq, trace.rotor_angles[k], trace.motor_slips[k], state, fault
+            )
+            v = trace.bus_v_mag[k] * np.exp(1j * trace.bus_v_ang[k])
+            if state == "faulted":
+                v = np.append(v, -(y[n, :n] @ v) / y[n, n])
+            assert np.max(np.abs(y @ v - inj)[:n]) < 1e-9, (k, state)
 
     def test_trace_shapes_and_grid(self, ieee39_eq06):
         net, eq = ieee39_eq06
@@ -385,8 +430,8 @@ class TestLockstep:
         healthy = run_simulation(net, eq, self.FAULT, 0.1, duration_s=2.0)
         rhs = tds._DynamicModel.rhs
 
-        def blow_up_past_180_degrees(model, groups, x):
-            dx, v = rhs(model, groups, x)
+        def blow_up_past_180_degrees(model, phase, x, record=False):
+            dx, v = rhs(model, phase, x, record)
             delta = x[:, : model.n_gen]
             dx[delta.max(axis=1) - delta.min(axis=1) > np.pi] = np.nan
             return dx, v
@@ -403,6 +448,22 @@ class TestLockstep:
         assert np.array_equal(batch[0].rotor_angles[k:], np.repeat(
             batch[0].rotor_angles[k - 1 : k], batch[0].n_steps - k, axis=0))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_singular_post_fault_network_diverges_at_clearing(self):
+        """Removing the faulted line strands a bare bus: the post-fault nodal
+        matrix is singular, so every member diverges when its fault clears."""
+        net = Network(
+            buses=(Bus(0, 345.0, "slack"), Bus(1, 345.0, "pq"), Bus(2, 345.0, "pq")),
+            lines=(Line(0, 1, complex(0.0, 0.2)), Line(1, 2, complex(0.0, 0.1))),
+            generators=(Generator(0, 5.0, 2.0, 0.1, 0.8, 1.05),),
+            loads=(CompositeLoad(1, 0.8, 0.2, 0.5, MOTOR),),
+        )
+        eq = solve_equilibrium(net)
+        batch = run_simulations(net, eq, FaultSpec(1, 0.5), [0.05, 0.1], duration_s=1.5)
+        assert [t.diverged_step for t in batch] == [105, 110]
+        for t in batch:
+            assert np.all(np.isfinite(t.bus_v_mag))
+
     def test_recorded_voltages_reuse_the_first_stage_solve(self, ieee39_eq06, monkeypatch):
         """Four network solves per RK4 step, plus one for the last sample."""
         net, eq = ieee39_eq06
@@ -412,14 +473,20 @@ class TestLockstep:
         trace = run_simulation(net, eq, duration_s=0.1)
         assert len(calls) == 4 * (trace.n_steps - 1) + 1
 
-    def test_singular_member_does_not_fail_the_stack(self, rng):
-        y = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-        y[1] = 0.0
-        inj = rng.standard_normal((3, 5)) + 0j
-        v = tds._solve_stack(y, inj)
+    def test_singular_member_does_not_fail_the_stack(self, ieee39_eq06, rng):
+        """A reduced 19x19 system made singular loses only its own member."""
+        net, eq = ieee39_eq06
+        model = tds._DynamicModel(net, eq, self.FAULT)
+        nm = model.n_motor
+        y_motor = rng.uniform(0.5, 2.0, (3, nm)) * np.exp(1j * rng.uniform(-1.0, 0.0, (3, nm)))
+        a = model.z_mm[[tds._PRE, tds._FAULT, tds._POST]] * y_motor[:, None, :]
+        a[:, np.arange(nm), np.arange(nm)] += 1.0
+        a[1, :, 3] = 0.0  # I + Z_MM diag(y_m) with a zero column
+        b = rng.standard_normal((3, nm)) + 0j
+        v = tds._solve_stack(a, b)
         assert np.all(np.isnan(v[1]))
         for i in (0, 2):
-            assert v[i].tobytes() == np.linalg.solve(y[i], inj[i]).tobytes()
+            assert v[i].tobytes() == np.linalg.solve(a[i], b[i]).tobytes()
 
 
 # ---------------------------------------------------------------------------
