@@ -117,16 +117,6 @@ class StabilityModel:
 
     # -- plumbing -----------------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
-    def _p(self, name: str) -> Tensor:
-        return self.params[name]
-
     @staticmethod
     def _prepare_adjacency(adjacency) -> tuple[Tensor, Tensor]:
         """Constant adjacency and safe inverse degree, both (batch, n, n)/(batch, n, 1)."""
@@ -143,9 +133,9 @@ class StabilityModel:
             raise ValueError("node count of features and adjacency differ")
         neigh = (adj @ h) * inv_deg  # mean over neighbors, zero when isolated
         out = (
-            h @ self._p(f"sage{layer}.w_self")
-            + neigh @ self._p(f"sage{layer}.w_neigh")
-            + self._p(f"sage{layer}.b")
+            h @ self.params[f"sage{layer}.w_self"]
+            + neigh @ self.params[f"sage{layer}.w_neigh"]
+            + self.params[f"sage{layer}.b"]
         )
         return out.relu() if activate else out
 
@@ -169,35 +159,27 @@ class StabilityModel:
         return h, pooled
 
     def gate(self, pooled: Tensor, task: str) -> Tensor:
-        logits = pooled @ self._p(f"gate.{task}.w") + self._p(f"gate.{task}.b")
+        logits = pooled @ self.params[f"gate.{task}.w"] + self.params[f"gate.{task}.b"]
         return logits.softmax(axis=-1)
 
     def expert_outputs(self, pooled: Tensor) -> Tensor:
         """All experts applied to the pooled embedding: (batch, N, d_h)."""
-        outs = []
+        p, outs = self.params, []
         for e in range(self.config.n_experts):
-            hidden = (pooled @ self._p(f"expert{e}.w1") + self._p(f"expert{e}.b1")).relu()
-            outs.append(hidden @ self._p(f"expert{e}.w2") + self._p(f"expert{e}.b2"))
+            hidden = (pooled @ p[f"expert{e}.w1"] + p[f"expert{e}.b1"]).relu()
+            outs.append(hidden @ p[f"expert{e}.w2"] + p[f"expert{e}.b2"])
         return Tensor.stack(outs, axis=1)
 
-    def forward(self, features, adjacency, force_expert: int | None = None) -> ModelOutput:
-        """Full pass. force_expert replaces every gate with that one-hot row
-        (a test hook; None in normal operation)."""
+    def forward(self, features, adjacency) -> ModelOutput:
+        """Full pass: encode, apply the experts, then gate and head per task."""
         _, pooled = self.encode(features, adjacency)
         experts = self.expert_outputs(pooled)
-        batch = pooled.shape[0]
         heads = {}
         gates = {}
         for task in TASKS:
-            if force_expert is None:
-                g = self.gate(pooled, task)
-            else:
-                one_hot = np.zeros((batch, self.config.n_experts))
-                one_hot[:, force_expert] = 1.0
-                g = Tensor(one_hot)
-            gates[task] = g
-            combined = moe_combine(g, experts)
-            out = combined @ self._p(f"head.{task}.w") + self._p(f"head.{task}.b")
+            gates[task] = self.gate(pooled, task)
+            combined = moe_combine(gates[task], experts)
+            out = combined @ self.params[f"head.{task}.w"] + self.params[f"head.{task}.b"]
             heads[task] = out.tanh() if task.endswith("_reg") else out
         return ModelOutput(
             tas_logits=heads["tas_cls"],
@@ -238,6 +220,11 @@ def load_checkpoint(path: str | Path) -> StabilityModel:
     payload, (crc,) = raw[4:-4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) != crc:
         raise ValueError(f"{path}: checkpoint CRC mismatch")
+    off = 2 + 24
+    if len(payload) < off:
+        raise ValueError(
+            f"{path}: truncated checkpoint ({len(payload)} payload bytes, the header needs {off})"
+        )
     version, gate_mode = struct.unpack_from("<BB", payload, 0)
     if version != _CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -254,7 +241,6 @@ def load_checkpoint(path: str | Path) -> StabilityModel:
     )
     if n_blocks != len(model.params):
         raise ValueError(f"{path}: expected {len(model.params)} parameter blocks, file has {n_blocks}")
-    off = 2 + 24
     for name, p in model.params.items():
         (name_len,) = struct.unpack_from("<H", payload, off)
         off += 2

@@ -131,8 +131,6 @@ class Tensor:
 
         return self._result(data, (self, other), backward_fn)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Tensor":
         def backward_fn(g):
             self._accumulate(-g)
@@ -141,9 +139,6 @@ class Tensor:
 
     def __sub__(self, other) -> "Tensor":
         return self + (-_as_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return _as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = _as_tensor(other)
@@ -172,9 +167,6 @@ class Tensor:
                 )
 
         return self._result(data, (self, other), backward_fn)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return _as_tensor(other) / self
 
     def __pow__(self, exponent) -> "Tensor":
         if not isinstance(exponent, (int, float)):

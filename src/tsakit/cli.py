@@ -393,7 +393,7 @@ def cmd_monitor(args) -> int:
                 try:
                     index = int(parts[2])
                     adjacency = adjacency_from_network(network, without_line=index)
-                except (ValueError, IndexError) as exc:
+                except ValueError as exc:
                     logger.warning("line %d: bad topology record: %s", lineno, exc)
                 continue
             fields = text.split(",")

@@ -138,16 +138,7 @@ def enumerate_scenarios(cfg: GridConfig) -> list[Scenario]:
         for loc in cfg.location_fractions:
             for frac in cfg.motor_fractions:
                 for cyc in cfg.clearing_cycles:
-                    out.append(
-                        Scenario(
-                            fault=FaultSpec(line, loc),
-                            motor_fraction=frac,
-                            clearing_cycles=cyc,
-                            fault_start_s=cfg.fault_start_s,
-                            duration_s=cfg.duration_s,
-                            step_s=cfg.step_s,
-                        )
-                    )
+                    out.append(Scenario(FaultSpec(line, loc), frac, cyc))
     return out
 
 
@@ -623,12 +614,14 @@ def load_dataset(path: str | Path):
     raw = Path(path).read_bytes()
     if raw[:4] != _DATASET_MAGIC:
         raise ValueError(f"{path}: not a TSD1 dataset file")
+    off = 24
+    if len(raw) < off:
+        raise ValueError(f"{path}: truncated dataset header ({len(raw)} bytes, expected {off})")
     version, n_samples, n_bus, window, schema = struct.unpack_from("<IIIII", raw, 4)
     if version != _DATASET_VERSION:
         raise ValueError(f"{path}: unsupported dataset version {version}")
     if schema != _LABEL_SCHEMA:
         raise ValueError(f"{path}: unsupported label schema {schema}")
-    off = 24
     record = _LABEL_FIELDS + n_bus * n_bus + n_bus * 2 * window
     expect = off + 4 * record * n_samples
     if len(raw) != expect:

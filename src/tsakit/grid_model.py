@@ -489,8 +489,13 @@ def adjacency_from_network(network: Network, without_line: int | None = None) ->
     """Binary symmetric adjacency over buses; zero diagonal.
 
     A[i, j] = 1 iff at least one in-service branch connects i and j. Pass
-    without_line to get the topology with that branch out of service.
+    without_line to get the topology with that branch out of service; an
+    index outside the line table raises ValueError.
     """
+    if without_line is not None and not 0 <= without_line < len(network.lines):
+        raise ValueError(
+            f"line index {without_line} outside the network's {len(network.lines)} lines"
+        )
     n = network.n_bus
     adj = np.zeros((n, n), dtype=np.int8)
     for i, ln in enumerate(network.lines):

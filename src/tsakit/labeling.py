@@ -25,7 +25,6 @@ from .tds import (
     EquilibriumState,
     Trace,
     clearing_instant,
-    run_simulation,
     run_simulations,
 )
 
@@ -249,21 +248,15 @@ def cached_traces(
     The cache maps the absolute clearing instant the simulator integrates
     (tds.clearing_instant) to its trace, so durations share one simulation
     exactly when they give the same trace. The durations the cache lacks
-    are simulated in one lockstep batch. A lone one (a bisection probe) goes
-    through run_simulation, the same engine with one member, so span traces
-    still count single runs under that name.
+    are simulated in one lockstep batch (of one member for a bisection
+    probe).
     """
     keys = [clearing_instant(fault_start_s, c, step_s) for c in clear_times]
     missing: dict = {}
     for key, clear_s in zip(keys, clear_times):
         if key not in cache:
             missing.setdefault(key, clear_s)
-    if len(missing) == 1:
-        ((key, clear_s),) = missing.items()
-        cache[key] = run_simulation(
-            network, init, fault, clear_s, fault_start_s, duration_s, step_s
-        )
-    elif missing:
+    if missing:
         traces = run_simulations(
             network, init, fault, list(missing.values()), fault_start_s, duration_s, step_s
         )

@@ -1,5 +1,12 @@
 """Time-domain simulation: network equilibrium and transient dynamics.
 
+solve_equilibrium finds the pre-fault operating point of a network, and
+run_simulations integrates one fault context (network, fault, equilibrium)
+for several clearing durations; run_simulation is its one-member case.
+Both refuse an equilibrium solved for different motor loads, or for a
+different uniform motor share, than the network they are given.
+write_stream writes a trace in the format `tsa monitor` reads.
+
 Machine model is the classical second-order swing equation (constant EMF
 behind transient reactance). Composite loads are a first-order induction
 motor (slip dynamics, steady-state equivalent circuit) plus a constant
@@ -61,19 +68,16 @@ class PowerFlowError(RuntimeError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fault case: where, how the load is composed, and how fast it clears.
+    """One grid point: the fault, the motor share of every load, the clearing time.
 
     clearing_cycles is a float so continuation searches can probe between the
-    integer grid values. motor_fraction None means "keep the shares already in
-    the network file".
+    integer grid values. The timing of the simulation window belongs to the
+    grid (dataset.GridConfig), not to the scenario.
     """
 
     fault: FaultSpec | None
     motor_fraction: float | None
     clearing_cycles: float
-    fault_start_s: float = 1.0
-    duration_s: float = 10.0
-    step_s: float = 0.01
 
 
 def clearing_time_s(scenario: Scenario, nominal_hz: float) -> float:
@@ -115,11 +119,12 @@ def _guard_slip(slip):
     return np.where(np.abs(s) < _SLIP_EPS, np.where(s < 0.0, -_SLIP_EPS, _SLIP_EPS), s)
 
 
-class _MotorCircuit:
-    """The motor equivalent circuit with its slip-independent parts precomputed.
+class MotorCircuit:
+    """The induction motor equivalent circuit, in machine pu.
 
     The simulator evaluates it at every integrator stage, so the impedances
-    that do not depend on slip are formed once.
+    that do not depend on slip are formed once. Parameters may be scalars or
+    arrays of equal shape (one entry per motor).
     """
 
     def __init__(self, rs, xs, rr, xr, xm):
@@ -131,29 +136,21 @@ class _MotorCircuit:
         self.z_th = self.z_st * self.z_mag / self.z_st_mag
 
     def admittance(self, slip):
+        """Admittance seen from the stator terminals at a given slip."""
         s = _guard_slip(slip)
         z_rot = self.rr / s + self.j_xr
         return 1.0 / (self.z_st + (self.z_mag * z_rot) / (self.z_mag + z_rot))
 
     def torque(self, slip, v_term):
+        """Electrical (air-gap) torque for terminal voltage v_term.
+
+        Uses the Thevenin reduction across the magnetizing branch; torque
+        equals air-gap power in pu at synchronous-speed base.
+        """
         s = _guard_slip(slip)
         v_th = np.asarray(v_term) * self.z_mag / self.z_st_mag
         i_rot = v_th / (self.z_th + self.rr / s + self.j_xr)
         return np.abs(i_rot) ** 2 * self.rr / s
-
-
-def motor_input_admittance(rs, xs, rr, xr, xm, slip):
-    """Admittance seen from the stator terminals at a given slip."""
-    return _MotorCircuit(rs, xs, rr, xr, xm).admittance(slip)
-
-
-def motor_torque(rs, xs, rr, xr, xm, slip, v_term):
-    """Electrical (air-gap) torque in machine pu for terminal voltage v_term.
-
-    Uses the Thevenin reduction across the magnetizing branch; torque equals
-    air-gap power in pu at synchronous-speed base.
-    """
-    return _MotorCircuit(rs, xs, rr, xr, xm).torque(slip, v_term)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,7 @@ class EquilibriumState:
     motor_bus: np.ndarray  # (n_motor,) bus id per motor
     motor_slip: np.ndarray  # (n_motor,) operating slips
     motor_scale: np.ndarray  # (n_motor,) MVA scale to system base
-    motor_torque0: np.ndarray  # (n_motor,) load torque at zero-speed-deviation base
+    motor_load_torque: np.ndarray  # (n_motor,) load torque at zero-speed-deviation base
     static_admittance: np.ndarray  # (n_bus,) constant load admittance
     mismatch_norm: float
     iterations: int
@@ -323,15 +320,13 @@ def solve_equilibrium(
         p_motor = ld.motor_fraction * ld.p_total
         if p_motor > 0.0:
             mp = ld.motor_params
-            y_machine = motor_input_admittance(
-                mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x, NOMINAL_SLIP
+            circuit = MotorCircuit(
+                mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x
             )
+            y_machine = circuit.admittance(NOMINAL_SLIP)
             scale = p_motor / (v2 * y_machine.real)
             s_motor = v2 * np.conj(scale * y_machine)
-            torque = motor_torque(
-                mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x,
-                NOMINAL_SLIP, v_here,
-            )
+            torque = circuit.torque(NOMINAL_SLIP, v_here)
             motor_bus.append(ld.bus)
             motor_slip.append(NOMINAL_SLIP)
             motor_scale.append(scale)
@@ -348,7 +343,7 @@ def solve_equilibrium(
         motor_bus=np.array(motor_bus, dtype=int),
         motor_slip=np.array(motor_slip, dtype=float),
         motor_scale=np.array(motor_scale, dtype=float),
-        motor_torque0=np.array(motor_t0, dtype=float),
+        motor_load_torque=np.array(motor_t0, dtype=float),
         static_admittance=y_static,
         mismatch_norm=mismatch,
         iterations=iterations,
@@ -399,9 +394,15 @@ class _DynamicModel:
             m.bus != b for m, b in zip(motors, init.motor_bus)
         ):
             raise ValueError("equilibrium state does not match the network's motor loads")
+        if init.motor_fraction is not None and any(
+            abs(ld.motor_fraction - init.motor_fraction) > 1e-12 for ld in network.loads
+        ):
+            raise ValueError(
+                "equilibrium was solved for a different motor fraction than the network's loads"
+            )
         self.motor_bus = init.motor_bus
         self.motor_scale = init.motor_scale
-        self.motor_t0 = init.motor_torque0
+        self.motor_t0 = init.motor_load_torque
         self.m_rs = np.array([m.motor_params.stator_r for m in motors])
         self.m_xs = np.array([m.motor_params.stator_x for m in motors])
         self.m_rr = np.array([m.motor_params.rotor_r for m in motors])
@@ -448,7 +449,7 @@ class _DynamicModel:
             tiles = SimpleNamespace(
                 **{name: np.tile(getattr(self, name), members) for name in self._PER_MACHINE}
             )
-            tiles.motors = _MotorCircuit(tiles.m_rs, tiles.m_xs, tiles.m_rr, tiles.m_xr, tiles.m_xm)
+            tiles.motors = MotorCircuit(tiles.m_rs, tiles.m_xs, tiles.m_rr, tiles.m_xr, tiles.m_xm)
             self._tiles[members] = tiles
         return tiles
 
@@ -695,7 +696,7 @@ def run_simulation(
     duration_s: float = 10.0,
     step_s: float = 0.01,
 ) -> Trace:
-    """Integrate one scenario and return the sampled trace.
+    """Integrate one fault case and return the sampled trace.
 
     This is run_simulations with a single member. With fault=None the
     pre-fault topology runs for the whole window.
@@ -703,31 +704,6 @@ def run_simulation(
     return run_simulations(
         network, init, fault, [clear_s], fault_start_s, duration_s, step_s
     )[0]
-
-
-def simulate(network: Network, scenario: Scenario, init: EquilibriumState) -> Trace:
-    """Run one scenario from a matching equilibrium state."""
-    net = network
-    if scenario.motor_fraction is not None:
-        if init.motor_fraction is None or not np.isclose(
-            init.motor_fraction, scenario.motor_fraction, rtol=0.0, atol=1e-12
-        ):
-            raise ValueError(
-                "equilibrium was solved for a different motor fraction than the scenario"
-            )
-        net = network.with_motor_fraction(scenario.motor_fraction)
-    clear_s = None
-    if scenario.fault is not None:
-        clear_s = clearing_time_s(scenario, network.nominal_hz)
-    return run_simulation(
-        net,
-        init,
-        fault=scenario.fault,
-        clear_s=clear_s,
-        fault_start_s=scenario.fault_start_s,
-        duration_s=scenario.duration_s,
-        step_s=scenario.step_s,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ logger = logging.getLogger(__name__)
 
 STABLE_CLASS = 1  # index into the 2-class logits; class 0 is unstable
 
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # Classification and regression metrics
@@ -163,15 +168,11 @@ class Adam:
     per-element operations as a loop over the parameters.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._slices = []
         size = 0
@@ -191,18 +192,18 @@ class Adam:
         # a: (1 - beta1) g, then the step lr * m_hat / (sqrt(v_hat) + eps)
         m, v, (a, b) = self.m, self.v, self._scratch
         np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=b)
-        np.multiply(b, 1.0 - self.beta1, out=a)
-        m *= self.beta1
+        np.multiply(b, 1.0 - ADAM_BETA1, out=a)
+        m *= ADAM_BETA1
         m += a
         np.square(b, out=b)
-        b *= 1.0 - self.beta2
-        v *= self.beta2
+        b *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += b
-        np.divide(m, 1.0 - self.beta1**self.t, out=a)
+        np.divide(m, 1.0 - ADAM_BETA1**self.t, out=a)
         a *= self.lr
-        np.divide(v, 1.0 - self.beta2**self.t, out=b)
+        np.divide(v, 1.0 - ADAM_BETA2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += ADAM_EPS
         a /= b
         for p, part in zip(self.params.values(), self._slices):
             p.data = p.data - a[part].reshape(p.data.shape)
@@ -378,8 +379,7 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
             regression_metrics(val_reg["tvs_reg"], val_pred["tvs_margin"])[0],
         )
         gates = np.stack([val_pred["gates"][t] for t in TASKS])
-        importance = gates.sum(axis=(0, 1))
-        balance = float(importance.var() / importance.mean() ** 2)
+        balance = float(load_balance_loss(Tensor(gates)).data)
         utilization = gates.mean(axis=(0, 1))
         row = {
             "epoch": epoch,

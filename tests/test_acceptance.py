@@ -159,7 +159,8 @@ def test_criterion_02_gradient_check():
             loss, _ = multitask_loss(out, targets, weights)
             return float(loss.data)
 
-        model.zero_grad()
+        for p in model.params.values():
+            p.zero_grad()
         out = model.forward(features, adjacency)
         loss, _ = multitask_loss(out, targets, weights)
         loss.backward()

@@ -132,6 +132,14 @@ class TestLabel:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_truncated_header_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "short.tsd"
+        path.write_bytes(b"TSD1\x01\x00")
+        rc = cli.main(["label", "--data", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained):
@@ -378,16 +386,28 @@ class TestMonitor:
     def test_bad_topology_record_warned_not_fatal(self, trained, tmp_path, capsys, caplog):
         stream = tmp_path / "s.csv"
         write_stream(stream, rows=3)
-        text = "topology,remove_line,notanint\ntopology,add_line,3\n" + stream.read_text()
-        stream.write_text(text)
+        data = stream.read_text()
+        stream.write_text("topology,remove_line,13\n" + data)
+        assert cli.main([
+            "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
+            "--stream", str(stream),
+        ]) == 0
+        without_13 = capsys.readouterr().out
+        bad = ("topology,remove_line,notanint\ntopology,add_line,3\n"
+               "topology,remove_line,999\ntopology,remove_line,-1\n")
+        stream.write_text("topology,remove_line,13\n" + bad + data)
+        caplog.clear()
         rc = cli.main([
             "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
             "--stream", str(stream),
         ])
         assert rc == 0
-        assert len(capsys.readouterr().out.strip().splitlines()) == 1
+        out = capsys.readouterr().out
+        assert len(out.strip().splitlines()) == 1
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 2
+        assert len(warnings) == 4
+        # the last good topology stays in use
+        assert out == without_13
 
     def test_stdin_stream(self, trained, tmp_path, capsys, monkeypatch):
         import io

@@ -399,9 +399,10 @@ class TestDatasetFile:
         path = tmp_path / "t.tsd"
         save_dataset(samples, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            load_dataset(path)
+        for data in (raw[:-8], b"TSD1\x01\x00"):  # short records; short header
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="truncated"):
+                load_dataset(path)
 
     def test_rejects_empty_and_mismatched(self, tmp_path, rng):
         with pytest.raises(ValueError, match="empty"):
@@ -526,7 +527,7 @@ class TestBuildDataset:
         context is alive when the next context starts simulating."""
         runs = []  # (fault location, clearing times) per simulation call
         alive = []  # (fault location, weak reference to a trace)
-        batch, single = labeling.run_simulations, labeling.run_simulation
+        batch = labeling.run_simulations
 
         def tracked_batch(network, init, fault, clear_times, *timing):
             loc = fault.location_fraction
@@ -536,14 +537,7 @@ class TestBuildDataset:
             alive.extend((loc, weakref.ref(t)) for t in traces)
             return traces
 
-        def tracked_single(network, init, fault, clear_s, *timing):
-            trace = single(network, init, fault, clear_s, *timing)
-            runs.append((fault.location_fraction, [clear_s]))
-            alive.append((fault.location_fraction, weakref.ref(trace)))
-            return trace
-
         monkeypatch.setattr(labeling, "run_simulations", tracked_batch)
-        monkeypatch.setattr(labeling, "run_simulation", tracked_single)
         cfg = GridConfig(
             lines=(13,), location_fractions=(0.1, 0.9), motor_fractions=(0.6,),
             clearing_cycles=(3.0, 4.0), duration_s=1.6,

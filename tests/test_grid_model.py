@@ -452,6 +452,12 @@ class TestAdjacency:
         adj = adjacency_from_network(net, without_line=2)
         assert adj[1, 2] == 0 and adj[2, 1] == 0
 
+    def test_without_line_outside_the_line_table_rejected(self, ieee39):
+        for index in (-1, 46, 999):
+            with pytest.raises(ValueError, match="outside"):
+                adjacency_from_network(ieee39, without_line=index)
+        assert adjacency_from_network(ieee39, without_line=45).shape == (39, 39)  # last line
+
 
 # ---------------------------------------------------------------------------
 # Bundled 39-bus data

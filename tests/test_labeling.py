@@ -337,21 +337,16 @@ class TestFindCctSimulated:
         calls = []
 
         def batch(network, init, fault, clear_times, *timing):
-            calls.append(("batch", list(clear_times)))
+            calls.append(list(clear_times))
             return [f"trace {c}" for c in clear_times]
 
-        def single(network, init, fault, clear_s, *timing):
-            calls.append(("single", clear_s))
-            return f"trace {clear_s}"
-
         monkeypatch.setattr(labeling, "run_simulations", batch)
-        monkeypatch.setattr(labeling, "run_simulation", single)
         cache = {clearing_instant(1.0, 0.1, 0.01): "cached"}
         traces = cached_traces(cache, None, None, None, [0.1, 0.2, 0.3, 0.2 + 1e-14])
         assert traces == ["cached", "trace 0.2", "trace 0.3", "trace 0.2"]
-        assert calls == [("batch", [0.2, 0.3])]
+        assert calls == [[0.2, 0.3]]
         assert cached_traces(cache, None, None, None, [0.3, 0.4]) == ["trace 0.3", "trace 0.4"]
-        assert calls[-1] == ("single", 0.4)
+        assert calls[-1] == [0.4]  # a lone miss is a one-member batch
         assert cached_traces(cache, None, None, None, [0.4]) == ["trace 0.4"]
         assert len(calls) == 2
 
@@ -373,11 +368,9 @@ class TestFindCctSimulated:
                                                                      monkeypatch):
         net, eq = ieee39_eq06
         runs = []
-        batch, single = labeling.run_simulations, labeling.run_simulation
+        batch = labeling.run_simulations
         monkeypatch.setattr(labeling, "run_simulations",
                             lambda *a: runs.append(a[3]) or batch(*a))
-        monkeypatch.setattr(labeling, "run_simulation",
-                            lambda *a: runs.append([a[3]]) or single(*a))
         # 1.15 s is a sample instant; 5e-10 s off it snaps onto it
         durations = [0.15, 0.15 + 5e-10]
         assert round(durations[0], 12) != round(durations[1], 12)

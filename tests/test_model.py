@@ -246,15 +246,17 @@ class TestLoadBalance:
 
 
 class TestForward:
-    def test_forced_gate_equals_single_expert_path(self, rng):
+    def test_forward_wires_gate_experts_and_head(self, rng):
+        """The tas_cls logits are its head applied to its own gate's mixture of
+        the experts. TestMoeCombine covers the one-hot selection."""
         model = small_model(seed=5)
         x, adj = random_graph(rng, 6, 6)
-        out = model.forward(x[None], adj[None], force_expert=2)
+        out = model.forward(x[None], adj[None])
         _, pooled = model.encode(x[None], adj[None])
-        expert = model.expert_outputs(pooled).data[:, 2]
+        combined = moe_combine(model.gate(pooled, "tas_cls"), model.expert_outputs(pooled)).data
         w = model.params["head.tas_cls.w"].data
         b = model.params["head.tas_cls.b"].data
-        np.testing.assert_allclose(out.tas_logits.data, expert @ w + b, atol=1e-12)
+        np.testing.assert_array_equal(out.tas_logits.data, combined @ w + b)
 
     def test_batch_matches_per_sample_loop(self, rng):
         model = small_model(seed=1)
@@ -320,7 +322,7 @@ class TestForward:
             + load_balance_loss(Tensor.stack(list(out.gate_weights.values())))
         )
         loss.backward()
-        for name, p in model.parameters().items():
+        for name, p in model.params.items():
             assert p.grad is not None, name
             assert np.all(np.isfinite(p.grad)), name
 
@@ -395,9 +397,11 @@ class TestCheckpoint:
         save_checkpoint(small_model(), path)
         raw = bytearray(path.read_bytes())
         raw[30] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="CRC"):
-            load_checkpoint(path)
+        # an empty payload matches its all-zero CRC, so only the length check stops it
+        for data, match in ((bytes(raw), "CRC"), (b"TSM1\0\0\0\0", "truncated")):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=match):
+                load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "m.tsm"

@@ -17,14 +17,12 @@ from tsakit.grid_model import (
 )
 from tsakit.tds import (
     NOMINAL_SLIP,
+    MotorCircuit,
     PowerFlowError,
     Scenario,
     clearing_time_s,
-    motor_input_admittance,
-    motor_torque,
     run_simulation,
     run_simulations,
-    simulate,
     solve_equilibrium,
     write_stream,
 )
@@ -33,6 +31,11 @@ MOTOR = MotorParams(
     stator_r=0.02, stator_x=0.1, rotor_r=0.02, rotor_x=0.12,
     magnetizing_x=3.0, inertia_h=0.6, load_torque_exponent=2.0,
 )
+CIRCUIT = MotorCircuit(0.02, 0.1, 0.02, 0.12, 3.0)  # MOTOR's equivalent circuit
+
+
+def circuit_of(mp):
+    return MotorCircuit(mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x)
 
 
 def two_bus(p_load=0.8, q_load=0.2, motor_fraction=0.0, x_line=0.2):
@@ -63,10 +66,7 @@ def nodal_system(net, eq, rotor_angles, motor_slips, state="prefault", fault=Non
         inj[gen.bus] += eq.gen_e_prime[g_i] * np.exp(1j * rotor_angles[g_i]) * y_g
     motors = [ld.motor_params for ld in net.loads if ld.motor_fraction * ld.p_total > 0.0]
     for i, (b, mp) in enumerate(zip(eq.motor_bus, motors)):
-        y[b, b] += eq.motor_scale[i] * motor_input_admittance(
-            mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x,
-            motor_slips[i],
-        )
+        y[b, b] += eq.motor_scale[i] * circuit_of(mp).admittance(motor_slips[i])
     return y, inj
 
 
@@ -91,7 +91,7 @@ class TestMotorCircuit:
         for _ in range(50):
             s = rng.uniform(0.002, 0.95)
             v = rng.uniform(0.5, 1.2) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            y = motor_input_admittance(0.02, 0.1, 0.02, 0.12, 3.0, s)
+            y = CIRCUIT.admittance(s)
             i_in, _ = self.circuit_solve(0.02, 0.1, 0.02, 0.12, 3.0, s, v)
             assert abs(y * v - i_in) < 1e-12
 
@@ -99,17 +99,17 @@ class TestMotorCircuit:
         for _ in range(50):
             s = rng.uniform(0.002, 0.95)
             v = rng.uniform(0.5, 1.2) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            t = motor_torque(0.02, 0.1, 0.02, 0.12, 3.0, s, v)
+            t = CIRCUIT.torque(s, v)
             _, i_r = self.circuit_solve(0.02, 0.1, 0.02, 0.12, 3.0, s, v)
             assert abs(t - abs(i_r) ** 2 * 0.02 / s) < 1e-12
 
     def test_torque_sign_follows_slip(self):
-        assert motor_torque(0.02, 0.1, 0.02, 0.12, 3.0, 0.05, 1.0) > 0.0
-        assert motor_torque(0.02, 0.1, 0.02, 0.12, 3.0, -0.05, 1.0) < 0.0
+        assert CIRCUIT.torque(0.05, 1.0) > 0.0
+        assert CIRCUIT.torque(-0.05, 1.0) < 0.0
 
     def test_zero_slip_guard_is_finite(self):
-        y = motor_input_admittance(0.02, 0.1, 0.02, 0.12, 3.0, 0.0)
-        t = motor_torque(0.02, 0.1, 0.02, 0.12, 3.0, 0.0, 1.0)
+        y = CIRCUIT.admittance(0.0)
+        t = CIRCUIT.torque(0.0, 1.0)
         assert np.isfinite(y) and np.isfinite(t)
         # rotor branch is essentially open at zero slip
         assert abs(t) < 1e-6
@@ -117,11 +117,11 @@ class TestMotorCircuit:
     def test_vectorized_matches_scalar(self, rng):
         slips = rng.uniform(0.01, 0.5, size=8)
         volts = rng.uniform(0.6, 1.1, size=8) * np.exp(1j * rng.uniform(-1, 1, size=8))
-        ys = motor_input_admittance(0.02, 0.1, 0.02, 0.12, 3.0, slips)
-        ts = motor_torque(0.02, 0.1, 0.02, 0.12, 3.0, slips, volts)
+        ys = CIRCUIT.admittance(slips)
+        ts = CIRCUIT.torque(slips, volts)
         for i in range(8):
-            assert abs(ys[i] - motor_input_admittance(0.02, 0.1, 0.02, 0.12, 3.0, slips[i])) < 1e-15
-            assert abs(ts[i] - motor_torque(0.02, 0.1, 0.02, 0.12, 3.0, slips[i], volts[i])) < 1e-15
+            assert abs(ys[i] - CIRCUIT.admittance(slips[i])) < 1e-15
+            assert abs(ts[i] - CIRCUIT.torque(slips[i], volts[i])) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +178,8 @@ class TestEquilibrium:
             y_total = eq.static_admittance[ld.bus]
             if ld.bus in motor_idx:
                 i = motor_idx[ld.bus]
-                mp = ld.motor_params
-                y_total = y_total + eq.motor_scale[i] * motor_input_admittance(
-                    mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x,
-                    mp.magnetizing_x, eq.motor_slip[i],
-                )
+                circuit = circuit_of(ld.motor_params)
+                y_total = y_total + eq.motor_scale[i] * circuit.admittance(eq.motor_slip[i])
             s_drawn = abs(v) ** 2 * np.conj(y_total)
             assert abs(s_drawn - complex(ld.p_total, ld.q_total)) < 1e-12
 
@@ -191,11 +188,8 @@ class TestEquilibrium:
         motors = [ld for ld in net.loads if ld.motor_fraction * ld.p_total > 0.0]
         for i, ld in enumerate(motors):
             mp = ld.motor_params
-            t_e = motor_torque(
-                mp.stator_r, mp.stator_x, mp.rotor_r, mp.rotor_x, mp.magnetizing_x,
-                eq.motor_slip[i], eq.v_bus[ld.bus],
-            )
-            t_l = eq.motor_torque0[i] * (1.0 - eq.motor_slip[i]) ** mp.load_torque_exponent
+            t_e = circuit_of(mp).torque(eq.motor_slip[i], eq.v_bus[ld.bus])
+            t_l = eq.motor_load_torque[i] * (1.0 - eq.motor_slip[i]) ** mp.load_torque_exponent
             assert abs(t_e - t_l) < 1e-12
 
     def test_kcl_residual_of_dynamic_model(self, ieee39_eq06):
@@ -298,7 +292,7 @@ class TestSimulation:
     def test_cleared_fault_recovers(self, ieee39_eq06):
         net, eq = ieee39_eq06
         sc = Scenario(FaultSpec(13, 0.5), 0.6, clearing_cycles=5.0)
-        trace = simulate(net, sc, eq)
+        trace = run_simulation(net, eq, sc.fault, clearing_time_s(sc, net.nominal_hz))
         assert not trace.diverged
         spread = np.degrees(
             trace.rotor_angles.max(axis=1) - trace.rotor_angles.min(axis=1)
@@ -339,17 +333,20 @@ class TestSimulation:
         spreads = []
         for cycles in (3.0, 9.0):
             sc = Scenario(FaultSpec(13, 0.5), 0.6, clearing_cycles=cycles)
-            tr = simulate(net, sc, eq)
+            tr = run_simulation(net, eq, sc.fault, clearing_time_s(sc, net.nominal_hz))
             spreads.append(
                 np.degrees(np.max(tr.rotor_angles.max(axis=1) - tr.rotor_angles.min(axis=1)))
             )
         assert spreads[0] < spreads[1]
 
     def test_motor_fraction_mismatch_rejected(self, ieee39_eq06):
+        """A 0.6-share equilibrium on the 0.7-share network: same motor buses,
+        other motor scales, so only the share check can catch it."""
         net, eq = ieee39_eq06
-        sc = Scenario(FaultSpec(13, 0.5), 0.7, clearing_cycles=5.0)
         with pytest.raises(ValueError, match="motor fraction"):
-            simulate(net, sc, eq)
+            run_simulation(net.with_motor_fraction(0.7), eq, FaultSpec(13, 0.5), 5.0 / 60.0)
+        with pytest.raises(ValueError, match="motor fraction"):
+            run_simulations(net.with_motor_fraction(0.7), eq, None, [None])
 
     def test_clearing_time_conversion(self):
         sc = Scenario(None, None, clearing_cycles=6.0)
