@@ -241,22 +241,30 @@ def load_checkpoint(path: str | Path) -> StabilityModel:
     )
     if n_blocks != len(model.params):
         raise ValueError(f"{path}: expected {len(model.params)} parameter blocks, file has {n_blocks}")
+
+    def field(size: int) -> int:
+        """Offset of the next `size` payload bytes, which must all be there."""
+        nonlocal off
+        if off + size > len(payload):
+            raise ValueError(
+                f"{path}: truncated checkpoint ({len(payload)} payload bytes, "
+                f"parameter {name!r} needs {off + size})"
+            )
+        off += size
+        return off - size
+
     for name, p in model.params.items():
-        (name_len,) = struct.unpack_from("<H", payload, off)
-        off += 2
-        stored = payload[off : off + name_len].decode()
-        off += name_len
+        (name_len,) = struct.unpack_from("<H", payload, field(2))
+        start = field(name_len)
+        stored = payload[start:off].decode()
         if stored != name:
             raise ValueError(f"{path}: parameter order mismatch at {stored!r}")
-        (ndim,) = struct.unpack_from("<B", payload, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", payload, off)
-        off += 4 * ndim
+        (ndim,) = struct.unpack_from("<B", payload, field(1))
+        shape = struct.unpack_from(f"<{ndim}I", payload, field(4 * ndim))
         if shape != p.data.shape:
             raise ValueError(f"{path}: shape mismatch for {name}")
         count = int(np.prod(shape)) if shape else 1
-        block = np.frombuffer(payload, dtype="<f4", count=count, offset=off)
-        off += 4 * count
+        block = np.frombuffer(payload, dtype="<f4", count=count, offset=field(4 * count))
         p.data = block.reshape(shape).astype(np.float64)
     if off != len(payload):
         raise ValueError(f"{path}: trailing bytes after parameter blocks")

@@ -23,10 +23,9 @@ import numpy as np
 
 from .grid_model import FaultSpec, Network, adjacency_from_network, format_network
 from .labeling import (
-    CctSearchConfig,
+    CctResult,
     cached_traces,
-    coarse_grid,
-    find_cct_simulated,
+    find_ccts,
     margin,
     tsi,
     tvs,
@@ -35,6 +34,7 @@ from .tds import (
     EquilibriumState,
     PowerFlowError,
     Scenario,
+    Trace,
     clearing_time_s,
     solve_equilibrium,
 )
@@ -374,12 +374,14 @@ def label_context(
 
     network carries the context's motor share and eq is its equilibrium;
     scenarios are the context's (scenario id, Scenario) pairs, which differ
-    only in clearing time. The critical clearing times are searched once and
-    shared by every scenario. All traces go through one cache that lives as
-    long as this call, so clearing times that coincide with probe points are
-    not simulated twice; the coarse scan and the grid clearing times are
-    simulated first, as one lockstep batch. The records the labelling logs
-    are returned instead of emitted, so a worker process can hand them back.
+    only in clearing time. The critical clearing times are searched once
+    (labeling.find_ccts) and shared by every scenario. All traces go through
+    one cache that lives as long as this call, so no clearing instant is
+    simulated twice, and the context takes two lockstep batches: the coarse
+    scan with the grid clearing times, then every probe either bisection can
+    make. assemble_samples turns the traces into samples. The records the
+    labelling logs are returned instead of emitted, so a worker process can
+    hand them back.
     """
     with _captured_logs() as records:
         samples, counts = _label_scenarios(network, eq, fault, cfg, scenarios)
@@ -387,20 +389,38 @@ def label_context(
 
 
 def _label_scenarios(network, eq, fault, cfg, scenarios):
-    window_start = int(round(cfg.fault_start_s / cfg.step_s))
-    cct_cfg = CctSearchConfig.from_cycles(network.nominal_hz)
     timing = {"fault_start_s": cfg.fault_start_s, "duration_s": cfg.duration_s,
               "step_s": cfg.step_s}
     clears = [clearing_time_s(sc, network.nominal_hz) for _, sc in scenarios]
     cache: dict = {}
-    cached_traces(cache, network, eq, fault, coarse_grid(cct_cfg) + clears, **timing)
-    cct_a = find_cct_simulated(
-        network, eq, fault, "angle", cfg=cct_cfg, trace_cache=cache, **timing
+    cct_a, cct_v = find_ccts(network, eq, fault, clear_times=clears, trace_cache=cache, **timing)
+    return assemble_samples(
+        [sid for sid, _ in scenarios], clears,
+        cached_traces(cache, network, eq, fault, clears, **timing), cct_a, cct_v,
+        adjacency_from_network(network, without_line=fault.line_index), cfg,
     )
-    cct_v = find_cct_simulated(
-        network, eq, fault, "voltage", cfg=cct_cfg, trace_cache=cache, **timing
-    )
-    adjacency = adjacency_from_network(network, without_line=fault.line_index)
+
+
+def assemble_samples(
+    scenario_ids: list[int],
+    clear_times: list[float],
+    traces: list[Trace],
+    cct_a: CctResult,
+    cct_v: CctResult,
+    adjacency: np.ndarray,
+    cfg: GridConfig,
+) -> tuple[list[Sample], dict]:
+    """The samples of one fault context and its manifest count contributions.
+
+    Scenario i cleared clear_times[i] seconds after the fault and gave
+    traces[i]; cct_a and cct_v are the context's angle and voltage searches
+    and adjacency its post-fault topology. Each sample takes the verdicts of
+    its own trace, margins against the searched boundaries, the features of
+    cfg's window, and flags for the searches' saturation and monotonicity
+    plus its trace's divergence and feature clamping. A verdict that
+    disagrees with its margin's side is counted and logged at INFO.
+    """
+    window_start = int(round(cfg.fault_start_s / cfg.step_s))
     context_flags = (
         (FLAG_TAS_CCT_ABOVE, cct_a.above_bracket),
         (FLAG_TAS_CCT_BELOW, cct_a.below_bracket),
@@ -413,8 +433,7 @@ def _label_scenarios(network, eq, fault, cfg, scenarios):
 
     samples: list[Sample] = []
     disagree = dict.fromkeys(_DISAGREE_COUNTS, 0)
-    for (sid, _), clear_s in zip(scenarios, clears):
-        trace = cached_traces(cache, network, eq, fault, [clear_s], **timing)[0]
+    for sid, clear_s, trace in zip(scenario_ids, clear_times, traces):
         angle_res = tsi(trace)
         volt_res = tvs(trace)
         features, clamped = extract_features(trace, window_start, cfg.window_steps)

@@ -9,6 +9,11 @@ bounded time after the fault clears.
 The critical clearing time for either criterion is located by a coarse scan
 over the clearing-time bracket followed by bisection down to a fraction of a
 cycle. Severity labels are normalized margins relative to that boundary.
+
+find_ccts searches both criteria of one fault context from one trace cache
+with two lockstep simulation batches: the coarse scan first, then every
+midpoint the bisection of either criterion's bracket can probe
+(bisection_points). The searches themselves then only read the cache.
 """
 
 from __future__ import annotations
@@ -191,6 +196,36 @@ def coarse_grid(cfg: CctSearchConfig) -> list[float]:
     return grid
 
 
+def coarse_bracket(grid: Sequence[float], verdicts: Sequence[bool]) -> tuple[float, float] | None:
+    """The coarse step find_cct bisects: its first stable-to-unstable step.
+
+    None when there is nothing to bisect: the scan starts unstable, or no
+    step goes from stable to unstable.
+    """
+    if not verdicts[0]:
+        return None
+    flip = next((i for i in range(len(grid) - 1) if verdicts[i] and not verdicts[i + 1]), None)
+    return None if flip is None else (grid[flip], grid[flip + 1])
+
+
+def bisection_midpoint(lo: float, hi: float, tol: float) -> float | None:
+    """The point that bisects [lo, hi], or None once it is no wider than tol."""
+    return 0.5 * (lo + hi) if hi - lo > tol else None
+
+
+def bisection_points(lo: float, hi: float, tol: float) -> list[float]:
+    """Every midpoint that bisecting [lo, hi] down to tol can probe.
+
+    Bisection keeps one half of each interval, depending on the verdict at
+    its midpoint; this is the tree of both halves, in pre-order, so it holds
+    the probes of every sequence of verdicts.
+    """
+    mid = bisection_midpoint(lo, hi, tol)
+    if mid is None:
+        return []
+    return [mid, *bisection_points(lo, mid, tol), *bisection_points(mid, hi, tol)]
+
+
 def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = None) -> CctResult:
     """Locate the stability boundary of a clearing-time predicate.
 
@@ -221,10 +256,8 @@ def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = N
         return CctResult(
             t_cct_s=cfg.t_max_s, above_bracket=True, evaluations=evaluations
         )
-    lo = grid[flips[0]]
-    hi = grid[flips[0] + 1]
-    while hi - lo > cfg.tolerance_s:
-        mid = 0.5 * (lo + hi)
+    lo, hi = coarse_bracket(grid, verdicts)
+    while (mid := bisection_midpoint(lo, hi, cfg.tolerance_s)) is not None:
         evaluations += 1
         if stable_at(mid):
             lo = mid
@@ -248,8 +281,7 @@ def cached_traces(
     The cache maps the absolute clearing instant the simulator integrates
     (tds.clearing_instant) to its trace, so durations share one simulation
     exactly when they give the same trace. The durations the cache lacks
-    are simulated in one lockstep batch (of one member for a bisection
-    probe).
+    are simulated in one lockstep batch.
     """
     keys = [clearing_instant(fault_start_s, c, step_s) for c in clear_times]
     missing: dict = {}
@@ -262,6 +294,13 @@ def cached_traces(
         )
         cache.update(zip(missing, traces))
     return [cache[key] for key in keys]
+
+
+# the verdict each CCT criterion bisects on
+_STABLE = {
+    "angle": lambda trace: tsi(trace).stable,
+    "voltage": lambda trace: tvs(trace).stable,
+}
 
 
 def find_cct_simulated(
@@ -279,10 +318,12 @@ def find_cct_simulated(
 
     criterion is "angle" or "voltage". The trace cache (see cached_traces)
     may be shared between the two criteria and with the scenario grid, since
-    the trace depends only on the clearing time. The whole coarse scan is
-    simulated as one batch up front; bisection probes run one at a time.
+    the trace depends only on the clearing time. The coarse scan the cache
+    lacks is simulated as one batch, and each bisection probe it lacks as a
+    batch of one; find_ccts fills the cache first, so that its searches
+    simulate nothing.
     """
-    if criterion not in ("angle", "voltage"):
+    if criterion not in _STABLE:
         raise ValueError(f"unknown criterion {criterion!r}")
     cfg = cfg or CctSearchConfig.from_cycles(network.nominal_hz)
     cache = trace_cache if trace_cache is not None else {}
@@ -293,11 +334,47 @@ def find_cct_simulated(
         )
 
     traces(coarse_grid(cfg))
-    if criterion == "angle":
-        stable_at = lambda t: tsi(traces([t])[0]).stable
-    else:
-        stable_at = lambda t: tvs(traces([t])[0]).stable
-    return find_cct(stable_at, cfg)
+    stable = _STABLE[criterion]
+    return find_cct(lambda t: stable(traces([t])[0]), cfg)
+
+
+def find_ccts(
+    network: Network,
+    init: EquilibriumState,
+    fault: FaultSpec,
+    cfg: CctSearchConfig | None = None,
+    clear_times: Sequence[float] = (),
+    fault_start_s: float = 1.0,
+    duration_s: float = 10.0,
+    step_s: float = 0.01,
+    trace_cache: dict | None = None,
+) -> tuple[CctResult, CctResult]:
+    """The angle and the voltage CCT search of one fault context, in two batches.
+
+    The first lockstep batch simulates the coarse scan together with
+    clear_times (the scenario grid's clearing times, which the caller reads
+    back from the cache). The second simulates, for each criterion, every
+    point the bisection of its coarse bracket can probe (bisection_points),
+    each clearing instant once. Both searches then run on the cache alone,
+    so the context calls run_simulations at most twice.
+    """
+    cfg = cfg or CctSearchConfig.from_cycles(network.nominal_hz)
+    cache = trace_cache if trace_cache is not None else {}
+    timing = {"fault_start_s": fault_start_s, "duration_s": duration_s, "step_s": step_s}
+    grid = coarse_grid(cfg)
+    scan = cached_traces(cache, network, init, fault, grid + list(clear_times), **timing)
+    probes = []
+    for stable in _STABLE.values():
+        bracket = coarse_bracket(grid, [stable(trace) for trace in scan[: len(grid)]])
+        if bracket is not None:
+            probes += bisection_points(*bracket, cfg.tolerance_s)
+    cached_traces(cache, network, init, fault, probes, **timing)
+    return tuple(
+        find_cct_simulated(
+            network, init, fault, criterion, cfg=cfg, trace_cache=cache, **timing
+        )
+        for criterion in _STABLE
+    )
 
 
 # ---------------------------------------------------------------------------

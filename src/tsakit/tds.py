@@ -137,9 +137,7 @@ class MotorCircuit:
 
     def admittance(self, slip):
         """Admittance seen from the stator terminals at a given slip."""
-        s = _guard_slip(slip)
-        z_rot = self.rr / s + self.j_xr
-        return 1.0 / (self.z_st + (self.z_mag * z_rot) / (self.z_mag + z_rot))
+        return self._admittance(_guard_slip(slip))
 
     def torque(self, slip, v_term):
         """Electrical (air-gap) torque for terminal voltage v_term.
@@ -147,7 +145,16 @@ class MotorCircuit:
         Uses the Thevenin reduction across the magnetizing branch; torque
         equals air-gap power in pu at synchronous-speed base.
         """
-        s = _guard_slip(slip)
+        return self._torque(_guard_slip(slip), v_term)
+
+    # The formulas, for slips already guarded away from zero (_guard_slip).
+    # The simulator guards each stage's slips once and calls these directly.
+
+    def _admittance(self, s):
+        z_rot = self.rr / s + self.j_xr
+        return 1.0 / (self.z_st + (self.z_mag * z_rot) / (self.z_mag + z_rot))
+
+    def _torque(self, s, v_term):
         v_th = np.asarray(v_term) * self.z_mag / self.z_st_mag
         i_rot = v_th / (self.z_th + self.rr / s + self.j_xr)
         return np.abs(i_rot) ** 2 * self.rr / s
@@ -480,9 +487,10 @@ class _DynamicModel:
         sel = int(phase[0]) if (phase == phase[0]).all() else phase
         e_src = c.e_mag * np.exp(1j * delta)
         src = (e_src * c.y_gen).reshape(members, 1, ng)
-        y_motor = (c.motor_scale * c.motors.admittance(slips)).reshape(members, nm)
+        guarded = _guard_slip(slips)
+        y_motor = (c.motor_scale * c.motors._admittance(guarded)).reshape(members, nm)
         a = self.z_mm[sel] * y_motor[:, None, :]
-        a[:, np.arange(nm), np.arange(nm)] += 1.0
+        a.reshape(members, nm * nm)[:, :: nm + 1] += 1.0  # the diagonals, as a view
         v_motor = _solve_stack(a, (src @ self.zt_mg[sel])[:, 0])
         i_motor = (y_motor * v_motor)[:, None, :]
         if record:
@@ -497,8 +505,8 @@ class _DynamicModel:
         d_delta = self.omega_s * omega
         d_omega = (c.p_mech - p_elec - c.damping * omega) / c.h2
         if nm:
-            t_elec = c.motors.torque(slips, v_motor.ravel())
-            t_load = c.motor_t0 * np.clip(1.0 - slips, 0.0, None) ** c.m_exp
+            t_elec = c.motors._torque(guarded, v_motor.ravel())
+            t_load = c.motor_t0 * np.maximum(1.0 - slips, 0.0) ** c.m_exp
             d_slip = (t_load - t_elec) / c.m_h2
             # a stalled rotor stays at standstill instead of spinning backwards
             d_slip = np.where(slips >= 1.0, np.minimum(d_slip, 0.0), d_slip)
@@ -569,10 +577,12 @@ def run_simulations(
 
     Member i clears clear_times[i] seconds after the fault starts. The
     members share one (members, state) array, so each RK4 stage is one
-    stacked network solve per topology phase. Each trace is bit for bit the
-    one the member gives when run alone: a switching instant that falls
-    inside a step splits that step for its own member only, and a member
-    that goes non-finite stops there (diverged) without touching the others.
+    stacked reduced-network solve for all members, whatever their topology
+    phase. Each trace is bit for bit the one the member gives when run
+    alone: a switching instant that falls inside a step splits that step for
+    its own member only, and a member that goes non-finite stops there
+    (diverged) without touching the others. The traces' arrays are views of
+    member-major batch arrays, so a kept trace keeps its batch's arrays.
 
     With fault=None the pre-fault topology runs for the whole window, which
     is the configuration used to check that the equilibrium is stationary;
@@ -617,11 +627,13 @@ def run_simulations(
     split_steps = set().union(*inner)
 
     ng, n, nm = model.n_gen, model.n, model.n_motor
-    # one array per member, so a kept trace does not hold on to its batch
-    rotor = [np.zeros((n_steps, ng)) for _ in range(n_members)]
-    v_mag = [np.zeros((n_steps, n)) for _ in range(n_members)]
-    v_ang = [np.zeros((n_steps, n)) for _ in range(n_members)]
-    slips = [np.zeros((n_steps, nm)) for _ in range(n_members)]
+    # member-major, so each step is recorded with one assignment per field and
+    # member i's trace is the contiguous row block [i] (a view: a kept trace
+    # holds on to its batch)
+    rotor = np.zeros((n_members, n_steps, ng))
+    v_mag = np.zeros((n_members, n_steps, n))
+    v_ang = np.zeros((n_members, n_steps, n))
+    slips = np.zeros((n_members, n_steps, nm))
     diverged_step: list[int | None] = [None] * n_members
     live = np.arange(n_members)  # members still integrating, rows of x
     x = np.tile(np.concatenate([init.gen_delta, np.zeros(ng), init.motor_slip]), (n_members, 1))
@@ -636,19 +648,17 @@ def run_simulations(
             if k == 0:
                 raise PowerFlowError("network solve failed at t = 0; initial state inconsistent")
             for i in live[bad]:
-                for arr in (rotor[i], v_mag[i], v_ang[i], slips[i]):
-                    arr[k:] = arr[k - 1]
+                for arr in (rotor, v_mag, v_ang, slips):
+                    arr[i, k:] = arr[i, k - 1]
                 diverged_step[i] = k
             keep = ~bad
             live, x, k1, v, phase = live[keep], x[keep], k1[keep], v[keep], phase[keep]
             if live.size == 0:
                 break
-        mag, ang = np.abs(v), np.angle(v)
-        for r, i in enumerate(live):
-            rotor[i][k] = x[r, :ng]
-            v_mag[i][k] = mag[r]
-            v_ang[i][k] = ang[r]
-            slips[i][k] = x[r, 2 * ng :]
+        rotor[live, k] = x[:, :ng]
+        v_mag[live, k] = np.abs(v)
+        v_ang[live, k] = np.angle(v)
+        slips[live, k] = x[:, 2 * ng :]
         if k == n_steps - 1:
             break
         t_next = (k + 1) * step_s

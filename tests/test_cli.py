@@ -5,6 +5,9 @@ asserted directly. Heavy simulation is avoided: dataset-dependent commands
 use the small synthetic dataset from toyset.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -286,6 +289,17 @@ class TestEval:
         ])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
+
+    def test_checkpoint_cut_inside_parameter_table_exits_2(self, toy_dataset, tmp_path,
+                                                           capsys):
+        ckpt = tmp_path / "cut.tsm"
+        save_checkpoint(StabilityModel(ModelConfig(in_dim=6, hidden_dim=8, seed=0)), ckpt)
+        payload = ckpt.read_bytes()[4:-4][:44]
+        ckpt.write_bytes(b"TSM1" + payload + struct.pack("<I", zlib.crc32(payload)))
+        rc = cli.main(["eval", "--data", str(toy_dataset), "--checkpoint", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "truncated" in err
 
 
 def write_stream(path, rows, n_bus=39, start=0.0, step=0.01, seed=0):

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from tsakit import dataset
 from tsakit.dataset import (
     FLAG_CLAMPED,
+    FLAG_DIVERGED,
+    FLAG_TAS_CCT_ABOVE,
+    FLAG_TAS_CCT_BELOW,
     FLAG_TAS_NONMONOTONE,
     FLAG_TVS_NONMONOTONE,
     GridConfig,
@@ -35,8 +38,8 @@ from tsakit.dataset import (
 )
 from tsakit import labeling
 from tsakit.grid_model import FaultSpec, adjacency_from_network
-from tsakit.labeling import CctResult, CctSearchConfig, coarse_grid, margin
-from tsakit.tds import Trace
+from tsakit.labeling import CctResult, CctSearchConfig, bisection_points, coarse_grid, margin
+from tsakit.tds import Trace, clearing_instant
 
 
 def make_trace(v_mag, v_ang, step_s=0.01, slack_bus=0):
@@ -522,9 +525,10 @@ class TestBuildDataset:
         assert manifest["count_tas_disagree"] == manifest["count_tvs_disagree"] == 0
 
     def test_contexts_simulate_once_and_release_their_traces(self, ieee39, monkeypatch):
-        """Per context: the coarse scan and the grid in one batch, then single
-        bisection probes, no clearing time twice; and no trace of the previous
-        context is alive when the next context starts simulating."""
+        """Per context: the coarse scan and the grid in one batch, then the
+        bisection trees of both criteria in a second, no clearing instant
+        twice; and no trace of the previous context is alive when the next
+        context starts simulating."""
         runs = []  # (fault location, clearing times) per simulation call
         alive = []  # (fault location, weak reference to a trace)
         batch = labeling.run_simulations
@@ -543,15 +547,82 @@ class TestBuildDataset:
             clearing_cycles=(3.0, 4.0), duration_s=1.6,
         )
         build_dataset(ieee39, cfg, seed=0, jobs=1)
-        coarse = coarse_grid(CctSearchConfig.from_cycles(ieee39.nominal_hz))
+        cct_cfg = CctSearchConfig.from_cycles(ieee39.nominal_hz)
+        coarse = coarse_grid(cct_cfg)
+        probes = {p for lo, hi in zip(coarse, coarse[1:])
+                  for p in bisection_points(lo, hi, cct_cfg.tolerance_s)}
         assert [loc for loc, _ in runs] == sorted(loc for loc, _ in runs)
         for loc in cfg.location_fractions:
             calls = [clears for other, clears in runs if other == loc]
             # 3 cycles is a coarse-scan point; 4 cycles is not
+            assert len(calls) == 2
             assert calls[0] == coarse + [4.0 / 60.0]
-            assert all(len(clears) == 1 for clears in calls[1:])
-            keys = [round(c, 12) for clears in calls for c in clears]
-            assert len(keys) == len(set(keys))
+            # the second batch holds bisection probes only
+            assert calls[1] and set(calls[1]) <= probes
+            instants = [clearing_instant(1.0, c, 0.01) for clears in calls for c in clears]
+            assert len(instants) == len(set(instants))
+
+    def test_no_simulation_after_the_probe_batch(self, ieee39_eq06, monkeypatch):
+        """Both searches read every probe from the cache: a simulation call
+        after the second batch fails the test."""
+        net, eq = ieee39_eq06
+        calls = []
+        batch = labeling.run_simulations
+
+        def two_batches(*args):
+            calls.append(args[3])
+            assert len(calls) <= 2, "simulated after the probe batch"
+            return batch(*args)
+
+        monkeypatch.setattr(labeling, "run_simulations", two_batches)
+        cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
+        labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,
+                               list(enumerate(enumerate_scenarios(cfg))))
+        assert len(calls) == 2
+        assert not any(s.flags & (FLAG_TAS_CCT_ABOVE | FLAG_TAS_CCT_BELOW)
+                       for s in labels.samples)
+
+
+class TestAssembleSamples:
+    """assemble_samples on synthetic traces: no network, no simulation."""
+
+    CFG = GridConfig(lines=(0,), location_fractions=(0.5,), motor_fractions=(0.6,),
+                     clearing_cycles=(3.0,), window_steps=4, fault_start_s=0.1,
+                     duration_s=0.29, step_s=0.01)
+
+    def traces(self):
+        v_mag = np.full((30, 3), 1.0)
+        v_mag[10:14] = 0.5  # the fault dip inside the feature window
+        calm = make_trace(v_mag, np.zeros((30, 3)))
+        broken = v_mag.copy()
+        broken[12, 1] = np.nan
+        lost = replace(make_trace(broken, np.zeros((30, 3))), diverged=True, diverged_step=20)
+        return [calm, lost]
+
+    def test_samples_take_their_traces_and_the_searched_boundaries(self):
+        cct_a = CctResult(t_cct_s=0.1, above_bracket=True)
+        cct_v = CctResult(t_cct_s=0.2, nonmonotone=True)
+        adjacency = np.eye(3, dtype=np.int8)
+        traces = self.traces()
+        samples, counts = dataset.assemble_samples(
+            [7, 8], [0.15, 0.3], traces, cct_a, cct_v, adjacency, self.CFG)
+        calm, lost = samples
+        assert [s.scenario_id for s in samples] == [7, 8]
+        assert (calm.tas_stable, calm.tvs_stable) == (True, True)
+        assert (lost.tas_stable, lost.tvs_stable) == (False, False)
+        assert calm.tas_signed == margin(0.1, 0.15).signed
+        assert lost.tvs_signed == margin(0.2, 0.3).signed
+        assert all(s.adjacency is adjacency for s in samples)
+        assert all((s.tas_cct_s, s.tvs_cct_s) == (0.1, 0.2) for s in samples)
+        np.testing.assert_array_equal(calm.features, extract_features(traces[0], 10, 4)[0])
+        base = FLAG_TAS_CCT_ABOVE | FLAG_TVS_NONMONOTONE
+        assert calm.flags == base
+        assert lost.flags == base | FLAG_DIVERGED | FLAG_CLAMPED
+        assert counts["tas_cct_above"] == counts["tvs_nonmonotone"] == 2
+        assert counts["diverged"] == counts["clamped"] == 1
+        assert counts["tas_cct_below"] == counts["tvs_cct_above"] == 0
+        # calm clears after the angle boundary and stays stable
+        assert (counts["tas_disagree"], counts["tvs_disagree"]) == (1, 0)
 
 
 # two fault contexts of line 13 with 1.6 s traces: about a second each
@@ -573,7 +644,7 @@ class TestContextPool:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_context_warnings_reach_the_caller_once_in_order(self, ieee39, monkeypatch,
                                                              caplog, jobs):
-        search = dataset.find_cct_simulated
+        search = labeling.find_cct_simulated
 
         def loud_search(network, eq, fault, criterion, **kwargs):
             logging.getLogger("tsakit.labeling").warning(
@@ -582,7 +653,7 @@ class TestContextPool:
             return search(network, eq, fault, criterion, **kwargs)
 
         # set before the pool starts, so forked workers inherit it
-        monkeypatch.setattr(dataset, "find_cct_simulated", loud_search)
+        monkeypatch.setattr(labeling, "find_cct_simulated", loud_search)
         with caplog.at_level(logging.WARNING):
             build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
         records = [r for r in caplog.records if r.getMessage().startswith("search")]
@@ -603,8 +674,8 @@ def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, m
     non-monotone flags, and the INFO lines come back as records."""
     net, eq = ieee39_eq06
     monkeypatch.setattr(
-        dataset, "find_cct_simulated",
-        lambda *a, **k: CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True),
+        dataset, "find_ccts",
+        lambda *a, **k: (CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True),) * 2,
     )
     cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
     labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,

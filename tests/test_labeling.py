@@ -10,10 +10,13 @@ from tsakit.labeling import (
     CctResult,
     CctSearchConfig,
     MarginLabel,
+    bisection_points,
     cached_traces,
+    coarse_bracket,
     coarse_grid,
     find_cct,
     find_cct_simulated,
+    find_ccts,
     margin,
     tsi,
     tvs,
@@ -300,6 +303,41 @@ class TestFindCct:
         assert cfg.tolerance_s == pytest.approx(0.005)
 
 
+class TestBisectionPoints:
+    @given(
+        t_min=st.floats(1e-3, 0.5),
+        span=st.floats(0.05, 2.0),
+        steps=st.integers(1, 40),
+        depth=st.floats(0.5, 6.0),
+        boundary=st.floats(0.0, 1.0),
+        flips=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tree_holds_every_midpoint_find_cct_visits(
+        self, t_min, span, steps, depth, boundary, flips
+    ):
+        """A monotone step (no flips) or a predicate that reverses at each
+        flip point: find_cct probes no midpoint outside the tree of the
+        coarse bracket the scan gives."""
+        coarse_step = span / steps
+        cfg = CctSearchConfig(t_min_s=t_min, t_max_s=t_min + span,
+                              coarse_step_s=coarse_step,
+                              tolerance_s=coarse_step / 2.0 ** depth)
+        edges = sorted(t_min + span * f for f in [boundary, *flips])
+
+        def verdict(t):
+            return sum(t > e for e in edges) % 2 == 0
+
+        probed = []
+        res = find_cct(lambda t: probed.append(t) or verdict(t), cfg)
+        grid = coarse_grid(cfg)
+        assert probed[: len(grid)] == grid and len(probed) == res.evaluations
+        bracket = coarse_bracket(grid, [verdict(t) for t in grid])
+        tree = [] if bracket is None else bisection_points(*bracket, cfg.tolerance_s)
+        assert set(probed[len(grid) :]) <= set(tree)
+        assert (bracket is None) == (len(probed) == len(grid))
+
+
 class TestFindCctSimulated:
     def test_angle_cct_on_bundled_network(self, ieee39_eq06):
         net, eq = ieee39_eq06
@@ -332,6 +370,19 @@ class TestFindCctSimulated:
         find_cct_simulated(net, eq, fault, "voltage", trace_cache=cache)
         # the voltage pass reuses every coarse-scan trace
         assert len(cache) - n_after_angle <= 6
+
+    def test_find_ccts_equals_separate_searches_in_two_batches(self, ieee39_eq06,
+                                                                monkeypatch):
+        net, eq = ieee39_eq06
+        fault = FaultSpec(13, 0.5)
+        separate = tuple(find_cct_simulated(net, eq, fault, c, duration_s=1.6)
+                         for c in ("angle", "voltage"))
+        calls = []
+        batch = labeling.run_simulations
+        monkeypatch.setattr(labeling, "run_simulations",
+                            lambda *a: calls.append(a[3]) or batch(*a))
+        assert find_ccts(net, eq, fault, duration_s=1.6) == separate
+        assert len(calls) == 2
 
     def test_cache_simulates_only_what_it_lacks(self, monkeypatch):
         calls = []

@@ -1,5 +1,8 @@
 """Model architecture: encoder, gates, expert mixing, heads, checkpoints."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -402,6 +405,17 @@ class TestCheckpoint:
             path.write_bytes(data)
             with pytest.raises(ValueError, match=match):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [27, 44])
+    def test_payload_cut_inside_the_parameter_table_rejected(self, tmp_path, cut):
+        """A payload that ends inside the parameter blocks but carries its own
+        CRC (a faulty writer, not a file cut on disk) is reported as truncated."""
+        path = tmp_path / "m.tsm"
+        save_checkpoint(small_model(), path)
+        payload = path.read_bytes()[4:-4][:cut]
+        path.write_bytes(b"TSM1" + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "m.tsm"
