@@ -24,7 +24,6 @@ import numpy as np
 from .grid_model import FaultSpec, Network, adjacency_from_network, format_network
 from .labeling import (
     CctResult,
-    cached_traces,
     find_ccts,
     margin,
     tsi,
@@ -375,13 +374,12 @@ def label_context(
     network carries the context's motor share and eq is its equilibrium;
     scenarios are the context's (scenario id, Scenario) pairs, which differ
     only in clearing time. The critical clearing times are searched once
-    (labeling.find_ccts) and shared by every scenario. All traces go through
-    one cache that lives as long as this call, so no clearing instant is
-    simulated twice, and the context takes two lockstep batches: the coarse
+    (labeling.find_ccts) and shared by every scenario. The context takes two
+    lockstep batches, and no clearing instant is simulated twice: the coarse
     scan with the grid clearing times, then every probe either bisection can
-    make. assemble_samples turns the traces into samples. The records the
-    labelling logs are returned instead of emitted, so a worker process can
-    hand them back.
+    make. assemble_samples turns the grid's traces into samples. The records
+    the labelling logs are returned instead of emitted, so a worker process
+    can hand them back.
     """
     with _captured_logs() as records:
         samples, counts = _label_scenarios(network, eq, fault, cfg, scenarios)
@@ -389,14 +387,12 @@ def label_context(
 
 
 def _label_scenarios(network, eq, fault, cfg, scenarios):
-    timing = {"fault_start_s": cfg.fault_start_s, "duration_s": cfg.duration_s,
-              "step_s": cfg.step_s}
     clears = [clearing_time_s(sc, network.nominal_hz) for _, sc in scenarios]
-    cache: dict = {}
-    cct_a, cct_v = find_ccts(network, eq, fault, clear_times=clears, trace_cache=cache, **timing)
+    cct_a, cct_v, traces = find_ccts(
+        network, eq, fault, clears, cfg.fault_start_s, cfg.duration_s, cfg.step_s
+    )
     return assemble_samples(
-        [sid for sid, _ in scenarios], clears,
-        cached_traces(cache, network, eq, fault, clears, **timing), cct_a, cct_v,
+        [sid for sid, _ in scenarios], clears, traces, cct_a, cct_v,
         adjacency_from_network(network, without_line=fault.line_index), cfg,
     )
 

@@ -10,14 +10,16 @@ The critical clearing time for either criterion is located by a coarse scan
 over the clearing-time bracket followed by bisection down to a fraction of a
 cycle. Severity labels are normalized margins relative to that boundary.
 
-find_ccts searches both criteria of one fault context from one trace cache
-with two lockstep simulation batches: the coarse scan first, then every
-midpoint the bisection of either criterion's bracket can probe
-(bisection_points). The searches themselves then only read the cache.
+find_ccts searches both criteria of one fault context with two lockstep
+simulation batches: the coarse scan first, then every midpoint the
+bisection of either criterion's bracket can probe (bisection_points). Each
+simulated trace is reduced to its two verdicts, which both searches then
+read from one cache.
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -208,7 +210,7 @@ def coarse_bracket(grid: Sequence[float], verdicts: Sequence[bool]) -> tuple[flo
     return None if flip is None else (grid[flip], grid[flip + 1])
 
 
-def bisection_midpoint(lo: float, hi: float, tol: float) -> float | None:
+def _bisection_midpoint(lo: float, hi: float, tol: float) -> float | None:
     """The point that bisects [lo, hi], or None once it is no wider than tol."""
     return 0.5 * (lo + hi) if hi - lo > tol else None
 
@@ -220,10 +222,14 @@ def bisection_points(lo: float, hi: float, tol: float) -> list[float]:
     its midpoint; this is the tree of both halves, in pre-order, so it holds
     the probes of every sequence of verdicts.
     """
-    mid = bisection_midpoint(lo, hi, tol)
-    if mid is None:
-        return []
-    return [mid, *bisection_points(lo, mid, tol), *bisection_points(mid, hi, tol)]
+    points, intervals = [], [(lo, hi)]
+    while intervals:
+        lo, hi = intervals.pop()
+        mid = _bisection_midpoint(lo, hi, tol)
+        if mid is not None:
+            points.append(mid)
+            intervals += [(mid, hi), (lo, mid)]
+    return points
 
 
 def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = None) -> CctResult:
@@ -242,22 +248,20 @@ def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = N
         return CctResult(
             t_cct_s=cfg.t_min_s, below_bracket=True, evaluations=evaluations
         )
-    flips = [i for i in range(len(grid) - 1) if verdicts[i] and not verdicts[i + 1]]
-    reversals = any(
-        not verdicts[i] and verdicts[i + 1] for i in range(len(grid) - 1)
-    )
-    nonmonotone = reversals or len(flips) > 1
+    bracket = coarse_bracket(grid, verdicts)
+    # the scan starts stable, so a second boundary needs a reversal first
+    nonmonotone = any(not a and b for a, b in zip(verdicts, verdicts[1:]))
     if nonmonotone:
         logger.warning(
             "stability is not monotone over the clearing-time bracket; "
-            "using the first boundary at %.4f s", grid[flips[0]] if flips else grid[-1]
+            "using the first boundary at %.4f s", bracket[0]
         )
-    if not flips:
+    if bracket is None:
         return CctResult(
             t_cct_s=cfg.t_max_s, above_bracket=True, evaluations=evaluations
         )
-    lo, hi = coarse_bracket(grid, verdicts)
-    while (mid := bisection_midpoint(lo, hi, cfg.tolerance_s)) is not None:
+    lo, hi = bracket
+    while (mid := _bisection_midpoint(lo, hi, cfg.tolerance_s)) is not None:
         evaluations += 1
         if stable_at(mid):
             lo = mid
@@ -296,11 +300,37 @@ def cached_traces(
     return [cache[key] for key in keys]
 
 
-# the verdict each CCT criterion bisects on
-_STABLE = {
-    "angle": lambda trace: tsi(trace).stable,
-    "voltage": lambda trace: tvs(trace).stable,
-}
+# the criteria in the order of a verdict pair
+_CRITERIA = ("angle", "voltage")
+
+
+def _verdicts(trace: Trace) -> tuple[bool, bool]:
+    return tsi(trace).stable, tvs(trace).stable
+
+
+def _cached_verdicts(
+    cache: dict,
+    network: Network,
+    init: EquilibriumState,
+    fault: FaultSpec,
+    clear_times: Sequence[float],
+    fault_start_s: float,
+    duration_s: float,
+    step_s: float,
+) -> list[tuple[bool, bool]]:
+    """(angle stable, voltage stable) of one fault context per clearing duration.
+
+    The cache maps the clearing instant (tds.clearing_instant) to its
+    verdict pair. The durations it lacks are simulated in one lockstep batch
+    (cached_traces) and only their verdicts are kept.
+    """
+    keys = [clearing_instant(fault_start_s, c, step_s) for c in clear_times]
+    missing = [c for key, c in zip(keys, clear_times) if key not in cache]
+    if missing:
+        traces: dict = {}
+        cached_traces(traces, network, init, fault, missing, fault_start_s, duration_s, step_s)
+        cache.update((key, _verdicts(trace)) for key, trace in traces.items())
+    return [cache[key] for key in keys]
 
 
 def find_cct_simulated(
@@ -312,69 +342,74 @@ def find_cct_simulated(
     fault_start_s: float = 1.0,
     duration_s: float = 10.0,
     step_s: float = 0.01,
-    trace_cache: dict | None = None,
+    verdict_cache: dict | None = None,
 ) -> CctResult:
     """CCT search where the predicate runs a time-domain simulation.
 
-    criterion is "angle" or "voltage". The trace cache (see cached_traces)
-    may be shared between the two criteria and with the scenario grid, since
-    the trace depends only on the clearing time. The coarse scan the cache
-    lacks is simulated as one batch, and each bisection probe it lacks as a
-    batch of one; find_ccts fills the cache first, so that its searches
-    simulate nothing.
+    criterion is "angle" or "voltage". The verdict cache maps a clearing
+    instant to the verdicts of both criteria, so it may be shared between
+    them. The coarse scan the cache lacks is simulated as one batch, and
+    each bisection probe it lacks as a batch of one; find_ccts fills the
+    cache first, so that its searches simulate nothing.
     """
-    if criterion not in _STABLE:
+    if criterion not in _CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     cfg = cfg or CctSearchConfig.from_cycles(network.nominal_hz)
-    cache = trace_cache if trace_cache is not None else {}
+    cache = verdict_cache if verdict_cache is not None else {}
+    which = _CRITERIA.index(criterion)
 
-    def traces(clear_times: Sequence[float]) -> list[Trace]:
-        return cached_traces(
+    def verdicts(clear_times: Sequence[float]) -> list[tuple[bool, bool]]:
+        return _cached_verdicts(
             cache, network, init, fault, clear_times, fault_start_s, duration_s, step_s
         )
 
-    traces(coarse_grid(cfg))
-    stable = _STABLE[criterion]
-    return find_cct(lambda t: stable(traces([t])[0]), cfg)
+    verdicts(coarse_grid(cfg))
+    return find_cct(lambda t: verdicts([t])[0][which], cfg)
 
 
 def find_ccts(
     network: Network,
     init: EquilibriumState,
     fault: FaultSpec,
-    cfg: CctSearchConfig | None = None,
-    clear_times: Sequence[float] = (),
-    fault_start_s: float = 1.0,
-    duration_s: float = 10.0,
-    step_s: float = 0.01,
-    trace_cache: dict | None = None,
-) -> tuple[CctResult, CctResult]:
-    """The angle and the voltage CCT search of one fault context, in two batches.
+    clear_times: Sequence[float],
+    fault_start_s: float,
+    duration_s: float,
+    step_s: float,
+) -> tuple[CctResult, CctResult, list[Trace]]:
+    """The angle and the voltage CCT of one fault context, and the traces of clear_times.
 
     The first lockstep batch simulates the coarse scan together with
-    clear_times (the scenario grid's clearing times, which the caller reads
-    back from the cache). The second simulates, for each criterion, every
-    point the bisection of its coarse bracket can probe (bisection_points),
-    each clearing instant once. Both searches then run on the cache alone,
-    so the context calls run_simulations at most twice.
+    clear_times (the scenario grid's clearing times). Its traces are reduced
+    to their verdicts, and those of clear_times are copied, so that the
+    batch's arrays are freed before the second batch. That one simulates,
+    for each criterion, every point the bisection of its coarse bracket can
+    probe (bisection_points) and the first batch lacked. Both searches then
+    read only cached verdicts, so the context calls run_simulations at most
+    twice.
     """
-    cfg = cfg or CctSearchConfig.from_cycles(network.nominal_hz)
-    cache = trace_cache if trace_cache is not None else {}
+    cfg = CctSearchConfig.from_cycles(network.nominal_hz)
     timing = {"fault_start_s": fault_start_s, "duration_s": duration_s, "step_s": step_s}
     grid = coarse_grid(cfg)
-    scan = cached_traces(cache, network, init, fault, grid + list(clear_times), **timing)
+    first: dict = {}
+    scan = cached_traces(first, network, init, fault, [*grid, *clear_times], **timing)
+    cache = {key: _verdicts(trace) for key, trace in first.items()}
+    memo: dict = {}  # one copy per shared trace; it holds the originals too
+    traces = [copy.deepcopy(trace, memo) for trace in scan[len(grid) :]]
+    del first, scan, memo
+    grid_verdicts = _cached_verdicts(cache, network, init, fault, grid, **timing)
     probes = []
-    for stable in _STABLE.values():
-        bracket = coarse_bracket(grid, [stable(trace) for trace in scan[: len(grid)]])
+    for which in range(len(_CRITERIA)):
+        bracket = coarse_bracket(grid, [v[which] for v in grid_verdicts])
         if bracket is not None:
             probes += bisection_points(*bracket, cfg.tolerance_s)
-    cached_traces(cache, network, init, fault, probes, **timing)
-    return tuple(
+    _cached_verdicts(cache, network, init, fault, probes, **timing)
+    cct_a, cct_v = (
         find_cct_simulated(
-            network, init, fault, criterion, cfg=cfg, trace_cache=cache, **timing
+            network, init, fault, criterion, cfg=cfg, verdict_cache=cache, **timing
         )
-        for criterion in _STABLE
+        for criterion in _CRITERIA
     )
+    return cct_a, cct_v, traces
 
 
 # ---------------------------------------------------------------------------

@@ -564,15 +564,21 @@ class TestBuildDataset:
 
     def test_no_simulation_after_the_probe_batch(self, ieee39_eq06, monkeypatch):
         """Both searches read every probe from the cache: a simulation call
-        after the second batch fails the test."""
+        after the second batch fails the test. No trace of the first batch
+        is alive when the second starts."""
         net, eq = ieee39_eq06
         calls = []
+        first = []  # weak references to the first batch's traces
         batch = labeling.run_simulations
 
         def two_batches(*args):
             calls.append(args[3])
             assert len(calls) <= 2, "simulated after the probe batch"
-            return batch(*args)
+            assert all(ref() is None for ref in first), "first batch still alive"
+            traces = batch(*args)
+            if len(calls) == 1:
+                first.extend(weakref.ref(t) for t in traces)
+            return traces
 
         monkeypatch.setattr(labeling, "run_simulations", two_batches)
         cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
@@ -673,9 +679,11 @@ def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, m
     side: each sample then disagrees on both criteria and carries both
     non-monotone flags, and the INFO lines come back as records."""
     net, eq = ieee39_eq06
+    low = CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True)
     monkeypatch.setattr(
         dataset, "find_ccts",
-        lambda *a, **k: (CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True),) * 2,
+        lambda network, eq, fault, clears, *timing: (
+            low, low, labeling.cached_traces({}, network, eq, fault, clears, *timing)),
     )
     cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
     labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,

@@ -343,7 +343,7 @@ class TestFindCctSimulated:
         net, eq = ieee39_eq06
         fault = FaultSpec(13, 0.5)
         cache = {}
-        res = find_cct_simulated(net, eq, fault, "angle", trace_cache=cache)
+        res = find_cct_simulated(net, eq, fault, "angle", verdict_cache=cache)
         assert not res.below_bracket and not res.above_bracket
         cfg = CctSearchConfig.from_cycles(net.nominal_hz)
         assert cfg.t_min_s < res.t_cct_s < cfg.t_max_s
@@ -365,9 +365,9 @@ class TestFindCctSimulated:
         net, eq = ieee39_eq06
         fault = FaultSpec(13, 0.5)
         cache = {}
-        find_cct_simulated(net, eq, fault, "angle", trace_cache=cache)
+        find_cct_simulated(net, eq, fault, "angle", verdict_cache=cache)
         n_after_angle = len(cache)
-        find_cct_simulated(net, eq, fault, "voltage", trace_cache=cache)
+        find_cct_simulated(net, eq, fault, "voltage", verdict_cache=cache)
         # the voltage pass reuses every coarse-scan trace
         assert len(cache) - n_after_angle <= 6
 
@@ -381,8 +381,19 @@ class TestFindCctSimulated:
         batch = labeling.run_simulations
         monkeypatch.setattr(labeling, "run_simulations",
                             lambda *a: calls.append(a[3]) or batch(*a))
-        assert find_ccts(net, eq, fault, duration_s=1.6) == separate
+        clears = [3.0 / 60.0, 4.0 / 60.0]
+        cct_a, cct_v, traces = find_ccts(net, eq, fault, clears, 1.0, 1.6, 0.01)
+        assert (cct_a, cct_v) == separate
         assert len(calls) == 2
+        # the traces of the grid's clearing times, copied out of the first batch
+        assert [t.clear_time_s for t in traces] == [clearing_instant(1.0, c, 0.01)
+                                                    for c in clears]
+        assert all(t.bus_v_mag.base is None for t in traces)
+        from tsakit.tds import run_simulation
+
+        alone = run_simulation(net, eq, fault=fault, clear_s=clears[1], duration_s=1.6)
+        np.testing.assert_array_equal(traces[1].bus_v_mag, alone.bus_v_mag)
+        np.testing.assert_array_equal(traces[1].rotor_angles, alone.rotor_angles)
 
     def test_cache_simulates_only_what_it_lacks(self, monkeypatch):
         calls = []
