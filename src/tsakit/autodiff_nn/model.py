@@ -6,6 +6,13 @@ experts shared across tasks are combined through per-task softmax gates.
 Heads emit 2-class logits for the two stability verdicts and tanh-squashed
 scalars for the two signed margins. Checkpoints are float32 parameter blocks
 in declaration order behind a small architecture header.
+
+The architecture is defined once. Each piece runs in the form of its input:
+a Tensor records a tape against the parameter Tensors (forward, for
+training), a float64 ndarray computes plain arrays from the parameters'
+current values and records nothing (infer, for prediction and the monitor).
+Both forms make the same numpy calls on the same shapes, so they give the
+same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, relu, softmax, stack, tanh
 
 TASKS = ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")
 
@@ -46,17 +53,31 @@ class ModelConfig:
 
 @dataclass
 class ModelOutput:
-    """Per-batch forward results; every field is a live tape tensor."""
+    """Per-batch results: Tensors on the tape from forward, ndarrays from infer."""
 
-    tas_logits: Tensor  # (batch, 2), class 1 = stable
-    tvs_logits: Tensor
-    tas_margin_hat: Tensor  # (batch, 1) in [-1, 1]
-    tvs_margin_hat: Tensor
+    tas_logits: Tensor | np.ndarray  # (batch, 2), class 1 = stable
+    tvs_logits: Tensor | np.ndarray
+    tas_margin_hat: Tensor | np.ndarray  # (batch, 1) in [-1, 1]
+    tvs_margin_hat: Tensor | np.ndarray
     gate_weights: dict = field(default_factory=dict)  # task -> (batch, n_experts)
 
 
-def moe_combine(gates: Tensor, expert_outputs: Tensor) -> Tensor:
-    """Weighted sum over the expert axis: (..., N) x (..., N, D) -> (..., D)."""
+class _ParamArrays:
+    """Read-only view of a parameter dict as its current arrays."""
+
+    __slots__ = ("_params",)
+
+    def __init__(self, params: dict[str, Tensor]):
+        self._params = params
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._params[name].data
+
+
+def moe_combine(gates, expert_outputs):
+    """Weighted sum over the expert axis: (..., N) x (..., N, D) -> (..., D).
+
+    Tensors in give a taped Tensor, ndarrays an ndarray."""
     if gates.shape[-1] != expert_outputs.shape[-2]:
         raise ValueError("one gate weight per expert output")
     expanded = gates.reshape(*gates.shape, 1)
@@ -84,6 +105,7 @@ class StabilityModel:
         config.validate()
         self.config = config
         self.params: dict[str, Tensor] = {}
+        self._arrays = _ParamArrays(self.params)
         rng = np.random.default_rng(config.seed)
 
         def weight(name, fan_in, fan_out):
@@ -117,31 +139,39 @@ class StabilityModel:
 
     # -- plumbing -----------------------------------------------------------
 
+    def _params_like(self, x):
+        """The parameters in x's form: tape leaves for a Tensor, arrays otherwise."""
+        return self.params if isinstance(x, Tensor) else self._arrays
+
     @staticmethod
-    def _prepare_adjacency(adjacency) -> tuple[Tensor, Tensor]:
+    def _prepare_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
         """Constant adjacency and safe inverse degree, both (batch, n, n)/(batch, n, 1)."""
         adj = np.asarray(adjacency, dtype=float)
         deg = adj.sum(axis=-1, keepdims=True)
         inv_deg = np.where(deg > 0.0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        return Tensor(adj), Tensor(inv_deg)
+        return adj, inv_deg
 
     # -- architecture pieces ------------------------------------------------
+    # each runs on Tensors (taped) or ndarrays (untaped), the form of its input
 
-    def graphsage_layer(self, h: Tensor, adj: Tensor, inv_deg: Tensor, layer: int,
-                        activate: bool = True) -> Tensor:
+    def graphsage_layer(self, h, adj, inv_deg, layer: int, activate: bool = True):
         if h.shape[-2] != adj.shape[-1]:
             raise ValueError("node count of features and adjacency differ")
+        p = self._params_like(h)
         neigh = (adj @ h) * inv_deg  # mean over neighbors, zero when isolated
         out = (
-            h @ self.params[f"sage{layer}.w_self"]
-            + neigh @ self.params[f"sage{layer}.w_neigh"]
-            + self.params[f"sage{layer}.b"]
+            h @ p[f"sage{layer}.w_self"]
+            + neigh @ p[f"sage{layer}.w_neigh"]
+            + p[f"sage{layer}.b"]
         )
-        return out.relu() if activate else out
+        return relu(out) if activate else out
 
-    def encode(self, features, adjacency) -> tuple[Tensor, Tensor]:
-        """Stacked layers then mean pooling: (node embeddings, pooled)."""
-        h = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=float))
+    def encode(self, features, adjacency):
+        """Stacked layers then mean pooling: (node embeddings, pooled).
+
+        Tensor features give Tensors on the tape; anything else is read as a
+        float64 array and gives ndarrays."""
+        h = features if isinstance(features, Tensor) else np.asarray(features, dtype=float)
         if h.ndim == 2:
             h = h.reshape(1, *h.shape)
         adj = np.asarray(adjacency, dtype=float)
@@ -151,36 +181,49 @@ class StabilityModel:
             raise ValueError(
                 f"feature dim {h.shape[-1]} does not match model input {self.config.in_dim}"
             )
-        adj_t, inv_deg = self._prepare_adjacency(adj)
+        adj, inv_deg = self._prepare_adjacency(adj)
         last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
-            h = self.graphsage_layer(h, adj_t, inv_deg, layer, activate=layer < last)
+            h = self.graphsage_layer(h, adj, inv_deg, layer, activate=layer < last)
         pooled = h.mean(axis=1)
         return h, pooled
 
-    def gate(self, pooled: Tensor, task: str) -> Tensor:
-        logits = pooled @ self.params[f"gate.{task}.w"] + self.params[f"gate.{task}.b"]
-        return logits.softmax(axis=-1)
+    def gate(self, pooled, task: str):
+        p = self._params_like(pooled)
+        return softmax(pooled @ p[f"gate.{task}.w"] + p[f"gate.{task}.b"], axis=-1)
 
-    def expert_outputs(self, pooled: Tensor) -> Tensor:
+    def expert_outputs(self, pooled):
         """All experts applied to the pooled embedding: (batch, N, d_h)."""
-        p, outs = self.params, []
+        p, outs = self._params_like(pooled), []
         for e in range(self.config.n_experts):
-            hidden = (pooled @ p[f"expert{e}.w1"] + p[f"expert{e}.b1"]).relu()
+            hidden = relu(pooled @ p[f"expert{e}.w1"] + p[f"expert{e}.b1"])
             outs.append(hidden @ p[f"expert{e}.w2"] + p[f"expert{e}.b2"])
-        return Tensor.stack(outs, axis=1)
+        return stack(outs, axis=1)
+
+    def head(self, combined, task: str):
+        """Task head on its gate's mixture: 2 logits, or a tanh margin."""
+        p = self._params_like(combined)
+        out = combined @ p[f"head.{task}.w"] + p[f"head.{task}.b"]
+        return tanh(out) if task.endswith("_reg") else out
 
     def forward(self, features, adjacency) -> ModelOutput:
-        """Full pass: encode, apply the experts, then gate and head per task."""
+        """Full pass on the tape, for training: every field is a Tensor."""
+        h = features if isinstance(features, Tensor) else Tensor(features)
+        return self._run(h, adjacency)
+
+    def infer(self, features, adjacency) -> ModelOutput:
+        """The same pass without a tape: every field is a float64 ndarray."""
+        return self._run(np.asarray(features, dtype=float), adjacency)
+
+    def _run(self, features, adjacency) -> ModelOutput:
+        """Encode, apply the experts, then gate and head per task."""
         _, pooled = self.encode(features, adjacency)
         experts = self.expert_outputs(pooled)
         heads = {}
         gates = {}
         for task in TASKS:
             gates[task] = self.gate(pooled, task)
-            combined = moe_combine(gates[task], experts)
-            out = combined @ self.params[f"head.{task}.w"] + self.params[f"head.{task}.b"]
-            heads[task] = out.tanh() if task.endswith("_reg") else out
+            heads[task] = self.head(moe_combine(gates[task], experts), task)
         return ModelOutput(
             tas_logits=heads["tas_cls"],
             tvs_logits=heads["tvs_cls"],

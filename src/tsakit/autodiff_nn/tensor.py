@@ -8,6 +8,13 @@ training code zeroes parameter gradients between steps. A backward closure
 computes an operand's gradient only when that operand requires one, and a
 stored gradient array is never written in place, so an array may be shared
 between nodes and with the caller's seed.
+
+The functions relu, tanh, softmax and stack take either a Tensor, which
+records its tape edge, or a float64 ndarray, which records nothing. Every
+other operation the model uses is an operator or method that both types
+share, so one model definition serves training (Tensors) and tape-free
+inference (arrays). A Tensor method computes its value through the array
+branch of the matching function, so both forms give the same bits.
 """
 
 from __future__ import annotations
@@ -32,10 +39,39 @@ def _as_tensor(value) -> "Tensor":
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def relu(x):
+    """max(x, 0) of a Tensor (taped) or an ndarray (untaped)."""
+    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+
+
+def tanh(x):
+    """Elementwise tanh of a Tensor (taped) or an ndarray (untaped)."""
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+
+
+def softmax(x, axis: int = -1):
+    """Softmax along axis of a Tensor (taped) or an ndarray (untaped):
+    shift by the maximum, exponentiate, normalise."""
+    if isinstance(x, Tensor):
+        return x.softmax(axis=axis)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def stack(items, axis: int = 0):
+    """Join along a new axis: taped if any item is a Tensor, else an ndarray."""
+    if any(isinstance(t, Tensor) for t in items):
+        return Tensor.stack(items, axis=axis)
+    return np.stack(items, axis=axis)
+
+
 class Tensor:
     """Array with an optional gradient and the tape edges that produced it."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    # numpy operators defer to this class, so `ndarray @ Tensor` reaches
+    # __rmatmul__ and records a tape edge instead of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -196,10 +232,13 @@ class Tensor:
 
         return self._result(data, (self, other), backward_fn)
 
+    def __rmatmul__(self, other) -> "Tensor":
+        return _as_tensor(other) @ self
+
     # -- elementwise nonlinearities -----------------------------------------
 
     def relu(self) -> "Tensor":
-        data = np.maximum(self.data, 0.0)
+        data = relu(self.data)
 
         def backward_fn(g):
             self._accumulate(g * (self.data > 0.0))
@@ -207,7 +246,7 @@ class Tensor:
         return self._result(data, (self,), backward_fn)
 
     def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
+        data = tanh(self.data)
 
         def backward_fn(g):
             self._accumulate(g * (1.0 - data**2))
@@ -252,7 +291,7 @@ class Tensor:
         tensors = [_as_tensor(t) for t in tensors]
         if not tensors:
             raise ValueError("stack needs at least one tensor")
-        data = np.stack([t.data for t in tensors], axis=axis)
+        data = stack([t.data for t in tensors], axis=axis)
 
         def backward_fn(g):
             pieces = np.split(g, len(tensors), axis=axis)
@@ -264,9 +303,7 @@ class Tensor:
     # -- fused primitives with known derivatives ----------------------------
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        data = e / e.sum(axis=axis, keepdims=True)
+        data = softmax(self.data, axis=axis)
 
         def backward_fn(g):
             inner = (g * data).sum(axis=axis, keepdims=True)

@@ -189,19 +189,19 @@ def parse_event(line: str) -> MonitorEvent:
 def assess_window(model, v_mag, v_ang, slack_bus: int, adjacency, timestamp: float) -> MonitorEvent:
     """Classify one full window and quantify the margins, as an event."""
     features, _ = features_from_window(v_mag, v_ang, slack_bus)
-    out = model.forward(
+    out = model.infer(
         np.asarray(features, dtype=float)[None], np.asarray(adjacency, dtype=float)[None]
     )
-    tas_stable = bool(out.tas_logits.data[0].argmax() == STABLE_CLASS)
-    tvs_stable = bool(out.tvs_logits.data[0].argmax() == STABLE_CLASS)
+    tas_stable = bool(out.tas_logits[0].argmax() == STABLE_CLASS)
+    tvs_stable = bool(out.tvs_logits[0].argmax() == STABLE_CLASS)
     return MonitorEvent(
         timestamp=timestamp,
         tas_decision="stable" if tas_stable else "unstable",
-        tas_value=_fold_margin(tas_stable, float(out.tas_margin_hat.data[0, 0])),
+        tas_value=_fold_margin(tas_stable, float(out.tas_margin_hat[0, 0])),
         tvs_decision="stable" if tvs_stable else "unstable",
-        tvs_value=_fold_margin(tvs_stable, float(out.tvs_margin_hat.data[0, 0])),
+        tvs_value=_fold_margin(tvs_stable, float(out.tvs_margin_hat[0, 0])),
         gate_weights={
-            task: tuple(float(w) for w in out.gate_weights[task].data[0])
+            task: tuple(float(w) for w in out.gate_weights[task][0])
             for task in TASKS
         },
     )
@@ -376,9 +376,11 @@ def cmd_monitor(args) -> int:
     else:
         stream = sys.stdin
 
-    times: list[float] = []
-    mags: list[np.ndarray] = []
-    angs: list[np.ndarray] = []
+    # each valid row is written at slot k % window and k % window + window,
+    # so the newest window_steps rows are always one contiguous slice
+    width = 1 + 2 * n_bus
+    rows = np.empty((2 * window_steps, width))
+    n_rows = 0
     emitted = 0
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -397,10 +399,10 @@ def cmd_monitor(args) -> int:
                     logger.warning("line %d: bad topology record: %s", lineno, exc)
                 continue
             fields = text.split(",")
-            if len(fields) != 1 + 2 * n_bus:
+            if len(fields) != width:
                 logger.warning(
                     "line %d: expected %d fields, got %d; skipped",
-                    lineno, 1 + 2 * n_bus, len(fields),
+                    lineno, width, len(fields),
                 )
                 continue
             try:
@@ -408,17 +410,16 @@ def cmd_monitor(args) -> int:
             except ValueError:
                 logger.warning("line %d: non-numeric field; skipped", lineno)
                 continue
-            times.append(values[0])
-            mags.append(np.array(values[1 : 1 + n_bus]))
-            angs.append(np.array(values[1 + n_bus :]))
-            if len(times) > window_steps:
-                times.pop(0)
-                mags.pop(0)
-                angs.pop(0)
-            if len(times) == window_steps:
+            slot = n_rows % window_steps
+            rows[slot] = values
+            rows[slot + window_steps] = values
+            n_rows += 1
+            if n_rows >= window_steps:
+                start = n_rows % window_steps
+                window = rows[start : start + window_steps]
                 event = assess_window(
-                    model, np.stack(mags), np.stack(angs),
-                    network.slack_bus, adjacency, times[-1],
+                    model, window[:, 1 : 1 + n_bus], window[:, 1 + n_bus :],
+                    network.slack_bus, adjacency, values[0],
                 )
                 print(format_event(event), flush=True)
                 emitted += 1

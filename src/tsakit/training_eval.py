@@ -276,23 +276,23 @@ def _arrays_from_samples(samples):
 
 
 def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) -> dict:
-    """Forward in chunks; bool verdicts, float margins, gate weights per task."""
+    """Tape-free forward in chunks; bool verdicts, float margins, gate weights per task."""
     n = features.shape[0]
     chunks = []
     for lo in range(0, n, batch_size):
-        out = model.forward(features[lo : lo + batch_size], adjacency[lo : lo + batch_size])
+        out = model.infer(features[lo : lo + batch_size], adjacency[lo : lo + batch_size])
         chunks.append(out)
     return {
         "tas_stable": np.concatenate(
-            [c.tas_logits.data.argmax(axis=1) == STABLE_CLASS for c in chunks]
+            [c.tas_logits.argmax(axis=1) == STABLE_CLASS for c in chunks]
         ),
         "tvs_stable": np.concatenate(
-            [c.tvs_logits.data.argmax(axis=1) == STABLE_CLASS for c in chunks]
+            [c.tvs_logits.argmax(axis=1) == STABLE_CLASS for c in chunks]
         ),
-        "tas_margin": np.concatenate([c.tas_margin_hat.data[:, 0] for c in chunks]),
-        "tvs_margin": np.concatenate([c.tvs_margin_hat.data[:, 0] for c in chunks]),
+        "tas_margin": np.concatenate([c.tas_margin_hat[:, 0] for c in chunks]),
+        "tvs_margin": np.concatenate([c.tvs_margin_hat[:, 0] for c in chunks]),
         "gates": {
-            task: np.concatenate([c.gate_weights[task].data for c in chunks])
+            task: np.concatenate([c.gate_weights[task] for c in chunks])
             for task in TASKS
         },
     }

@@ -9,6 +9,7 @@ the assertions; a failing bound fails the test rather than loosening it.
 """
 
 import contextlib
+import hashlib
 import math
 import time
 
@@ -74,6 +75,10 @@ DESK_TRAIN = dict(
     epochs=400, batch_size=16, learning_rate=3e-3,
     accuracy_threshold=1.0, mse_threshold=0.005, seed=0,
 )
+# The desk run's bytes. A refactor or speed-up must leave them unchanged;
+# re-pin only with a stated reason why the labels or numerics changed.
+DESK_DATASET_SHA256 = "9c7cc6b14eb73659e28face58cb9b844aceae5734b2e7f6daf348fc10b6428bc"
+DESK_CHECKPOINT_SHA256 = "c99e6e83c490963e3371248fb6d93c086d6fc1ce3a9ffe599a55fb612f1cd006"
 
 
 @pytest.fixture(scope="session")
@@ -316,10 +321,12 @@ def test_criterion_08_determinism(desk_run, ieee39, tmp_path):
         ck1 = (desk_run["dir"] / "checkpoint.tsm").read_bytes()
         ck2 = (tmp_path / "checkpoint.tsm").read_bytes()
         assert ck1 == ck2
+        assert hashlib.sha256(first).hexdigest() == DESK_DATASET_SHA256
+        assert hashlib.sha256(ck1).hexdigest() == DESK_CHECKPOINT_SHA256
         res["ok"] = True
         res["detail"] = (
             f"dataset ({len(first)} bytes) and checkpoint ({len(ck1)} bytes) "
-            f"bit-identical across runs"
+            f"bit-identical across runs and equal to the pinned digests"
         )
 
 

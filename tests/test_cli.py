@@ -457,39 +457,87 @@ class TestMonitor:
         )
         assert cli.parse_event(cli.format_event(event)) == event
 
+    def test_assessing_a_window_builds_no_tensor(self, trained, monkeypatch):
+        """The monitor's forward records no tape: not one Tensor per event."""
+        from tsakit.autodiff_nn import Tensor, load_checkpoint
+        from tsakit.grid_model import adjacency_from_network
+
+        model = load_checkpoint(trained / "checkpoint.tsm")
+        network = load_network(packaged_network_path())
+        rng = np.random.default_rng(4)
+        mags = 1.0 + 0.01 * rng.standard_normal((TOY_WINDOW, network.n_bus))
+        angs = 0.1 * rng.standard_normal((TOY_WINDOW, network.n_bus))
+        adjacency = adjacency_from_network(network)
+
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        event = cli.assess_window(model, mags, angs, network.slack_bus, adjacency, 0.02)
+        assert len(built) == 0
+        assert event.tas_decision in ("stable", "unstable")
+        # the same counter does see the Tensors a taped forward builds
+        model.forward(np.zeros((1, network.n_bus, 2 * TOY_WINDOW)), adjacency[None])
+        assert len(built) > 0
+
 
 class TestMonitorReplayMatchesOffline:
     """The streamed assessment must equal a direct forward on the same window."""
 
-    def test_values_match_direct_forward(self, trained, tmp_path, capsys):
+    def test_values_match_direct_forward(self, trained, tmp_path, capsys, caplog):
         from tsakit.autodiff_nn import load_checkpoint
         from tsakit.grid_model import adjacency_from_network
 
         stream = tmp_path / "s.csv"
         write_stream(stream, rows=5, seed=11)
-        rc = cli.main([
-            "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
-            "--stream", str(stream),
-        ])
-        assert rc == 0
-        events = [cli.parse_event(l) for l in capsys.readouterr().out.strip().splitlines()]
+        plain = stream.read_text().splitlines()
+        write_stream(stream, rows=9, seed=12)
+        mixed = stream.read_text().splitlines()
+        # skipped lines and records between samples must not advance the window
+        for at, line in ((8, "topology,remove_line,13"), (6, "# comment"),
+                         (5, mixed[4][: mixed[4].rindex(",")]), (3, ""),
+                         (2, "topology,remove_line,L2"), (1, "0.5x" + mixed[1][mixed[1].index(","):])):
+            mixed.insert(at, line)
 
         model = load_checkpoint(trained / "checkpoint.tsm")
         network = load_network(packaged_network_path())
-        adjacency = adjacency_from_network(network)
-        rows = [
-            [float(x) for x in line.split(",")]
-            for line in stream.read_text().strip().splitlines()
-        ]
-        mags = np.array([r[1:40] for r in rows])
-        angs = np.array([r[40:] for r in rows])
-        for k, event in enumerate(events):
-            window = slice(k, k + TOY_WINDOW)
-            direct = cli.assess_window(
-                model, mags[window], angs[window], network.slack_bus,
-                adjacency, rows[k + TOY_WINDOW - 1][0],
-            )
-            assert event == direct  # bit-exact through the %.17g roundtrip
+        for lines, n_events, n_bad in ((plain, 5 - TOY_WINDOW + 1, 0),
+                                       (mixed, 9 - TOY_WINDOW + 1, 3)):
+            stream.write_text("\n".join(lines) + "\n")
+            caplog.clear()
+            rc = cli.main([
+                "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
+                "--stream", str(stream),
+            ])
+            assert rc == 0
+            events = [cli.parse_event(l) for l in capsys.readouterr().out.strip().splitlines()]
+            assert len(events) == n_events
+            assert len([r for r in caplog.records if r.levelname == "WARNING"]) == n_bad
+
+            # the valid rows, each with the topology in force when it arrived
+            rows, removed, topology = [], [], None
+            for line in lines:
+                if line.startswith("topology,remove_line,") and line[21:].isdigit():
+                    topology = int(line[21:])
+                elif len(line.split(",")) == 79 and "x" not in line:
+                    rows.append([float(x) for x in line.split(",")])
+                    removed.append(topology)
+            assert topology == (13 if lines is mixed else None)
+            mags = np.array([r[1:40] for r in rows])
+            angs = np.array([r[40:] for r in rows])
+            for k, event in enumerate(events):
+                last = k + TOY_WINDOW - 1
+                window = slice(k, k + TOY_WINDOW)
+                direct = cli.assess_window(
+                    model, mags[window], angs[window], network.slack_bus,
+                    adjacency_from_network(network, without_line=removed[last]),
+                    rows[last][0],
+                )
+                assert event == direct  # bit-exact through the %.17g roundtrip
 
 
 class TestConfigParsing:

@@ -121,7 +121,7 @@ class TestEncode:
         for i in range(n):
             adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
         x = np.tile(np.linspace(0.1, 0.6, 6), (n, 1))
-        h, pooled = model.encode(x, adj)
+        h, pooled = model.encode(Tensor(x), adj)
         for v in range(1, n):
             np.testing.assert_allclose(h.data[0, v], h.data[0, 0], atol=1e-12)
         np.testing.assert_allclose(pooled.data[0], h.data[0, 0], atol=1e-12)
@@ -129,7 +129,7 @@ class TestEncode:
     def test_pooled_equals_column_means(self, rng):
         model = small_model()
         x, adj = random_graph(rng, 6, 6)
-        h, pooled = model.encode(x, adj)
+        h, pooled = model.encode(Tensor(x), adj)
         np.testing.assert_allclose(pooled.data[0], h.data[0].mean(axis=0), atol=1e-12)
 
     def test_wrong_feature_dim_raises(self, rng):
@@ -255,7 +255,7 @@ class TestForward:
         model = small_model(seed=5)
         x, adj = random_graph(rng, 6, 6)
         out = model.forward(x[None], adj[None])
-        _, pooled = model.encode(x[None], adj[None])
+        _, pooled = model.encode(Tensor(x[None]), adj[None])
         combined = moe_combine(model.gate(pooled, "tas_cls"), model.expert_outputs(pooled)).data
         w = model.params["head.tas_cls.w"].data
         b = model.params["head.tas_cls.b"].data
@@ -366,6 +366,81 @@ class TestForward:
             assert abs(want - got) / denom < 1e-4, (name, idx, want, got)
             checked += 1
         assert checked >= 6
+
+
+class TestInfer:
+    """The tape-free pass is the taped forward's values, byte for byte."""
+
+    @staticmethod
+    def graphs(rng, batch, n=6, in_dim=6):
+        """Random graphs; the first has an isolated node, the second a removed edge."""
+        xs, adjs = [], []
+        for i in range(batch):
+            x, adj = random_graph(rng, n, in_dim)
+            if i == 0:
+                adj[2, :] = adj[:, 2] = 0.0
+            if i == 1:
+                a, b = np.argwhere(np.triu(adj, 1))[0]
+                adj[a, b] = adj[b, a] = 0.0
+            xs.append(x)
+            adjs.append(adj)
+        return np.stack(xs), np.stack(adjs)
+
+    @staticmethod
+    def fields(out):
+        heads = [out.tas_logits, out.tvs_logits, out.tas_margin_hat, out.tvs_margin_hat]
+        return heads + [out.gate_weights[task] for task in TASKS]
+
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("seed,n_layers,experts", [(0, 2, 4), (1, 1, 2), (2, 3, 3)])
+    def test_outputs_equal_the_taped_forward(self, batch, seed, n_layers, experts):
+        rng = np.random.default_rng(seed)
+        model = StabilityModel(ModelConfig(
+            in_dim=6, hidden_dim=8, n_layers=n_layers, n_experts=experts,
+            expert_hidden=5, seed=seed,
+        ))
+        x, adj = self.graphs(rng, batch)
+        taped = self.fields(model.forward(x, adj))
+        untaped = self.fields(model.infer(x, adj))
+        for t, a in zip(taped, untaped):
+            assert type(a) is np.ndarray
+            assert a.dtype == np.float64 and a.shape == t.shape
+            assert a.tobytes() == t.data.tobytes()
+
+    def test_bundled_network_with_a_removed_line(self, ieee39):
+        from tsakit.grid_model import adjacency_from_network
+
+        rng = np.random.default_rng(3)
+        model = StabilityModel(ModelConfig(in_dim=10, seed=3))
+        adj = np.stack([adjacency_from_network(ieee39, without_line=k) for k in (None, 13)])
+        x = rng.standard_normal((2, ieee39.n_bus, 10))
+        for t, a in zip(self.fields(model.forward(x, adj)), self.fields(model.infer(x, adj))):
+            assert a.tobytes() == t.data.tobytes()
+
+    def test_predict_matches_the_taped_forward(self, rng):
+        from tsakit.training_eval import STABLE_CLASS, predict
+
+        model = small_model(seed=8)
+        x, adj = self.graphs(rng, 4)
+        pred = predict(model, x, adj)
+        out = model.forward(x, adj)
+        assert np.array_equal(pred["tas_stable"], out.tas_logits.data.argmax(axis=1) == STABLE_CLASS)
+        assert np.array_equal(pred["tvs_stable"], out.tvs_logits.data.argmax(axis=1) == STABLE_CLASS)
+        assert pred["tas_margin"].tobytes() == out.tas_margin_hat.data[:, 0].tobytes()
+        assert pred["tvs_margin"].tobytes() == out.tvs_margin_hat.data[:, 0].tobytes()
+        for task in TASKS:
+            assert pred["gates"][task].tobytes() == out.gate_weights[task].data.tobytes()
+
+    def test_reads_the_current_parameter_values(self, rng):
+        """infer reads the parameters' current arrays, as training replaces them."""
+        model = small_model(seed=9)
+        x, adj = self.graphs(rng, 2)
+        before = model.infer(x, adj).tas_logits
+        for p in model.params.values():
+            p.data = p.data * 0.5
+        after = model.infer(x, adj).tas_logits
+        assert not np.array_equal(before, after)
+        assert after.tobytes() == model.forward(x, adj).tas_logits.data.tobytes()
 
 
 class TestCheckpoint:
