@@ -14,6 +14,7 @@ import hashlib
 import logging
 import os
 import struct
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
@@ -313,8 +314,6 @@ _FLAG_COUNTS = (
     ("tas_nonmonotone", FLAG_TAS_NONMONOTONE),
     ("tvs_nonmonotone", FLAG_TVS_NONMONOTONE),
 )
-# samples whose verdict and margin side disagree, per criterion
-_DISAGREE_COUNTS = ("tas_disagree", "tvs_disagree")
 
 
 @dataclass
@@ -322,7 +321,6 @@ class ContextLabels:
     """What label_context returns for one fault context."""
 
     samples: list[Sample]
-    counts: dict  # count_<name> contributions, _FLAG_COUNTS then _DISAGREE_COUNTS
     records: list[logging.LogRecord]  # what the labelling logged, in order
 
 
@@ -377,24 +375,20 @@ def label_context(
     (labeling.find_ccts) and shared by every scenario. The context takes two
     lockstep batches, and no clearing instant is simulated twice: the coarse
     scan with the grid clearing times, then every probe either bisection can
-    make. assemble_samples turns the grid's traces into samples. The records
-    the labelling logs are returned instead of emitted, so a worker process
-    can hand them back.
+    make. assemble_samples turns the grid's traces into samples, which hold
+    every flag and verdict the manifest counts. The records the labelling
+    logs are returned instead of emitted, so a worker can hand them back.
     """
-    with _captured_logs() as records:
-        samples, counts = _label_scenarios(network, eq, fault, cfg, scenarios)
-    return ContextLabels(samples, counts, records)
-
-
-def _label_scenarios(network, eq, fault, cfg, scenarios):
     clears = [clearing_time_s(sc, network.nominal_hz) for _, sc in scenarios]
-    cct_a, cct_v, traces = find_ccts(
-        network, eq, fault, clears, cfg.fault_start_s, cfg.duration_s, cfg.step_s
-    )
-    return assemble_samples(
-        [sid for sid, _ in scenarios], clears, traces, cct_a, cct_v,
-        adjacency_from_network(network, without_line=fault.line_index), cfg,
-    )
+    with _captured_logs() as records:
+        cct_a, cct_v, traces = find_ccts(
+            network, eq, fault, clears, cfg.fault_start_s, cfg.duration_s, cfg.step_s
+        )
+        samples = assemble_samples(
+            [sid for sid, _ in scenarios], clears, traces, cct_a, cct_v,
+            adjacency_from_network(network, without_line=fault.line_index), cfg,
+        )
+    return ContextLabels(samples, records)
 
 
 def assemble_samples(
@@ -405,8 +399,8 @@ def assemble_samples(
     cct_v: CctResult,
     adjacency: np.ndarray,
     cfg: GridConfig,
-) -> tuple[list[Sample], dict]:
-    """The samples of one fault context and its manifest count contributions.
+) -> list[Sample]:
+    """The samples of one fault context.
 
     Scenario i cleared clear_times[i] seconds after the fault and gave
     traces[i]; cct_a and cct_v are the context's angle and voltage searches
@@ -414,7 +408,7 @@ def assemble_samples(
     its own trace, margins against the searched boundaries, the features of
     cfg's window, and flags for the searches' saturation and monotonicity
     plus its trace's divergence and feature clamping. A verdict that
-    disagrees with its margin's side is counted and logged at INFO.
+    disagrees with its margin's side is logged at INFO.
     """
     window_start = int(round(cfg.fault_start_s / cfg.step_s))
     context_flags = (
@@ -428,7 +422,6 @@ def assemble_samples(
     base_flags = sum(bit for bit, on in context_flags if on)
 
     samples: list[Sample] = []
-    disagree = dict.fromkeys(_DISAGREE_COUNTS, 0)
     for sid, clear_s, trace in zip(scenario_ids, clear_times, traces):
         angle_res = tsi(trace)
         volt_res = tvs(trace)
@@ -437,13 +430,11 @@ def assemble_samples(
         m_a = margin(cct_a.t_cct_s, clear_s)
         m_v = margin(cct_v.t_cct_s, clear_s)
         if (m_a.kind == "margin") != angle_res.stable:
-            disagree["tas_disagree"] += 1
             logger.info(
                 "scenario %d: angle verdict and boundary side disagree near the "
                 "boundary (clear %.4f s, cct %.4f s)", sid, clear_s, cct_a.t_cct_s,
             )
         if (m_v.kind == "margin") != volt_res.stable:
-            disagree["tvs_disagree"] += 1
             logger.info(
                 "scenario %d: voltage verdict and boundary side disagree near the "
                 "boundary (clear %.4f s, cct %.4f s)", sid, clear_s, cct_v.t_cct_s,
@@ -470,9 +461,7 @@ def assemble_samples(
                 features=features,
             )
         )
-    counts = {name: sum(bool(s.flags & bit) for s in samples) for name, bit in _FLAG_COUNTS}
-    counts.update(disagree)
-    return samples, counts
+    return samples
 
 
 def _available_cpus() -> int:
@@ -507,15 +496,15 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
     ordered process pool of `jobs` workers (None: every CPU this process may
     use), capped at the number of contexts; with one worker they run in this
     process through the same label_context. This function keeps the rest:
-    one equilibrium per motor share, the sample order, the class and flag
-    totals, the progress log, the records each context logged (replayed in
-    context order) and the manifest. The output does not depend on jobs.
+    one equilibrium per motor share, the sample order, the progress log and
+    the records each context logged (replayed in context order); the
+    manifest is dataset_manifest of the samples. The output does not depend
+    on jobs.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be at least 1")
     validate_grid(cfg, network)
     scenarios = enumerate_scenarios(cfg)
-    window_start = int(round(cfg.fault_start_s / cfg.step_s))
 
     equilibria: dict = {}
     for frac in cfg.motor_fractions:
@@ -542,26 +531,33 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
             contexts.append((net_f, eq, fault, cfg, group))
 
     samples: list[Sample] = []
-    class_counts: dict = {}
-    totals = dict.fromkeys([name for name, _ in _FLAG_COUNTS] + list(_DISAGREE_COUNTS), 0)
     workers = min(jobs or _available_cpus(), len(contexts))
     for labels in _label_contexts(contexts, workers):
         _replay(labels.records)
-        for name, count in labels.counts.items():
-            totals[name] += count
         for sample in labels.samples:
             samples.append(sample)
-            key = (sample.tas_stable, sample.tvs_stable)
-            class_counts[key] = class_counts.get(key, 0) + 1
             done = sample.scenario_id + 1
             if done % 50 == 0 or done == len(scenarios):
                 logger.info("labeled %d / %d scenarios", done, len(scenarios))
+    return samples, dataset_manifest(network, cfg, seed, samples, failed)
 
+
+def dataset_manifest(
+    network: Network, cfg: GridConfig, seed: int, samples: list[Sample], failed: list[int]
+) -> dict:
+    """The manifest of a dataset built from cfg: its configuration and counts.
+
+    failed holds the ids of the scenarios that gave no sample. Every count
+    is read off the samples: the joint classes, each flag of _FLAG_COUNTS,
+    and per criterion the samples whose verdict disagrees with the side of
+    their margin (a signed margin >= 0 is the stable side).
+    """
     digest = hashlib.sha256()
     digest.update(format_network(network).encode())
     digest.update(repr((cfg.lines, cfg.location_fractions, cfg.motor_fractions,
                         cfg.clearing_cycles, cfg.window_steps, cfg.fault_start_s,
                         cfg.duration_s, cfg.step_s)).encode())
+    classes = Counter(s.joint_label for s in samples)
     manifest = {
         "format": "TSD1",
         "label_schema": _LABEL_SCHEMA,
@@ -569,7 +565,7 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
         "config_digest": digest.hexdigest(),
         "n_bus": network.n_bus,
         "window_steps": cfg.window_steps,
-        "window_start": window_start,
+        "window_start": int(round(cfg.fault_start_s / cfg.step_s)),
         "fault_start_s": repr(cfg.fault_start_s),
         "duration_s": repr(cfg.duration_s),
         "step_s": repr(cfg.step_s),
@@ -577,18 +573,20 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
         "location_fractions": ",".join(repr(x) for x in cfg.location_fractions),
         "motor_fractions": ",".join(repr(x) for x in cfg.motor_fractions),
         "clearing_cycles": ",".join(repr(x) for x in cfg.clearing_cycles),
-        "n_scenarios": len(scenarios),
+        "n_scenarios": cfg.n_scenarios,
         "n_samples": len(samples),
         "n_failed": len(failed),
         "failed_ids": ",".join(str(i) for i in failed),
-        "count_stable_stable": class_counts.get((True, True), 0),
-        "count_stable_unstable": class_counts.get((True, False), 0),
-        "count_unstable_stable": class_counts.get((False, True), 0),
-        "count_unstable_unstable": class_counts.get((False, False), 0),
+        "count_stable_stable": classes[(True, True)],
+        "count_stable_unstable": classes[(True, False)],
+        "count_unstable_stable": classes[(False, True)],
+        "count_unstable_unstable": classes[(False, False)],
     }
-    for name, count in totals.items():
-        manifest[f"count_{name}"] = count
-    return samples, manifest
+    for name, bit in _FLAG_COUNTS:
+        manifest[f"count_{name}"] = sum(bool(s.flags & bit) for s in samples)
+    manifest["count_tas_disagree"] = sum((s.tas_signed >= 0.0) != s.tas_stable for s in samples)
+    manifest["count_tvs_disagree"] = sum((s.tvs_signed >= 0.0) != s.tvs_stable for s in samples)
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +635,8 @@ def load_dataset(path: str | Path):
         raise ValueError(f"{path}: unsupported dataset version {version}")
     if schema != _LABEL_SCHEMA:
         raise ValueError(f"{path}: unsupported label schema {schema}")
+    if n_samples == 0:
+        raise ValueError(f"{path}: empty dataset (no samples)")
     record = _LABEL_FIELDS + n_bus * n_bus + n_bus * 2 * window
     expect = off + 4 * record * n_samples
     if len(raw) != expect:

@@ -10,11 +10,11 @@ The critical clearing time for either criterion is located by a coarse scan
 over the clearing-time bracket followed by bisection down to a fraction of a
 cycle. Severity labels are normalized margins relative to that boundary.
 
-find_ccts searches both criteria of one fault context with two lockstep
-simulation batches: the coarse scan first, then every midpoint the
-bisection of either criterion's bracket can probe (bisection_points). Each
-simulated trace is reduced to its two verdicts, which both searches then
-read from one cache.
+find_ccts is the one simulated search: it labels both criteria of a fault
+context with two lockstep simulation batches, the coarse scan first, then
+every midpoint the bisection of either criterion's bracket can probe
+(bisection_points). Each simulated trace is reduced to its two verdicts in
+one map keyed by clearing instant, and find_cct reads both searches from it.
 """
 
 from __future__ import annotations
@@ -134,34 +134,34 @@ def tvs(
 # ---------------------------------------------------------------------------
 
 
+# the clearing-time search in cycles of the nominal frequency: bracket,
+# coarse scan step and bisection tolerance
+T_MIN_CYCLES = 1.0
+T_MAX_CYCLES = 30.0
+COARSE_STEP_CYCLES = 2.0
+TOLERANCE_CYCLES = 0.25
+
+
 @dataclass(frozen=True)
 class CctSearchConfig:
-    """Bracket and resolution of the clearing-time search, in seconds.
+    """Bracket and resolution of the clearing-time search, in seconds."""
 
-    Defaults correspond to 1 to 30 cycles at 60 Hz, coarse scan every 2
-    cycles, bisection down to a quarter cycle.
-    """
-
-    t_min_s: float = 1.0 / 60.0
-    t_max_s: float = 30.0 / 60.0
-    coarse_step_s: float = 2.0 / 60.0
-    tolerance_s: float = 0.25 / 60.0
+    t_min_s: float
+    t_max_s: float
+    coarse_step_s: float
+    tolerance_s: float
 
     @staticmethod
-    def from_cycles(
-        nominal_hz: float,
-        t_min_cycles: float = 1.0,
-        t_max_cycles: float = 30.0,
-        coarse_step_cycles: float = 2.0,
-        tolerance_cycles: float = 0.25,
-    ) -> "CctSearchConfig":
+    def from_cycles(nominal_hz: float) -> "CctSearchConfig":
+        """The search over 1 to 30 cycles, coarse scan every 2 cycles,
+        bisection down to a quarter cycle."""
         if nominal_hz <= 0.0:
             raise ValueError("nominal frequency must be positive")
         return CctSearchConfig(
-            t_min_s=t_min_cycles / nominal_hz,
-            t_max_s=t_max_cycles / nominal_hz,
-            coarse_step_s=coarse_step_cycles / nominal_hz,
-            tolerance_s=tolerance_cycles / nominal_hz,
+            t_min_s=T_MIN_CYCLES / nominal_hz,
+            t_max_s=T_MAX_CYCLES / nominal_hz,
+            coarse_step_s=COARSE_STEP_CYCLES / nominal_hz,
+            tolerance_s=TOLERANCE_CYCLES / nominal_hz,
         )
 
     def validate(self) -> None:
@@ -232,7 +232,7 @@ def bisection_points(lo: float, hi: float, tol: float) -> list[float]:
     return points
 
 
-def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = None) -> CctResult:
+def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig) -> CctResult:
     """Locate the stability boundary of a clearing-time predicate.
 
     The full bracket is scanned at the coarse step first; stability is not
@@ -240,7 +240,6 @@ def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = N
     first boundary and flags any reversal. Bisection then narrows the first
     stable-to-unstable transition to within the tolerance.
     """
-    cfg = cfg or CctSearchConfig()
     grid = coarse_grid(cfg)
     verdicts = [bool(stable_at(t)) for t in grid]
     evaluations = len(grid)
@@ -270,103 +269,6 @@ def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig | None = N
     return CctResult(t_cct_s=lo, nonmonotone=nonmonotone, evaluations=evaluations)
 
 
-def cached_traces(
-    cache: dict,
-    network: Network,
-    init: EquilibriumState,
-    fault: FaultSpec,
-    clear_times: Sequence[float],
-    fault_start_s: float = 1.0,
-    duration_s: float = 10.0,
-    step_s: float = 0.01,
-) -> list[Trace]:
-    """Traces of one fault context for the given clearing durations.
-
-    The cache maps the absolute clearing instant the simulator integrates
-    (tds.clearing_instant) to its trace, so durations share one simulation
-    exactly when they give the same trace. The durations the cache lacks
-    are simulated in one lockstep batch.
-    """
-    keys = [clearing_instant(fault_start_s, c, step_s) for c in clear_times]
-    missing: dict = {}
-    for key, clear_s in zip(keys, clear_times):
-        if key not in cache:
-            missing.setdefault(key, clear_s)
-    if missing:
-        traces = run_simulations(
-            network, init, fault, list(missing.values()), fault_start_s, duration_s, step_s
-        )
-        cache.update(zip(missing, traces))
-    return [cache[key] for key in keys]
-
-
-# the criteria in the order of a verdict pair
-_CRITERIA = ("angle", "voltage")
-
-
-def _verdicts(trace: Trace) -> tuple[bool, bool]:
-    return tsi(trace).stable, tvs(trace).stable
-
-
-def _cached_verdicts(
-    cache: dict,
-    network: Network,
-    init: EquilibriumState,
-    fault: FaultSpec,
-    clear_times: Sequence[float],
-    fault_start_s: float,
-    duration_s: float,
-    step_s: float,
-) -> list[tuple[bool, bool]]:
-    """(angle stable, voltage stable) of one fault context per clearing duration.
-
-    The cache maps the clearing instant (tds.clearing_instant) to its
-    verdict pair. The durations it lacks are simulated in one lockstep batch
-    (cached_traces) and only their verdicts are kept.
-    """
-    keys = [clearing_instant(fault_start_s, c, step_s) for c in clear_times]
-    missing = [c for key, c in zip(keys, clear_times) if key not in cache]
-    if missing:
-        traces: dict = {}
-        cached_traces(traces, network, init, fault, missing, fault_start_s, duration_s, step_s)
-        cache.update((key, _verdicts(trace)) for key, trace in traces.items())
-    return [cache[key] for key in keys]
-
-
-def find_cct_simulated(
-    network: Network,
-    init: EquilibriumState,
-    fault: FaultSpec,
-    criterion: str,
-    cfg: CctSearchConfig | None = None,
-    fault_start_s: float = 1.0,
-    duration_s: float = 10.0,
-    step_s: float = 0.01,
-    verdict_cache: dict | None = None,
-) -> CctResult:
-    """CCT search where the predicate runs a time-domain simulation.
-
-    criterion is "angle" or "voltage". The verdict cache maps a clearing
-    instant to the verdicts of both criteria, so it may be shared between
-    them. The coarse scan the cache lacks is simulated as one batch, and
-    each bisection probe it lacks as a batch of one; find_ccts fills the
-    cache first, so that its searches simulate nothing.
-    """
-    if criterion not in _CRITERIA:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    cfg = cfg or CctSearchConfig.from_cycles(network.nominal_hz)
-    cache = verdict_cache if verdict_cache is not None else {}
-    which = _CRITERIA.index(criterion)
-
-    def verdicts(clear_times: Sequence[float]) -> list[tuple[bool, bool]]:
-        return _cached_verdicts(
-            cache, network, init, fault, clear_times, fault_start_s, duration_s, step_s
-        )
-
-    verdicts(coarse_grid(cfg))
-    return find_cct(lambda t: verdicts([t])[0][which], cfg)
-
-
 def find_ccts(
     network: Network,
     init: EquilibriumState,
@@ -378,37 +280,51 @@ def find_ccts(
 ) -> tuple[CctResult, CctResult, list[Trace]]:
     """The angle and the voltage CCT of one fault context, and the traces of clear_times.
 
-    The first lockstep batch simulates the coarse scan together with
-    clear_times (the scenario grid's clearing times). Its traces are reduced
-    to their verdicts, and those of clear_times are copied, so that the
-    batch's arrays are freed before the second batch. That one simulates,
-    for each criterion, every point the bisection of its coarse bracket can
-    probe (bisection_points) and the first batch lacked. Both searches then
-    read only cached verdicts, so the context calls run_simulations at most
+    One verdict map holds (angle stable, voltage stable) per clearing
+    instant the simulator integrates (tds.clearing_instant), so durations
+    share one simulation exactly when they give the same trace. The first
+    lockstep batch simulates the coarse scan together with clear_times (the
+    scenario grid's clearing times). The traces of clear_times are copied,
+    so that the batch's arrays are freed before the second batch. That one
+    simulates, for each criterion, every point the bisection of its coarse
+    bracket can probe (bisection_points) and the map lacks. Both searches
+    then read only the map, so the context calls run_simulations at most
     twice.
     """
     cfg = CctSearchConfig.from_cycles(network.nominal_hz)
-    timing = {"fault_start_s": fault_start_s, "duration_s": duration_s, "step_s": step_s}
+    verdicts: dict = {}
+
+    def instant(clear_s: float) -> float:
+        return clearing_instant(fault_start_s, clear_s, step_s)
+
+    def simulate(clears: Sequence[float]) -> dict:
+        """Traces of the instants the map lacks, as one batch keyed by instant."""
+        missing: dict = {}
+        for clear_s in clears:
+            key = instant(clear_s)
+            if key not in verdicts:
+                missing.setdefault(key, clear_s)
+        if not missing:
+            return {}
+        batch = dict(zip(missing, run_simulations(
+            network, init, fault, list(missing.values()), fault_start_s, duration_s, step_s
+        )))
+        verdicts.update((key, (tsi(tr).stable, tvs(tr).stable)) for key, tr in batch.items())
+        return batch
+
     grid = coarse_grid(cfg)
-    first: dict = {}
-    scan = cached_traces(first, network, init, fault, [*grid, *clear_times], **timing)
-    cache = {key: _verdicts(trace) for key, trace in first.items()}
+    first = simulate([*grid, *clear_times])
     memo: dict = {}  # one copy per shared trace; it holds the originals too
-    traces = [copy.deepcopy(trace, memo) for trace in scan[len(grid) :]]
-    del first, scan, memo
-    grid_verdicts = _cached_verdicts(cache, network, init, fault, grid, **timing)
+    traces = [copy.deepcopy(first[instant(c)], memo) for c in clear_times]
+    del first, memo
     probes = []
-    for which in range(len(_CRITERIA)):
-        bracket = coarse_bracket(grid, [v[which] for v in grid_verdicts])
+    for which in (0, 1):
+        bracket = coarse_bracket(grid, [verdicts[instant(t)][which] for t in grid])
         if bracket is not None:
             probes += bisection_points(*bracket, cfg.tolerance_s)
-    _cached_verdicts(cache, network, init, fault, probes, **timing)
-    cct_a, cct_v = (
-        find_cct_simulated(
-            network, init, fault, criterion, cfg=cfg, verdict_cache=cache, **timing
-        )
-        for criterion in _CRITERIA
-    )
+    simulate(probes)
+    cct_a = find_cct(lambda t: verdicts[instant(t)][0], cfg)
+    cct_v = find_cct(lambda t: verdicts[instant(t)][1], cfg)
     return cct_a, cct_v, traces
 
 

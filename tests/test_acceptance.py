@@ -27,7 +27,7 @@ from tsakit.autodiff_nn import (
     moe_combine,
     save_checkpoint,
 )
-from tsakit.dataset import build_dataset, desk_grid, save_dataset, split_dataset
+from tsakit.dataset import build_dataset, desk_grid, save_dataset, split_dataset, write_manifest
 from tsakit.grid_model import FaultSpec, adjacency_from_network
 from tsakit.labeling import CctSearchConfig, find_cct
 from tsakit.tds import run_simulation
@@ -79,6 +79,7 @@ DESK_TRAIN = dict(
 # re-pin only with a stated reason why the labels or numerics changed.
 DESK_DATASET_SHA256 = "9c7cc6b14eb73659e28face58cb9b844aceae5734b2e7f6daf348fc10b6428bc"
 DESK_CHECKPOINT_SHA256 = "c99e6e83c490963e3371248fb6d93c086d6fc1ce3a9ffe599a55fb612f1cd006"
+DESK_MANIFEST_SHA256 = "7e7b30f7b2418e950ba3c2d9e1555455fc8385563464198c2162debd84c046f7"
 
 
 @pytest.fixture(scope="session")
@@ -89,6 +90,7 @@ def desk_run(tmp_path_factory, ieee39):
     samples, manifest = build_dataset(ieee39, cfg, seed=0)
     build_s = time.perf_counter() - t0
     save_dataset(samples, out / "dataset.tsd")
+    write_manifest(manifest, out / "manifest.txt")
     split = split_dataset([s.joint_label for s in samples], seed=0)
     train_cfg = TrainConfig(**DESK_TRAIN)
     model_cfg = ModelConfig(in_dim=2 * cfg.window_steps, seed=0)
@@ -287,6 +289,7 @@ def test_criterion_06_scenario_grid(capsys):
         res["detail"] = "paper grid enumerates 4590 scenarios, desk grid 90"
 
 
+@pytest.mark.slow  # needs the desk build and training (desk_run)
 def test_criterion_07_desk_end_to_end(desk_run):
     with criterion(7, "desk-scale dataset + training reaches accuracy/MSE targets") as res:
         report = evaluate(
@@ -306,14 +309,16 @@ def test_criterion_07_desk_end_to_end(desk_run):
         )
 
 
+@pytest.mark.slow  # rebuilds and retrains the desk run
 def test_criterion_08_determinism(desk_run, ieee39, tmp_path):
     with criterion(8, "bit-identical dataset and checkpoint on repeat run") as res:
         # desk_run labels in a process pool; this rebuild labels in-process
-        samples2, _ = build_dataset(ieee39, desk_run["cfg"], seed=0, jobs=1)
+        samples2, manifest2 = build_dataset(ieee39, desk_run["cfg"], seed=0, jobs=1)
         save_dataset(samples2, tmp_path / "dataset.tsd")
         first = (desk_run["dir"] / "dataset.tsd").read_bytes()
         second = (tmp_path / "dataset.tsd").read_bytes()
         assert first == second
+        assert manifest2 == desk_run["manifest"]
 
         split2 = split_dataset([s.joint_label for s in samples2], seed=0)
         result2 = train(samples2, split2, desk_run["train_cfg"], desk_run["model_cfg"])
@@ -323,9 +328,11 @@ def test_criterion_08_determinism(desk_run, ieee39, tmp_path):
         assert ck1 == ck2
         assert hashlib.sha256(first).hexdigest() == DESK_DATASET_SHA256
         assert hashlib.sha256(ck1).hexdigest() == DESK_CHECKPOINT_SHA256
+        manifest = (desk_run["dir"] / "manifest.txt").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == DESK_MANIFEST_SHA256
         res["ok"] = True
         res["detail"] = (
-            f"dataset ({len(first)} bytes) and checkpoint ({len(ck1)} bytes) "
+            f"dataset ({len(first)} bytes), manifest and checkpoint ({len(ck1)} bytes) "
             f"bit-identical across runs and equal to the pinned digests"
         )
 
@@ -360,6 +367,7 @@ def test_criterion_09_permutation_invariance():
         res["detail"] = f"50 random graphs, worst deviation {worst:.1e} <= 1e-9"
 
 
+@pytest.mark.slow  # needs the desk build and training (desk_run)
 def test_criterion_10_monitor_replay(desk_run, ieee39_eq06, tmp_path, capsys):
     with criterion(10, "monitor replay reproduces offline decisions exactly") as res:
         net, init = ieee39_eq06

@@ -143,6 +143,22 @@ class TestLabel:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "truncated" in err
 
+    @pytest.mark.parametrize("command", ["label", "train", "eval"])
+    def test_empty_dataset_exits_2(self, trained, tmp_path, capsys, command):
+        """A bare TSD1 header that holds no samples is an error, not an
+        empty labels file or a traceback."""
+        path = tmp_path / "empty.tsd"
+        path.write_bytes(struct.pack("<4sIIIII", b"TSD1", 1, 0, N_BUS_TOY, TOY_WINDOW, 1))
+        if command == "eval":
+            args = ["--checkpoint", str(trained / "checkpoint.tsm")]
+        else:
+            args = ["--out", str(tmp_path / "out")]
+        rc = cli.main([command, "--data", str(path), *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{path}: empty dataset" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, trained):

@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import os
+import struct
 import weakref
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from tsakit.dataset import (
     GridConfig,
     Sample,
     build_dataset,
+    dataset_manifest,
     desk_grid,
     label_context,
     enumerate_scenarios,
@@ -39,7 +41,7 @@ from tsakit.dataset import (
 from tsakit import labeling
 from tsakit.grid_model import FaultSpec, adjacency_from_network
 from tsakit.labeling import CctResult, CctSearchConfig, bisection_points, coarse_grid, margin
-from tsakit.tds import Trace, clearing_instant
+from tsakit.tds import Trace, clearing_instant, run_simulations
 
 
 def make_trace(v_mag, v_ang, step_s=0.01, slack_bus=0):
@@ -407,6 +409,12 @@ class TestDatasetFile:
             with pytest.raises(ValueError, match="truncated"):
                 load_dataset(path)
 
+    def test_rejects_a_file_without_samples(self, tmp_path):
+        path = tmp_path / "empty.tsd"
+        path.write_bytes(struct.pack("<4sIIIII", b"TSD1", 1, 0, 6, 5, 1))
+        with pytest.raises(ValueError, match="empty dataset"):
+            load_dataset(path)
+
     def test_rejects_empty_and_mismatched(self, tmp_path, rng):
         with pytest.raises(ValueError, match="empty"):
             save_dataset([], tmp_path / "e.tsd")
@@ -605,12 +613,12 @@ class TestAssembleSamples:
         lost = replace(make_trace(broken, np.zeros((30, 3))), diverged=True, diverged_step=20)
         return [calm, lost]
 
-    def test_samples_take_their_traces_and_the_searched_boundaries(self):
+    def test_samples_take_their_traces_and_the_searched_boundaries(self, ieee39):
         cct_a = CctResult(t_cct_s=0.1, above_bracket=True)
         cct_v = CctResult(t_cct_s=0.2, nonmonotone=True)
         adjacency = np.eye(3, dtype=np.int8)
         traces = self.traces()
-        samples, counts = dataset.assemble_samples(
+        samples = dataset.assemble_samples(
             [7, 8], [0.15, 0.3], traces, cct_a, cct_v, adjacency, self.CFG)
         calm, lost = samples
         assert [s.scenario_id for s in samples] == [7, 8]
@@ -624,11 +632,13 @@ class TestAssembleSamples:
         base = FLAG_TAS_CCT_ABOVE | FLAG_TVS_NONMONOTONE
         assert calm.flags == base
         assert lost.flags == base | FLAG_DIVERGED | FLAG_CLAMPED
-        assert counts["tas_cct_above"] == counts["tvs_nonmonotone"] == 2
-        assert counts["diverged"] == counts["clamped"] == 1
-        assert counts["tas_cct_below"] == counts["tvs_cct_above"] == 0
+        counts = dataset_manifest(ieee39, self.CFG, 0, samples, [])
+        assert counts["count_tas_cct_above"] == counts["count_tvs_nonmonotone"] == 2
+        assert counts["count_diverged"] == counts["count_clamped"] == 1
+        assert counts["count_tas_cct_below"] == counts["count_tvs_cct_above"] == 0
+        assert (counts["count_stable_stable"], counts["count_unstable_unstable"]) == (1, 1)
         # calm clears after the angle boundary and stays stable
-        assert (counts["tas_disagree"], counts["tvs_disagree"]) == (1, 0)
+        assert (counts["count_tas_disagree"], counts["count_tvs_disagree"]) == (1, 0)
 
 
 # two fault contexts of line 13 with 1.6 s traces: about a second each
@@ -650,22 +660,23 @@ class TestContextPool:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_context_warnings_reach_the_caller_once_in_order(self, ieee39, monkeypatch,
                                                              caplog, jobs):
-        search = labeling.find_cct_simulated
+        search = dataset.find_ccts
 
-        def loud_search(network, eq, fault, criterion, **kwargs):
-            logging.getLogger("tsakit.labeling").warning(
-                "search %s at %s", criterion, fault.location_fraction
-            )
-            return search(network, eq, fault, criterion, **kwargs)
+        def loud_search(network, eq, fault, *args):
+            log = logging.getLogger("tsakit.labeling")
+            log.warning("search starts at %s", fault.location_fraction)
+            result = search(network, eq, fault, *args)
+            log.warning("search ends at %s", fault.location_fraction)
+            return result
 
         # set before the pool starts, so forked workers inherit it
-        monkeypatch.setattr(labeling, "find_cct_simulated", loud_search)
+        monkeypatch.setattr(dataset, "find_ccts", loud_search)
         with caplog.at_level(logging.WARNING):
             build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
         records = [r for r in caplog.records if r.getMessage().startswith("search")]
         assert [r.getMessage() for r in records] == [
-            "search angle at 0.1", "search voltage at 0.1",
-            "search angle at 0.9", "search voltage at 0.9",
+            "search starts at 0.1", "search ends at 0.1",
+            "search starts at 0.9", "search ends at 0.9",
         ]
         assert all((r.process != os.getpid()) == (jobs == 2) for r in records)
 
@@ -677,13 +688,14 @@ class TestContextPool:
 def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, monkeypatch):
     """A boundary below every clearing time puts stable traces on the degree
     side: each sample then disagrees on both criteria and carries both
-    non-monotone flags, and the INFO lines come back as records."""
+    non-monotone flags, the manifest counts them, and the INFO lines come
+    back as records."""
     net, eq = ieee39_eq06
     low = CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True)
     monkeypatch.setattr(
         dataset, "find_ccts",
         lambda network, eq, fault, clears, *timing: (
-            low, low, labeling.cached_traces({}, network, eq, fault, clears, *timing)),
+            low, low, run_simulations(network, eq, fault, clears, *timing)),
     )
     cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
     labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,
@@ -691,8 +703,9 @@ def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, m
     assert [s.tas_stable and s.tvs_stable for s in labels.samples] == [True, True]
     nonmonotone = FLAG_TAS_NONMONOTONE | FLAG_TVS_NONMONOTONE
     assert all(s.flags & nonmonotone == nonmonotone for s in labels.samples)
-    assert labels.counts["tas_nonmonotone"] == labels.counts["tvs_nonmonotone"] == 2
-    assert labels.counts["tas_disagree"] == labels.counts["tvs_disagree"] == 2
+    counts = dataset_manifest(net, cfg, 0, labels.samples, [])
+    assert counts["count_tas_nonmonotone"] == counts["count_tvs_nonmonotone"] == 2
+    assert counts["count_tas_disagree"] == counts["count_tvs_disagree"] == 2
     assert [(r.levelname, r.getMessage().split(" verdict")[0]) for r in labels.records] == [
         ("INFO", "scenario 0: angle"), ("INFO", "scenario 0: voltage"),
         ("INFO", "scenario 1: angle"), ("INFO", "scenario 1: voltage"),

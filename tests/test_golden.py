@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from tsakit.autodiff_nn import ModelConfig, save_checkpoint
-from tsakit.dataset import DatasetSplit, GridConfig, build_dataset, save_dataset
+from tsakit.dataset import (
+    DatasetSplit,
+    GridConfig,
+    build_dataset,
+    save_dataset,
+    write_manifest,
+)
 from tsakit.training_eval import TrainConfig, train, write_training_log
 
 # one fault context, one clearing time on the CCT coarse scan and one off it;
@@ -25,6 +31,7 @@ GRID = GridConfig(
     duration_s=1.6,
 )
 DATASET_SHA256 = "583cd29a1e83243bcbe875ee54c15e9805c7ae8293e228e031f40c964200b9a9"
+MANIFEST_SHA256 = "cd1e963467d34e96ea01317743703998db0faabedc61eadc8d4342b22796ac93"
 CHECKPOINT_SHA256 = "7545897c46d521c3f2af6f24acaa2275f2c1859c94a052fb9b7b952def5bf285"
 # the float32 checkpoint rounds away last-bit drift in the float64 weights
 # and the logged losses; these two digests see it
@@ -42,6 +49,7 @@ def tiny_run(ieee39, tmp_path_factory):
     samples, manifest = build_dataset(ieee39, GRID, seed=0)
     assert manifest["n_samples"] == 2
     save_dataset(samples, out / "dataset.tsd")
+    write_manifest(manifest, out / "manifest.txt")
     both = np.array([0, 1])
     split = DatasetSplit(train_ids=both, val_ids=both, test_ids=np.array([], dtype=int), seed=0)
     result = train(
@@ -56,6 +64,7 @@ def tiny_run(ieee39, tmp_path_factory):
 def test_tiny_pipeline_bytes_are_pinned(tiny_run):
     out, _ = tiny_run
     assert sha(out / "dataset.tsd") == DATASET_SHA256
+    assert sha(out / "manifest.txt") == MANIFEST_SHA256
     assert sha(out / "checkpoint.tsm") == CHECKPOINT_SHA256
 
 

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,17 +14,15 @@ from tsakit.labeling import (
     CctSearchConfig,
     MarginLabel,
     bisection_points,
-    cached_traces,
     coarse_bracket,
     coarse_grid,
     find_cct,
-    find_cct_simulated,
     find_ccts,
     margin,
     tsi,
     tvs,
 )
-from tsakit.tds import Trace, clearing_instant
+from tsakit.tds import Trace, clearing_instant, run_simulation
 
 
 def make_trace(
@@ -244,9 +245,12 @@ class TestTvsRule:
 # ---------------------------------------------------------------------------
 
 
+CFG_60HZ = CctSearchConfig.from_cycles(60.0)
+
+
 class TestFindCct:
     def test_step_functions_recovered_within_tolerance(self, rng):
-        cfg = CctSearchConfig()
+        cfg = CFG_60HZ
         for _ in range(20):
             threshold = rng.uniform(cfg.t_min_s + 1e-3, cfg.t_max_s - 1e-3)
             res = find_cct(lambda t: t <= threshold, cfg)
@@ -255,13 +259,13 @@ class TestFindCct:
             assert threshold - res.t_cct_s <= cfg.tolerance_s
 
     def test_below_bracket_flagged(self):
-        cfg = CctSearchConfig()
+        cfg = CFG_60HZ
         res = find_cct(lambda t: t <= cfg.t_min_s / 2.0, cfg)
         assert res.below_bracket
         assert res.t_cct_s == cfg.t_min_s
 
     def test_above_bracket_saturates(self):
-        cfg = CctSearchConfig()
+        cfg = CFG_60HZ
         res = find_cct(lambda t: True, cfg)
         assert res.above_bracket
         assert res.t_cct_s == cfg.t_max_s
@@ -277,7 +281,7 @@ class TestFindCct:
         assert any("monotone" in r.message for r in caplog.records)
 
     def test_evaluation_count_bounded(self):
-        cfg = CctSearchConfig()
+        cfg = CFG_60HZ
         calls = 0
 
         def probe(t):
@@ -292,14 +296,15 @@ class TestFindCct:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            find_cct(lambda t: True, CctSearchConfig(t_min_s=0.5, t_max_s=0.1))
+            find_cct(lambda t: True, replace(CFG_60HZ, t_min_s=0.5, t_max_s=0.1))
         with pytest.raises(ValueError):
-            find_cct(lambda t: True, CctSearchConfig(tolerance_s=0.0))
+            find_cct(lambda t: True, replace(CFG_60HZ, tolerance_s=0.0))
 
     def test_from_cycles(self):
         cfg = CctSearchConfig.from_cycles(50.0)
         assert cfg.t_min_s == pytest.approx(0.02)
         assert cfg.t_max_s == pytest.approx(0.6)
+        assert cfg.coarse_step_s == pytest.approx(0.04)
         assert cfg.tolerance_s == pytest.approx(0.005)
 
 
@@ -338,12 +343,18 @@ class TestBisectionPoints:
         assert (bracket is None) == (len(probed) == len(grid))
 
 
+def _verdict_pair(trace):
+    return tsi(trace).stable, tvs(trace).stable
+
+
 class TestFindCctSimulated:
+    """find_ccts, the CCT search whose predicate runs simulations."""
+
+    @pytest.mark.slow
     def test_angle_cct_on_bundled_network(self, ieee39_eq06):
         net, eq = ieee39_eq06
         fault = FaultSpec(13, 0.5)
-        cache = {}
-        res = find_cct_simulated(net, eq, fault, "angle", verdict_cache=cache)
+        res, _, _ = find_ccts(net, eq, fault, [], 1.0, 10.0, 0.01)
         assert not res.below_bracket and not res.above_bracket
         cfg = CctSearchConfig.from_cycles(net.nominal_hz)
         assert cfg.t_min_s < res.t_cct_s < cfg.t_max_s
@@ -351,32 +362,61 @@ class TestFindCctSimulated:
         # 30 cycles lost synchronism
         assert 5.0 / 60.0 <= res.t_cct_s <= 30.0 / 60.0
         # verify the boundary property against direct simulations
-        from tsakit.labeling import tsi as tsi_fn
-        from tsakit.tds import run_simulation
-
         stable_tr = run_simulation(net, eq, fault=fault, clear_s=res.t_cct_s)
         unstable_tr = run_simulation(
             net, eq, fault=fault, clear_s=res.t_cct_s + 1.5 * cfg.tolerance_s
         )
-        assert tsi_fn(stable_tr).stable
-        assert not tsi_fn(unstable_tr).stable
+        assert tsi(stable_tr).stable
+        assert not tsi(unstable_tr).stable
 
-    def test_cache_shared_between_criteria(self, ieee39_eq06):
+    def test_cache_shared_between_criteria(self, ieee39_eq06, monkeypatch):
+        """Both searches read one verdict map: the probe batch is the union
+        of the two criteria's bisection trees, each instant once and none
+        the first batch simulated."""
         net, eq = ieee39_eq06
-        fault = FaultSpec(13, 0.5)
-        cache = {}
-        find_cct_simulated(net, eq, fault, "angle", verdict_cache=cache)
-        n_after_angle = len(cache)
-        find_cct_simulated(net, eq, fault, "voltage", verdict_cache=cache)
-        # the voltage pass reuses every coarse-scan trace
-        assert len(cache) - n_after_angle <= 6
+        calls, grid_verdicts = [], []
+        batch = labeling.run_simulations
+
+        def recording(*args):
+            traces = batch(*args)
+            calls.append(list(args[3]))
+            if len(calls) == 1:
+                grid_verdicts.extend(_verdict_pair(t) for t in traces)
+            return traces
+
+        monkeypatch.setattr(labeling, "run_simulations", recording)
+        find_ccts(net, eq, FaultSpec(13, 0.5), [], 1.0, 1.6, 0.01)
+        cfg = CctSearchConfig.from_cycles(net.nominal_hz)
+        grid = coarse_grid(cfg)
+        assert calls[0] == grid
+        trees = []
+        for which in (0, 1):
+            bracket = coarse_bracket(grid, [v[which] for v in grid_verdicts])
+            if bracket is not None:
+                trees += bisection_points(*bracket, cfg.tolerance_s)
+        assert trees
+
+        def instant(c):
+            return clearing_instant(1.0, c, 0.01)
+
+        probed = [instant(c) for c in calls[1]]
+        assert len(probed) == len(set(probed))
+        assert set(probed) == {instant(p) for p in trees} - {instant(t) for t in grid}
 
     def test_find_ccts_equals_separate_searches_in_two_batches(self, ieee39_eq06,
                                                                 monkeypatch):
         net, eq = ieee39_eq06
         fault = FaultSpec(13, 0.5)
-        separate = tuple(find_cct_simulated(net, eq, fault, c, duration_s=1.6)
-                         for c in ("angle", "voltage"))
+        cfg = CctSearchConfig.from_cycles(net.nominal_hz)
+        single: dict = {}  # clearing duration -> verdicts of its own simulation
+
+        def verdicts(t):
+            if t not in single:
+                single[t] = _verdict_pair(
+                    run_simulation(net, eq, fault=fault, clear_s=t, duration_s=1.6))
+            return single[t]
+
+        separate = tuple(find_cct(lambda t: verdicts(t)[which], cfg) for which in (0, 1))
         calls = []
         batch = labeling.run_simulations
         monkeypatch.setattr(labeling, "run_simulations",
@@ -389,28 +429,44 @@ class TestFindCctSimulated:
         assert [t.clear_time_s for t in traces] == [clearing_instant(1.0, c, 0.01)
                                                     for c in clears]
         assert all(t.bus_v_mag.base is None for t in traces)
-        from tsakit.tds import run_simulation
-
         alone = run_simulation(net, eq, fault=fault, clear_s=clears[1], duration_s=1.6)
         np.testing.assert_array_equal(traces[1].bus_v_mag, alone.bus_v_mag)
         np.testing.assert_array_equal(traces[1].rotor_angles, alone.rotor_angles)
 
     def test_cache_simulates_only_what_it_lacks(self, monkeypatch):
+        """Stub traces and verdicts: each batch holds only the instants the
+        verdict map lacks, each once, and the searches read the map alone."""
         calls = []
 
         def batch(network, init, fault, clear_times, *timing):
             calls.append(list(clear_times))
-            return [f"trace {c}" for c in clear_times]
+            return [SimpleNamespace(clear_s=c) for c in clear_times]
 
         monkeypatch.setattr(labeling, "run_simulations", batch)
-        cache = {clearing_instant(1.0, 0.1, 0.01): "cached"}
-        traces = cached_traces(cache, None, None, None, [0.1, 0.2, 0.3, 0.2 + 1e-14])
-        assert traces == ["cached", "trace 0.2", "trace 0.3", "trace 0.2"]
-        assert calls == [[0.2, 0.3]]
-        assert cached_traces(cache, None, None, None, [0.3, 0.4]) == ["trace 0.3", "trace 0.4"]
-        assert calls[-1] == [0.4]  # a lone miss is a one-member batch
-        assert cached_traces(cache, None, None, None, [0.4]) == ["trace 0.4"]
+        # the angle boundary at 12.6 cycles, the voltage one at 18.3 cycles
+        monkeypatch.setattr(labeling, "tsi", lambda tr: SimpleNamespace(stable=tr.clear_s <= 0.21))
+        monkeypatch.setattr(labeling, "tvs", lambda tr: SimpleNamespace(stable=tr.clear_s <= 0.305))
+        cfg = CFG_60HZ
+        grid = coarse_grid(cfg)
+        # 0.3 s (18 cycles) is the first midpoint of the voltage bracket
+        clears = [0.1, 0.3, 0.1 + 1e-14, grid[3]]
+        cct_a, cct_v, traces = find_ccts(SimpleNamespace(nominal_hz=60.0), None, None,
+                                         clears, 1.0, 10.0, 0.01)
+        assert calls[0] == grid + [0.1, 0.3]
+        assert [t.clear_s for t in traces] == [0.1, 0.3, 0.1, grid[3]]
+        assert traces[0] is traces[2]
+
+        def instant(c):
+            return clearing_instant(1.0, c, 0.01)
+
         assert len(calls) == 2
+        trees = [*bisection_points(grid[5], grid[6], cfg.tolerance_s),
+                 *bisection_points(grid[8], grid[9], cfg.tolerance_s)]
+        assert instant(0.3) in {instant(p) for p in trees}
+        assert sorted(map(instant, calls[1])) == sorted(
+            {instant(p) for p in trees} - {instant(c) for c in calls[0]})
+        assert cct_a == find_cct(lambda t: t <= 0.21, cfg)
+        assert cct_v == find_cct(lambda t: t <= 0.305, cfg)
 
     def test_28_cycle_probe_and_grid_value_keep_their_own_traces(self, ieee39_eq06):
         """The first bisection midpoint between 27 and 29 cycles and 28/60 s
@@ -420,10 +476,9 @@ class TestFindCctSimulated:
         probe, grid_value = 0.5 * (grid[13] + grid[14]), 28.0 / 60.0
         assert round(probe, 12) == round(grid_value, 12)
         assert 1.0 + probe != 1.0 + grid_value
-        cache = {}
-        a, b = cached_traces(cache, net, eq, FaultSpec(13, 0.5), [probe, grid_value],
-                             duration_s=1.6)
-        assert len(cache) == 2
+        _, _, (a, b) = find_ccts(net, eq, FaultSpec(13, 0.5), [probe, grid_value],
+                                 1.0, 1.6, 0.01)
+        assert a is not b
         assert (a.clear_time_s, b.clear_time_s) == (1.0 + probe, 1.0 + grid_value)
 
     def test_durations_with_one_clearing_instant_share_a_simulation(self, ieee39_eq06,
@@ -436,15 +491,12 @@ class TestFindCctSimulated:
         # 1.15 s is a sample instant; 5e-10 s off it snaps onto it
         durations = [0.15, 0.15 + 5e-10]
         assert round(durations[0], 12) != round(durations[1], 12)
-        a, b = cached_traces({}, net, eq, FaultSpec(13, 0.5), durations, duration_s=1.6)
+        _, _, (a, b) = find_ccts(net, eq, FaultSpec(13, 0.5), durations, 1.0, 1.6, 0.01)
         assert a is b
-        assert runs == [[0.15]]
+        instants = [clearing_instant(1.0, c, 0.01) for c in runs[0]]
+        assert len(instants) == len(set(instants))
+        assert instants.count(clearing_instant(1.0, 0.15, 0.01)) == 1
         assert a.clear_time_s == clearing_instant(1.0, 0.15 + 5e-10, 0.01)
-
-    def test_unknown_criterion_rejected(self, ieee39_eq06):
-        net, eq = ieee39_eq06
-        with pytest.raises(ValueError, match="criterion"):
-            find_cct_simulated(net, eq, FaultSpec(13, 0.5), "frequency")
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +537,8 @@ class TestMargin:
             assert lab.value == pytest.approx(min(1.0, (clear - cct) / clear), abs=1e-12)
         assert 0.0 <= lab.value <= 1.0
         assert -1.0 <= lab.signed <= 1.0
+        # the manifest reads the margin side off the sign
+        assert (lab.kind == "margin") == (lab.signed >= 0.0)
 
     def test_signed_value_monotone_in_clearing_time(self):
         cct = 0.2
