@@ -1,0 +1,137 @@
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+For each seed, `perfbench/run.py` runs once in each checkout, and the side
+that goes first alternates from pair to pair, so a slow phase of a shared
+host falls on both sides alike. For every end-to-end metric the script
+prints each side's median and quartiles and the number of pairs the change
+won (ties count for neither side; the direction comes from the change's
+`BENCHMARK.json`). Next to `peak_rss_mb` it prints each side's operation
+counts, since a run that fits more operations into its time may hold more
+memory: for `monitor` an operation is one replay of the stream. It also
+reports whether the output digests agree in every pair.
+
+Run from anywhere, with the parent checkout first:
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload train \\
+        --seeds 21-30 --seconds 20 --json BENCH_11.json
+
+With --json the workload's summary and every run's values are written
+under "workloads" in that file; the other workloads already in it stay.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run: its metrics, digests and operation count."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads(
+        (checkout / "perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text()
+    )
+    return {
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "operations": report["operations"],
+        "digests": report["digests"],
+    }
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Median, quartiles and the change's wins of every end-to-end metric."""
+    out = {}
+    for name, direction in better.items():
+        sides = {s: [r[s]["metrics"][name] for r in runs] for s in SIDES}
+        cell = {}
+        for side, values in sides.items():
+            q1, median, q3 = quartiles(values)
+            cell.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
+        sign = 1.0 if direction == "higher" else -1.0
+        cell["change_wins"] = sum(
+            1 for p, c in zip(sides["parent"], sides["change"]) if sign * (c - p) > 0.0
+        )
+        out[name] = cell
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="first-last, e.g. 21-30")
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--json", type=Path)
+    args = ap.parse_args(argv)
+    first, last = (int(x) for x in args.seeds.split("-"))
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    runs = []
+    for i, seed in enumerate(range(first, last + 1)):
+        pair = {"seed": seed}
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
+        pair["digests_identical"] = pair["parent"]["digests"] == pair["change"]["digests"]
+        runs.append(pair)
+        print(f"seed {seed}: " + "; ".join(
+            f"{s} " + " ".join(f"{k}={v:.6g}" for k, v in pair[s]["metrics"].items())
+            + f" operations={pair[s]['operations']}" for s in SIDES
+        ) + f"; digests {'identical' if pair['digests_identical'] else 'DIFFER'}", flush=True)
+
+    summary = summarize(runs, better)
+    print(f"\n{args.workload}: {len(runs)} pairs, seeds {first}-{last}, {args.seconds:g} s runs")
+    for name, cell in summary.items():
+        line = f"{name} ({better[name]} is better): " + "; ".join(
+            f"{s} median {cell[f'{s}_median']:.6g} [q1 {cell[f'{s}_q1']:.6g}, q3 {cell[f'{s}_q3']:.6g}]"
+            for s in SIDES
+        ) + f"; change won {cell['change_wins']} of {len(runs)}"
+        if name == "peak_rss_mb":
+            line += "; operations " + ", ".join(
+                f"{s} {[r[s]['operations'] for r in runs]}" for s in SIDES
+            )
+        print(line)
+    failed = {s: sum(r[s]["failed"] for r in runs) for s in SIDES}
+    identical = all(r["digests_identical"] for r in runs)
+    print(f"failed operations: {failed}; digests identical in every pair: {identical}")
+
+    if args.json:
+        doc = json.loads(args.json.read_text()) if args.json.exists() else {}
+        doc.setdefault("workloads", {})[args.workload] = {
+            "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
+                       f"--seconds {args.seconds:g} --trace 0",
+            "seeds": [first, last],
+            "pairs": len(runs),
+            "failed_operations": failed,
+            "digests_identical_every_pair": identical,
+            "summary": summary,
+            "runs": runs,
+        }
+        args.json.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,7 @@ from .model import (
     ModelConfig,
     ModelOutput,
     StabilityModel,
+    checkpoint_blocks,
     load_balance_loss,
     load_checkpoint,
     moe_combine,
@@ -18,6 +19,7 @@ __all__ = [
     "ModelOutput",
     "StabilityModel",
     "Tensor",
+    "checkpoint_blocks",
     "load_balance_loss",
     "load_checkpoint",
     "moe_combine",

@@ -4,8 +4,10 @@ Two GraphSAGE layers embed the bus graph from windowed voltage features,
 mean pooling collapses node embeddings to one vector per sample, and four
 experts shared across tasks are combined through per-task softmax gates.
 Heads emit 2-class logits for the two stability verdicts and tanh-squashed
-scalars for the two signed margins. Checkpoints are float32 parameter blocks
-in declaration order behind a small architecture header.
+scalars for the two signed margins. The experts and the gates are stored
+stacked, so each of those maps runs as one batched product. Checkpoints are
+float32 parameter blocks, one per expert and gate, behind a small
+architecture header.
 
 The architecture is defined once. Each piece runs in the form of its input:
 a Tensor records a tape against the parameter Tensors (forward, for
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, relu, softmax, stack, tanh
+from .tensor import Tensor, affine, relu, softmax, swapaxes, tanh
 
 TASKS = ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")
 
@@ -108,34 +110,32 @@ class StabilityModel:
         self._arrays = _ParamArrays(self.params)
         rng = np.random.default_rng(config.seed)
 
-        def weight(name, fan_in, fan_out):
+        def weight(fan_in, fan_out):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
-            data = rng.uniform(-bound, bound, (fan_in, fan_out))
+            return rng.uniform(-bound, bound, (fan_in, fan_out))
+
+        def param(name, data):
             self.params[name] = Tensor(data, requires_grad=True)
 
-        def bias(name, dim):
-            self.params[name] = Tensor(np.zeros(dim), requires_grad=True)
-
-        d_in, d_h = config.in_dim, config.hidden_dim
+        d_in, d_h, d_e = config.in_dim, config.hidden_dim, config.expert_hidden
+        n_e = config.n_experts
         for layer in range(config.n_layers):
             src = d_in if layer == 0 else d_h
-            weight(f"sage{layer}.w_self", src, d_h)
-            weight(f"sage{layer}.w_neigh", src, d_h)
-            bias(f"sage{layer}.b", d_h)
-        for e in range(config.n_experts):
-            weight(f"expert{e}.w1", d_h, config.expert_hidden)
-            bias(f"expert{e}.b1", config.expert_hidden)
-            weight(f"expert{e}.w2", config.expert_hidden, d_h)
-            bias(f"expert{e}.b2", d_h)
+            param(f"sage{layer}.w_self", weight(src, d_h))
+            param(f"sage{layer}.w_neigh", weight(src, d_h))
+            param(f"sage{layer}.b", np.zeros(d_h))
+        # drawn expert by expert, then gate by gate, so a seed gives the per-name weights
+        experts = [(weight(d_h, d_e), weight(d_e, d_h)) for _ in range(n_e)]
+        param("experts.w1", np.stack([w1 for w1, _ in experts]))
+        param("experts.b1", np.zeros((n_e, 1, d_e)))
+        param("experts.w2", np.stack([w2 for _, w2 in experts]))
+        param("experts.b2", np.zeros((n_e, 1, d_h)))
+        param("gates.w", np.stack([weight(d_h, n_e) for _ in TASKS]))
+        param("gates.b", np.zeros((len(TASKS), 1, n_e)))
         for task in TASKS:
-            weight(f"gate.{task}.w", d_h, config.n_experts)
-            bias(f"gate.{task}.b", config.n_experts)
-        for task in ("tas_cls", "tvs_cls"):
-            weight(f"head.{task}.w", d_h, 2)
-            bias(f"head.{task}.b", 2)
-        for task in ("tas_reg", "tvs_reg"):
-            weight(f"head.{task}.w", d_h, 1)
-            bias(f"head.{task}.b", 1)
+            width = 1 if task.endswith("_reg") else 2  # a margin, or 2 logits
+            param(f"head.{task}.w", weight(d_h, width))
+            param(f"head.{task}.b", np.zeros(width))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -159,11 +159,8 @@ class StabilityModel:
             raise ValueError("node count of features and adjacency differ")
         p = self._params_like(h)
         neigh = (adj @ h) * inv_deg  # mean over neighbors, zero when isolated
-        out = (
-            h @ p[f"sage{layer}.w_self"]
-            + neigh @ p[f"sage{layer}.w_neigh"]
-            + p[f"sage{layer}.b"]
-        )
+        out = affine(h, p[f"sage{layer}.w_self"], neigh @ p[f"sage{layer}.w_neigh"])
+        out = out + p[f"sage{layer}.b"]  # last, as in (h @ W_self + neigh @ W_neigh) + b
         return relu(out) if activate else out
 
     def encode(self, features, adjacency):
@@ -188,17 +185,19 @@ class StabilityModel:
         pooled = h.mean(axis=1)
         return h, pooled
 
-    def gate(self, pooled, task: str):
+    def gates(self, pooled):
+        """Every task's softmax gate, in TASKS order: (tasks, batch, N)."""
         p = self._params_like(pooled)
-        return softmax(pooled @ p[f"gate.{task}.w"] + p[f"gate.{task}.b"], axis=-1)
+        return softmax(affine(pooled, p["gates.w"], p["gates.b"]), axis=-1)
+
+    def gate(self, pooled, task: str):
+        return self.gates(pooled)[TASKS.index(task)]
 
     def expert_outputs(self, pooled):
         """All experts applied to the pooled embedding: (batch, N, d_h)."""
-        p, outs = self._params_like(pooled), []
-        for e in range(self.config.n_experts):
-            hidden = relu(pooled @ p[f"expert{e}.w1"] + p[f"expert{e}.b1"])
-            outs.append(hidden @ p[f"expert{e}.w2"] + p[f"expert{e}.b2"])
-        return stack(outs, axis=1)
+        p = self._params_like(pooled)
+        hidden = relu(affine(pooled, p["experts.w1"], p["experts.b1"]))
+        return swapaxes(affine(hidden, p["experts.w2"], p["experts.b2"]), 0, 1)
 
     def head(self, combined, task: str):
         """Task head on its gate's mixture: 2 logits, or a tanh margin."""
@@ -216,21 +215,14 @@ class StabilityModel:
         return self._run(np.asarray(features, dtype=float), adjacency)
 
     def _run(self, features, adjacency) -> ModelOutput:
-        """Encode, apply the experts, then gate and head per task."""
+        """Encode, apply the experts, mix them per task, then the heads."""
         _, pooled = self.encode(features, adjacency)
         experts = self.expert_outputs(pooled)
-        heads = {}
-        gates = {}
-        for task in TASKS:
-            gates[task] = self.gate(pooled, task)
-            heads[task] = self.head(moe_combine(gates[task], experts), task)
-        return ModelOutput(
-            tas_logits=heads["tas_cls"],
-            tvs_logits=heads["tvs_cls"],
-            tas_margin_hat=heads["tas_reg"],
-            tvs_margin_hat=heads["tvs_reg"],
-            gate_weights=gates,
-        )
+        gates = self.gates(pooled)
+        combined = moe_combine(gates, experts)
+        heads = [self.head(combined[i], task) for i, task in enumerate(TASKS)]
+        # ModelOutput's head fields are in TASKS order
+        return ModelOutput(*heads, gate_weights={task: gates[i] for i, task in enumerate(TASKS)})
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +230,38 @@ class StabilityModel:
 # ---------------------------------------------------------------------------
 
 
+def checkpoint_blocks(model: StabilityModel) -> list[tuple[str, np.ndarray]]:
+    """(name, array view) of every TSM1 parameter block, in file order.
+
+    The file keeps one block per expert and per gate, so the stacked
+    parameters appear as their slices: expert0.w1 is experts.w1[0] and
+    gate.tas_cls.b is gates.b[0, 0]."""
+    p = {name: t.data for name, t in model.params.items()}
+    blocks = [(name, a) for name, a in p.items() if name.startswith("sage")]
+    for e in range(model.config.n_experts):
+        blocks += [
+            (f"expert{e}.w1", p["experts.w1"][e]), (f"expert{e}.b1", p["experts.b1"][e, 0]),
+            (f"expert{e}.w2", p["experts.w2"][e]), (f"expert{e}.b2", p["experts.b2"][e, 0]),
+        ]
+    for i, task in enumerate(TASKS):
+        blocks += [(f"gate.{task}.w", p["gates.w"][i]), (f"gate.{task}.b", p["gates.b"][i, 0])]
+    return blocks + [(name, a) for name, a in p.items() if name.startswith("head")]
+
+
 def save_checkpoint(model: StabilityModel, path: str | Path) -> None:
-    cfg = model.config
+    cfg, blocks = model.config, checkpoint_blocks(model)
     payload = bytearray()
     payload += struct.pack("<BB", _CHECKPOINT_VERSION, _GATE_PER_TASK)
     payload += struct.pack(
         "<6I", cfg.n_layers, cfg.in_dim, cfg.hidden_dim, cfg.n_experts,
-        cfg.expert_hidden, len(model.params),
+        cfg.expert_hidden, len(blocks),
     )
-    for name, p in model.params.items():
+    for name, a in blocks:
         encoded = name.encode()
         payload += struct.pack("<H", len(encoded)) + encoded
-        payload += struct.pack("<B", p.data.ndim)
-        payload += struct.pack(f"<{p.data.ndim}I", *p.data.shape)
-        payload += np.ascontiguousarray(p.data, dtype="<f4").tobytes()
+        payload += struct.pack("<B", a.ndim)
+        payload += struct.pack(f"<{a.ndim}I", *a.shape)
+        payload += np.ascontiguousarray(a, dtype="<f4").tobytes()
     crc = zlib.crc32(bytes(payload))
     Path(path).write_bytes(_CHECKPOINT_MAGIC + bytes(payload) + struct.pack("<I", crc))
 
@@ -282,8 +292,9 @@ def load_checkpoint(path: str | Path) -> StabilityModel:
             n_experts=n_experts, expert_hidden=expert_hidden,
         )
     )
-    if n_blocks != len(model.params):
-        raise ValueError(f"{path}: expected {len(model.params)} parameter blocks, file has {n_blocks}")
+    blocks = checkpoint_blocks(model)
+    if n_blocks != len(blocks):
+        raise ValueError(f"{path}: expected {len(blocks)} parameter blocks, file has {n_blocks}")
 
     def field(size: int) -> int:
         """Offset of the next `size` payload bytes, which must all be there."""
@@ -296,7 +307,7 @@ def load_checkpoint(path: str | Path) -> StabilityModel:
         off += size
         return off - size
 
-    for name, p in model.params.items():
+    for name, a in blocks:
         (name_len,) = struct.unpack_from("<H", payload, field(2))
         start = field(name_len)
         stored = payload[start:off].decode()
@@ -304,11 +315,11 @@ def load_checkpoint(path: str | Path) -> StabilityModel:
             raise ValueError(f"{path}: parameter order mismatch at {stored!r}")
         (ndim,) = struct.unpack_from("<B", payload, field(1))
         shape = struct.unpack_from(f"<{ndim}I", payload, field(4 * ndim))
-        if shape != p.data.shape:
+        if shape != a.shape:
             raise ValueError(f"{path}: shape mismatch for {name}")
         count = int(np.prod(shape)) if shape else 1
         block = np.frombuffer(payload, dtype="<f4", count=count, offset=field(4 * count))
-        p.data = block.reshape(shape).astype(np.float64)
+        a[...] = block.reshape(shape)
     if off != len(payload):
         raise ValueError(f"{path}: trailing bytes after parameter blocks")
     return model

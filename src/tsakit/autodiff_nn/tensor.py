@@ -9,10 +9,10 @@ computes an operand's gradient only when that operand requires one, and a
 stored gradient array is never written in place, so an array may be shared
 between nodes and with the caller's seed.
 
-The functions relu, tanh, softmax and stack take either a Tensor, which
-records its tape edge, or a float64 ndarray, which records nothing. Every
-other operation the model uses is an operator or method that both types
-share, so one model definition serves training (Tensors) and tape-free
+The functions relu, tanh, softmax, swapaxes and affine take either a Tensor,
+which records its tape edge, or a float64 ndarray, which records nothing.
+Every other operation the model uses is an operator or method that both
+types share, so one model definition serves training (Tensors) and tape-free
 inference (arrays). A Tensor method computes its value through the array
 branch of the matching function, so both forms give the same bits.
 """
@@ -58,11 +58,35 @@ def softmax(x, axis: int = -1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def stack(items, axis: int = 0):
-    """Join along a new axis: taped if any item is a Tensor, else an ndarray."""
-    if any(isinstance(t, Tensor) for t in items):
-        return Tensor.stack(items, axis=axis)
-    return np.stack(items, axis=axis)
+def swapaxes(x, a: int, b: int):
+    """Exchange two axes of a Tensor (taped) or an ndarray (untaped)."""
+    if not isinstance(x, Tensor):
+        return np.swapaxes(x, a, b)
+    return x._result(np.swapaxes(x.data, a, b), (x,), lambda g: x._accumulate(np.swapaxes(g, a, b)))
+
+
+def affine(x, w, c):
+    """x @ w + c as one tape node for a Tensor x, plain arrays otherwise.
+
+    A stacked weight (S, d, k) applies S maps to one x, slice by slice with
+    the 2-D product's numpy call. x receives each slice's gradient in slice
+    order, as it would from S separate nodes, so the bits do not change.
+    """
+    if not isinstance(x, Tensor):
+        return x @ w + c
+    w, c = _as_tensor(w), _as_tensor(c)
+
+    def backward_fn(g):
+        if x.requires_grad:
+            gx = g @ np.swapaxes(w.data, -1, -2)
+            for part in gx.reshape(-1, *gx.shape[gx.ndim - x.ndim :]):
+                x._accumulate(_sum_to_shape(part, x.data.shape))
+        if w.requires_grad:
+            w._accumulate(_sum_to_shape(np.swapaxes(x.data, -1, -2) @ g, w.data.shape))
+        if c.requires_grad:
+            c._accumulate(_sum_to_shape(g, c.data.shape))
+
+    return Tensor._result(affine(x.data, w.data, c.data), (x, w, c), backward_fn)
 
 
 class Tensor:
@@ -152,6 +176,14 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
+
+    def __getitem__(self, index) -> "Tensor":
+        def backward_fn(g):
+            full = np.zeros_like(self.data)
+            full[index] = g
+            self._accumulate(full)
+
+        return self._result(self.data[index], (self,), backward_fn)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -291,7 +323,7 @@ class Tensor:
         tensors = [_as_tensor(t) for t in tensors]
         if not tensors:
             raise ValueError("stack needs at least one tensor")
-        data = stack([t.data for t in tensors], axis=axis)
+        data = np.stack([t.data for t in tensors], axis=axis)
 
         def backward_fn(g):
             pieces = np.split(g, len(tensors), axis=axis)

@@ -163,9 +163,10 @@ def multitask_loss(outputs: ModelOutput, targets: dict, weights: LossWeights):
 class Adam:
     """Adaptive-moment gradient descent over a named parameter dict.
 
-    The moments live in flat buffers in parameter order, and each step
-    updates them in place over all parameters at once, with the same
-    per-element operations as a loop over the parameters.
+    On construction the parameters become views into one flat buffer, in
+    parameter order, beside the flat moment buffers. Each step updates all
+    three in place, with the same per-element operations as a loop over the
+    parameters, so a parameter must keep its array while it is optimized.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -174,14 +175,14 @@ class Adam:
         self.params = params
         self.lr = lr
         self.t = 0
-        self._slices = []
-        size = 0
+        self._flat = np.concatenate([p.data.reshape(-1) for p in params.values()])
+        off = 0
         for p in params.values():
-            self._slices.append(slice(size, size + p.data.size))
-            size += p.data.size
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._scratch = (np.empty(size), np.empty(size))
+            p.data = self._flat[off : off + p.data.size].reshape(p.data.shape)
+            off += p.data.size
+        self.m = np.zeros_like(self._flat)
+        self.v = np.zeros_like(self._flat)
+        self._scratch = (np.empty_like(self._flat), np.empty_like(self._flat))
 
     def step(self) -> None:
         for name, p in self.params.items():
@@ -205,8 +206,7 @@ class Adam:
         np.sqrt(b, out=b)
         b += ADAM_EPS
         a /= b
-        for p, part in zip(self.params.values(), self._slices):
-            p.data = p.data - a[part].reshape(p.data.shape)
+        self._flat -= a
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -303,8 +303,9 @@ def _snapshot(model: StabilityModel) -> dict:
 
 
 def _restore(model: StabilityModel, snapshot: dict) -> None:
+    """Copy into the parameter arrays, which may be an optimizer's views."""
     for name, p in model.params.items():
-        p.data = snapshot[name].copy()
+        p.data[...] = snapshot[name]
 
 
 def train(samples, split, config: TrainConfig, model_config: ModelConfig | None = None) -> TrainResult:
@@ -445,6 +446,7 @@ class EvalReport:
     mean_margin_tvs: float | None
     expert_utilization: dict = field(default_factory=dict)  # task -> (N,) array
     n_samples: int = 0
+    joint_correct: dict = field(default_factory=dict)  # "SU" etc. -> (both right, total)
 
 
 def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
@@ -469,6 +471,11 @@ def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
     mm_tas = float(pred["tas_margin"][tas_actual].mean()) if tas_actual.any() else None
     mm_tvs = float(pred["tvs_margin"][tvs_actual].mean()) if tvs_actual.any() else None
     utilization = {task: pred["gates"][task].mean(axis=0) for task in TASKS}
+    both_right = (pred["tas_stable"] == tas_actual) & (pred["tvs_stable"] == tvs_actual)
+    joint = {}
+    for name in ("SS", "SU", "US", "UU"):  # TAS then TVS reference verdict, S = stable
+        members = (tas_actual == (name[0] == "S")) & (tvs_actual == (name[1] == "S"))
+        joint[name] = (int(both_right[members].sum()), int(members.sum()))
     return EvalReport(
         tas=tas_m,
         tvs=tvs_m,
@@ -480,6 +487,7 @@ def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
         mean_margin_tvs=mm_tvs,
         expert_utilization=utilization,
         n_samples=int(ids.size),
+        joint_correct=joint,
     )
 
 
@@ -500,6 +508,8 @@ def format_report(report: EvalReport) -> str:
         f"mean margin (stable samples): TAS={_fmt(report.mean_margin_tas)} "
         f"TVS={_fmt(report.mean_margin_tvs)}"
     )
+    cells = " ".join(f"{k}={right}/{n}" for k, (right, n) in report.joint_correct.items())
+    lines.append(f"joint class, both verdicts right/total: {cells}")
     for task, util in report.expert_utilization.items():
         cells = " ".join(f"{u:.4f}" for u in util)
         lines.append(f"expert utilization {task}: {cells}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tsakit.autodiff_nn.tensor import Tensor, _sum_to_shape
+from tsakit.autodiff_nn.tensor import Tensor, _sum_to_shape, affine, swapaxes
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -299,6 +299,52 @@ class TestTapeSemantics:
         y.sum().backward()
         assert x.grad is not None
         np.testing.assert_allclose(x.grad, 1.0001**3000, rtol=1e-9)
+
+
+class TestAffine:
+    def test_matches_finite_differences(self, rng):
+        check_op(lambda x, w, c: (affine(x, w, c) ** 2).sum(), (3, 4), (4, 2), (2,), rng=rng)
+
+    def test_stacked_weight_matches_finite_differences(self, rng):
+        def build(x, w, c):
+            return (swapaxes(affine(x, w, c), 0, 1)[1] ** 2).sum()
+
+        check_op(build, (3, 4), (2, 4, 5), (2, 1, 5), rng=rng)
+
+    def test_array_form_is_the_plain_expression(self, rng):
+        x, w, c = rng.standard_normal((3, 4)), rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 1, 5))
+        out = affine(x, w, c)
+        assert type(out) is np.ndarray
+        assert out.tobytes() == (x @ w + c).tobytes()
+
+    @pytest.mark.parametrize("earlier_consumer", [False, True])
+    def test_stacked_product_gradients_equal_separate_nodes_bitwise(self, rng, earlier_consumer):
+        """A (S, d, k) weight gives the bits of S separate 2-D nodes on one x:
+        x receives the slices one by one in slice order, never their sum."""
+        n_slices, batch, d, k = 4, 16, 64, 8
+        x_data = rng.standard_normal((batch, d))
+        w_data = rng.standard_normal((n_slices, d, k)) * 10.0 ** rng.integers(-3, 3, (n_slices, 1, 1))
+        c_data = rng.standard_normal((n_slices, 1, k))
+        seed = rng.standard_normal((n_slices, batch, k))
+
+        def leaf(data):
+            return Tensor(data, requires_grad=True)
+
+        stacked_x, separate_x = leaf(x_data), leaf(x_data)
+        if earlier_consumer:
+            for x in (stacked_x, separate_x):
+                (x * 3.0).sum().backward()
+        w, c = leaf(w_data), leaf(c_data)
+        stacked = affine(stacked_x, w, c)
+        stacked.backward(seed)
+        for s in range(n_slices):
+            ws, cs = leaf(w_data[s]), leaf(c_data[s, 0])
+            out = affine(separate_x, ws, cs)
+            assert out.data.tobytes() == stacked.data[s].tobytes()
+            out.backward(seed[s])
+            assert ws.grad.tobytes() == w.grad[s].tobytes()
+            assert cs.grad.tobytes() == c.grad[s, 0].tobytes()
+        assert stacked_x.grad.tobytes() == separate_x.grad.tobytes()
 
 
 class TestSumToShape:

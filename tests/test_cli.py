@@ -266,6 +266,19 @@ class TestEval:
         assert "samples:" in out
         assert "TAS:" in out and "TVS:" in out
 
+    def test_reports_each_joint_class(self, toy_dataset, trained, capsys):
+        rc = cli.main([
+            "eval", "--data", str(toy_dataset),
+            "--checkpoint", str(trained / "checkpoint.tsm"), "--split", "train",
+        ])
+        assert rc == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("joint class"))
+        # the toy set holds only stable/stable and unstable/unstable samples
+        cells = dict(c.split("=") for c in line.split(": ")[1].split())
+        assert list(cells) == ["SS", "SU", "US", "UU"]
+        assert cells["SU"] == cells["US"] == "0/0"
+        assert sum(int(cells[k].split("/")[1]) for k in cells) == 28
+
     def test_train_split_report(self, toy_dataset, trained, capsys):
         rc = cli.main([
             "eval", "--data", str(toy_dataset),

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tsakit.autodiff_nn import ModelConfig, save_checkpoint
+from tsakit.autodiff_nn import ModelConfig, checkpoint_blocks, save_checkpoint
 from tsakit.dataset import (
     DatasetSplit,
     GridConfig,
@@ -71,8 +71,8 @@ def test_tiny_pipeline_bytes_are_pinned(tiny_run):
 def test_tiny_training_float64_bits_are_pinned(tiny_run):
     out, model = tiny_run
     digest = hashlib.sha256()
-    for name, p in model.params.items():
+    for name, a in checkpoint_blocks(model):
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     assert digest.hexdigest() == PARAMS_F64_SHA256
     assert sha(out / "training_log.csv") == TRAINING_LOG_SHA256

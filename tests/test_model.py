@@ -141,15 +141,15 @@ class TestEncode:
 class TestGate:
     def test_zero_parameters_give_uniform(self, rng):
         model = small_model()
-        model.params["gate.tas_cls.w"].data = np.zeros((8, 4))
-        model.params["gate.tas_cls.b"].data = np.zeros(4)
+        model.params["gates.w"].data[0] = np.zeros((8, 4))
+        model.params["gates.b"].data[0, 0] = np.zeros(4)
         g = model.gate(Tensor(rng.standard_normal((5, 8))), "tas_cls")
         np.testing.assert_allclose(g.data, 0.25, atol=1e-12)
 
     def test_dominant_logit_saturates(self):
         model = small_model()
-        model.params["gate.tvs_cls.w"].data = np.zeros((8, 4))
-        model.params["gate.tvs_cls.b"].data = np.array([20.0, 0.0, 0.0, 0.0])
+        model.params["gates.w"].data[1] = np.zeros((8, 4))
+        model.params["gates.b"].data[1, 0] = np.array([20.0, 0.0, 0.0, 0.0])
         g = model.gate(Tensor(np.zeros((1, 8))), "tvs_cls")
         assert g.data[0, 0] > 0.9999
 
@@ -157,7 +157,7 @@ class TestGate:
         model = small_model()
         pooled = Tensor(rng.standard_normal((4, 8)))
         base = model.gate(pooled, "tas_reg").data
-        model.params["gate.tas_reg.b"].data = model.params["gate.tas_reg.b"].data + 7.3
+        model.params["gates.b"].data[2, 0] = model.params["gates.b"].data[2, 0] + 7.3
         shifted = model.gate(pooled, "tas_reg").data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Metrics, loss composition, the optimizer, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,6 +421,25 @@ class TestEvaluate:
         samples, _, result = trained_toy
         with pytest.raises(ValueError, match="at least one"):
             evaluate(result.model, samples, [])
+
+    @pytest.mark.parametrize("stable_logit,want", [
+        (50.0, {"SS": (4, 4), "SU": (0, 2), "US": (0, 4), "UU": (0, 2)}),
+        (-50.0, {"SS": (0, 4), "SU": (0, 2), "US": (0, 4), "UU": (2, 2)}),
+    ])
+    def test_joint_class_counts_need_both_verdicts_right(self, stable_logit, want):
+        """A model that gives every sample one verdict on both criteria is
+        right only on that joint class; the report shows every class."""
+        samples = [
+            replace(s, tvs_stable=i % 3 != 1) for i, s in enumerate(make_toy_samples(n=12))
+        ]
+        model = StabilityModel(ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+        for task in ("tas_cls", "tvs_cls"):
+            model.params[f"head.{task}.w"].data[...] = 0.0
+            model.params[f"head.{task}.b"].data[...] = [0.0, stable_logit]
+        report = evaluate(model, samples, np.arange(12))
+        assert report.joint_correct == want
+        cells = " ".join(f"{k}={right}/{total}" for k, (right, total) in want.items())
+        assert f"joint class, both verdicts right/total: {cells}" in format_report(report)
 
     def test_report_text_shape(self, trained_toy):
         samples, split, result = trained_toy
