@@ -7,8 +7,13 @@ prints each side's median and quartiles and the number of pairs the change
 won (ties count for neither side; the direction comes from the change's
 `BENCHMARK.json`). Next to `peak_rss_mb` it prints each side's operation
 counts, since a run that fits more operations into its time may hold more
-memory: for `monitor` an operation is one replay of the stream. It also
-reports whether the output digests agree in every pair.
+memory: for `monitor` an operation is one replay of the stream. It then fits
+`peak_rss_mb` against the operation count over every run of both sides, with
+one slope and one intercept per side, and prints the slope in MB per
+operation and the change's RSS difference at equal operation counts: the
+slope is memory the harness keeps per operation, the difference the
+program's own. It also reports whether the output digests agree in every
+pair.
 
 Run from anywhere, with the parent checkout first:
 
@@ -75,6 +80,29 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def rss_fit(runs: list[dict]) -> dict | None:
+    """Least-squares fit of peak_rss_mb = side intercept + slope * operations.
+
+    The slope comes from the spread of operation counts within each side, so
+    a change that fits more operations into a run does not enter it. None
+    when no side's runs differ in their operation count."""
+    sxx = sxy = 0.0
+    means = {}
+    for side in SIDES:
+        xs = [r[side]["operations"] for r in runs]
+        ys = [r[side]["metrics"]["peak_rss_mb"] for r in runs]
+        mx, my = statistics.fmean(xs), statistics.fmean(ys)
+        sxx += sum((x - mx) ** 2 for x in xs)
+        sxy += sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+        means[side] = (mx, my)
+    if sxx == 0.0:
+        return None
+    slope = sxy / sxx
+    at_equal = {side: my - slope * mx for side, (mx, my) in means.items()}
+    return {"mb_per_operation": slope,
+            "change_minus_parent_mb": at_equal["change"] - at_equal["parent"]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -113,6 +141,10 @@ def main(argv=None) -> int:
                 f"{s} {[r[s]['operations'] for r in runs]}" for s in SIDES
             )
         print(line)
+    fit = rss_fit(runs)
+    if fit is not None:
+        print(f"peak_rss_mb fit over both sides: {fit['mb_per_operation']:.4g} MB per operation; "
+              f"change minus parent at equal operations {fit['change_minus_parent_mb']:+.4g} MB")
     failed = {s: sum(r[s]["failed"] for r in runs) for s in SIDES}
     identical = all(r["digests_identical"] for r in runs)
     print(f"failed operations: {failed}; digests identical in every pair: {identical}")
@@ -127,6 +159,7 @@ def main(argv=None) -> int:
             "failed_operations": failed,
             "digests_identical_every_pair": identical,
             "summary": summary,
+            "peak_rss_fit": fit,
             "runs": runs,
         }
         args.json.write_text(json.dumps(doc, indent=2) + "\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from . import packaged_network_path
 from .autodiff_nn import TASKS, ModelConfig, load_checkpoint, save_checkpoint
 from .dataset import (
     GridConfig,
+    StreamWindow,
     build_dataset,
     desk_grid,
     features_from_window,
@@ -148,7 +150,7 @@ class MonitorEvent:
 
 def _fold_margin(stable: bool, margin_hat: float) -> float:
     value = margin_hat if stable else -margin_hat
-    return float(np.clip(value, 0.0, 1.0))
+    return min(max(value, 0.0), 1.0)
 
 
 def format_event(event: MonitorEvent) -> str:
@@ -189,9 +191,12 @@ def parse_event(line: str) -> MonitorEvent:
 def assess_window(model, v_mag, v_ang, slack_bus: int, adjacency, timestamp: float) -> MonitorEvent:
     """Classify one full window and quantify the margins, as an event."""
     features, _ = features_from_window(v_mag, v_ang, slack_bus)
-    out = model.infer(
-        np.asarray(features, dtype=float)[None], np.asarray(adjacency, dtype=float)[None]
-    )
+    return _event(model, features, np.asarray(adjacency, dtype=float), timestamp)
+
+
+def _event(model, features, adjacency, timestamp: float) -> MonitorEvent:
+    """The event of one window's float32 features on a float64 adjacency."""
+    out = model.infer(np.asarray(features, dtype=float)[None], adjacency[None])
     tas_stable = bool(out.tas_logits[0].argmax() == STABLE_CLASS)
     tvs_stable = bool(out.tvs_logits[0].argmax() == STABLE_CLASS)
     return MonitorEvent(
@@ -366,7 +371,7 @@ def cmd_monitor(args) -> int:
     window_steps = model.config.in_dim // 2
     network = _network_from_args(args)
     n_bus = network.n_bus
-    adjacency = adjacency_from_network(network)
+    adjacency = adjacency_from_network(network).astype(float)
 
     if args.stream and args.stream != "-":
         stream_path = Path(args.stream)
@@ -376,12 +381,10 @@ def cmd_monitor(args) -> int:
     else:
         stream = sys.stdin
 
-    # each valid row is written at slot k % window and k % window + window,
-    # so the newest window_steps rows are always one contiguous slice
+    window = StreamWindow(n_bus, window_steps, network.slack_bus)
     width = 1 + 2 * n_bus
-    rows = np.empty((2 * window_steps, width))
-    n_rows = 0
-    emitted = 0
+    n_rows = emitted = topologies = 0
+    skipped = Counter()
     try:
         for lineno, line in enumerate(stream, start=1):
             text = line.strip()
@@ -391,12 +394,16 @@ def cmd_monitor(args) -> int:
                 parts = text.split(",")
                 if len(parts) != 3 or parts[1] != "remove_line":
                     logger.warning("line %d: unrecognized topology record", lineno)
+                    skipped["topology"] += 1
                     continue
                 try:
                     index = int(parts[2])
-                    adjacency = adjacency_from_network(network, without_line=index)
+                    adjacency = adjacency_from_network(network, without_line=index).astype(float)
                 except ValueError as exc:
                     logger.warning("line %d: bad topology record: %s", lineno, exc)
+                    skipped["topology"] += 1
+                    continue
+                topologies += 1
                 continue
             fields = text.split(",")
             if len(fields) != width:
@@ -404,29 +411,30 @@ def cmd_monitor(args) -> int:
                     "line %d: expected %d fields, got %d; skipped",
                     lineno, width, len(fields),
                 )
+                skipped["fields"] += 1
                 continue
             try:
-                values = [float(x) for x in fields]
+                values = np.array([float(x) for x in fields])
             except ValueError:
                 logger.warning("line %d: non-numeric field; skipped", lineno)
+                skipped["non_numeric"] += 1
                 continue
-            slot = n_rows % window_steps
-            rows[slot] = values
-            rows[slot + window_steps] = values
+            window.push(values[1 : 1 + n_bus], values[1 + n_bus :])
             n_rows += 1
-            if n_rows >= window_steps:
-                start = n_rows % window_steps
-                window = rows[start : start + window_steps]
-                event = assess_window(
-                    model, window[:, 1 : 1 + n_bus], window[:, 1 + n_bus :],
-                    network.slack_bus, adjacency, values[0],
-                )
+            if window.full:
+                features, _ = window.features()
+                event = _event(model, features, adjacency, float(values[0]))
                 print(format_event(event), flush=True)
                 emitted += 1
     finally:
         if stream is not sys.stdin:
             stream.close()
-    logger.info("emitted %d events", emitted)
+    logger.info(
+        "stream ended: %d valid rows, %d events, %d topology records applied; "
+        "lines skipped: %d fields, %d non-numeric, %d topology",
+        n_rows, emitted, topologies,
+        skipped["fields"], skipped["non_numeric"], skipped["topology"],
+    )
     return 0
 
 

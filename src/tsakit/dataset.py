@@ -147,35 +147,104 @@ def enumerate_scenarios(cfg: GridConfig) -> list[Scenario]:
 # ---------------------------------------------------------------------------
 
 
+class StreamWindow:
+    """The newest `steps` rows of a voltage stream, each prepared once.
+
+    `push` prepares one row when it arrives: non-finite values become 0,
+    magnitudes are clamped to [0, 2] pu, and the angles are taken relative
+    to the slack bus and wrapped to [-pi, pi]. It also keeps the row's
+    unwrap correction against the previous row: unwrapping along time is a
+    cumulative sum of per-step corrections, and each one depends only on two
+    consecutive rows. `features` then assembles the window with one
+    cumulative sum, the window's first row uncorrected, which is exactly
+    what numpy's `unwrap` along the time axis computes on the window.
+    """
+
+    def __init__(self, n_bus: int, steps: int, slack_bus: int):
+        if steps <= 0:
+            raise ValueError("window must have at least one step")
+        if not 0 <= slack_bus < n_bus:
+            raise ValueError("slack bus outside the window columns")
+        self.n_bus, self.steps, self.slack_bus = n_bus, steps, slack_bus
+        # each row is written at slot k % steps and k % steps + steps, so the
+        # newest `steps` rows are always one contiguous slice
+        self._mag = np.empty((2 * steps, n_bus))
+        self._rel = np.empty((2 * steps, n_bus))
+        self._corr = np.empty((2 * steps, n_bus))
+        self._prev_rel = None
+        self._count = 0
+        self._last_clamped = -1  # index of the newest row with a value replaced or clamped
+
+    @property
+    def full(self) -> bool:
+        return self._count >= self.steps
+
+    def push(self, v_mag_row, v_ang_row) -> None:
+        """Prepare one (n_bus,) row of magnitudes and angles and make it the newest."""
+        mag = np.array(v_mag_row, dtype=float)
+        ang = np.array(v_ang_row, dtype=float)
+        if mag.shape != (self.n_bus,) or ang.shape != (self.n_bus,):
+            raise ValueError(f"a stream row needs {self.n_bus} magnitudes and angles")
+        clamped = False
+        for arr in (mag, ang):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                arr[bad] = 0.0
+                clamped = True
+        if (mag < 0.0).any() or (mag > 2.0).any():
+            mag = np.clip(mag, 0.0, 2.0)
+            clamped = True
+        rel = np.angle(np.exp(1j * (ang - ang[self.slack_bus])))
+        corr = np.zeros(self.n_bus)
+        if self._prev_rel is not None:
+            # numpy's unwrap step with period 2 pi, boundary fix-up included;
+            # every correction is 0 unless some step reaches pi
+            dd = rel - self._prev_rel
+            if (np.abs(dd) >= np.pi).any():
+                ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+                np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
+                corr = ddmod - dd
+                np.copyto(corr, 0, where=np.abs(dd) < np.pi)
+        slot = self._count % self.steps
+        for ring, row in ((self._mag, mag), (self._rel, rel), (self._corr, corr)):
+            ring[slot] = row
+            ring[slot + self.steps] = row
+        if clamped:
+            self._last_clamped = self._count
+        self._prev_rel = rel
+        self._count += 1
+
+    def features(self):
+        """(features, clamped) of the newest full window; see features_from_window."""
+        if not self.full:
+            raise ValueError(f"the window holds {self._count} of {self.steps} rows")
+        w = self.steps
+        start = self._count % w
+        rel = self._rel[start : start + w]
+        out = np.empty((self.n_bus, 2 * w), dtype=np.float32)
+        out[:, :w] = self._mag[start : start + w].T
+        out[:, w] = rel[0]
+        out[:, w + 1 :] = (rel[1:] + self._corr[start + 1 : start + w].cumsum(0)).T
+        return out, self._last_clamped >= self._count - w
+
+
 def features_from_window(v_mag, v_ang, slack_bus: int):
     """Per-node feature matrix from a (steps, n_bus) voltage window.
 
     Row v holds the magnitude series then the slack-relative unwrapped angle
     series, float32 (n_bus, 2 steps). Magnitudes outside [0, 2] pu and
     non-finite values are clamped and reported via the returned flag. The
-    online monitor feeds live windows through this same path, so a replayed
-    trace reproduces offline features bit for bit.
+    rows go through a `StreamWindow`, the online monitor's path, so a
+    replayed trace reproduces offline features bit for bit.
     """
-    mags = np.array(v_mag, dtype=float)
-    angs = np.array(v_ang, dtype=float)
+    mags = np.asarray(v_mag, dtype=float)
+    angs = np.asarray(v_ang, dtype=float)
     if mags.shape != angs.shape or mags.ndim != 2:
         raise ValueError("magnitude and angle windows must share (steps, n_bus)")
-    if not 0 <= slack_bus < mags.shape[1]:
-        raise ValueError("slack bus outside the window columns")
-    clamped = False
-    for arr in (mags, angs):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            arr[bad] = 0.0
-            clamped = True
-    if (mags < 0.0).any() or (mags > 2.0).any():
-        mags = np.clip(mags, 0.0, 2.0)
-        clamped = True
-    rel = angs - angs[:, [slack_bus]]
-    rel = np.angle(np.exp(1j * rel))  # wrap once, then make continuous in time
-    rel = np.unwrap(rel, axis=0)
-    features = np.concatenate([mags.T, rel.T], axis=1).astype(np.float32)
-    return features, clamped
+    window = StreamWindow(mags.shape[1], mags.shape[0], slack_bus)
+    for mag_row, ang_row in zip(mags, angs):
+        window.push(mag_row, ang_row)
+    return window.features()
 
 
 def extract_features(trace, window_start: int, window_steps: int):

@@ -5,6 +5,8 @@ asserted directly. Heavy simulation is avoided: dataset-dependent commands
 use the small synthetic dataset from toyset.
 """
 
+import logging
+import math
 import struct
 import zlib
 
@@ -486,6 +488,18 @@ class TestMonitor:
         )
         assert cli.parse_event(cli.format_event(event)) == event
 
+    @pytest.mark.parametrize("margin_hat", [-1.5, -0.25, 0.0, -0.0, 0.5, 1.0, 2.0, math.nan])
+    @pytest.mark.parametrize("stable", [True, False])
+    def test_fold_margin_equals_numpy_clip(self, stable, margin_hat):
+        value = margin_hat if stable else -margin_hat
+        folded = cli._fold_margin(stable, margin_hat)
+        assert type(folded) is float
+        assert f"{folded:.17g}" == f"{float(np.clip(value, 0.0, 1.0)):.17g}"
+
+    def test_fold_margin_keeps_negative_zero(self):
+        assert f"{cli._fold_margin(False, 0.0):.17g}" == "-0"
+        assert f"{cli._fold_margin(True, -0.0):.17g}" == "-0"
+
     def test_assessing_a_window_builds_no_tensor(self, trained, monkeypatch):
         """The monitor's forward records no tape: not one Tensor per event."""
         from tsakit.autodiff_nn import Tensor, load_checkpoint
@@ -521,6 +535,8 @@ class TestMonitorReplayMatchesOffline:
         from tsakit.autodiff_nn import load_checkpoint
         from tsakit.grid_model import adjacency_from_network
 
+        model = load_checkpoint(trained / "checkpoint.tsm")
+        network = load_network(packaged_network_path())
         stream = tmp_path / "s.csv"
         write_stream(stream, rows=5, seed=11)
         plain = stream.read_text().splitlines()
@@ -531,11 +547,25 @@ class TestMonitorReplayMatchesOffline:
                          (5, mixed[4][: mixed[4].rindex(",")]), (3, ""),
                          (2, "topology,remove_line,L2"), (1, "0.5x" + mixed[1][mixed[1].index(","):])):
             mixed.insert(at, line)
+        # one bus's slack-relative angle rises through +pi between valid rows 3
+        # and 4, which a skipped line and a topology record separate; row 5
+        # carries a nan magnitude
+        write_stream(stream, rows=8, seed=13)
+        wrapping = stream.read_text().splitlines()
+        slack = network.slack_bus
+        bus = (slack + 1) % network.n_bus
+        for k, line in enumerate(wrapping):
+            values = [float(x) for x in line.split(",")]
+            values[1 + network.n_bus + bus] = values[1 + network.n_bus + slack] + 2.5 + 0.2 * k
+            if k == 5:
+                values[1 + bus] = float("nan")
+            wrapping[k] = ",".join("%.17g" % x for x in values)
+        wrapping[4:4] = [wrapping[3][: wrapping[3].rindex(",")], "topology,remove_line,13"]
 
-        model = load_checkpoint(trained / "checkpoint.tsm")
-        network = load_network(packaged_network_path())
-        for lines, n_events, n_bad in ((plain, 5 - TOY_WINDOW + 1, 0),
-                                       (mixed, 9 - TOY_WINDOW + 1, 3)):
+        caplog.set_level(logging.INFO, logger="tsakit.cli")
+        for lines, n_rows, topology, skipped in ((plain, 5, None, (0, 0, 0)),
+                                                 (mixed, 9, 13, (1, 1, 1)),
+                                                 (wrapping, 8, 13, (1, 0, 0))):
             stream.write_text("\n".join(lines) + "\n")
             caplog.clear()
             rc = cli.main([
@@ -544,18 +574,25 @@ class TestMonitorReplayMatchesOffline:
             ])
             assert rc == 0
             events = [cli.parse_event(l) for l in capsys.readouterr().out.strip().splitlines()]
+            n_events = n_rows - TOY_WINDOW + 1
             assert len(events) == n_events
-            assert len([r for r in caplog.records if r.levelname == "WARNING"]) == n_bad
+            assert len([r for r in caplog.records if r.levelname == "WARNING"]) == sum(skipped)
+            summary = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+            assert summary == [
+                f"stream ended: {n_rows} valid rows, {n_events} events, "
+                f"{int(topology is not None)} topology records applied; lines skipped: "
+                "%d fields, %d non-numeric, %d topology" % skipped
+            ]
 
             # the valid rows, each with the topology in force when it arrived
-            rows, removed, topology = [], [], None
+            rows, removed, in_force = [], [], None
             for line in lines:
                 if line.startswith("topology,remove_line,") and line[21:].isdigit():
-                    topology = int(line[21:])
+                    in_force = int(line[21:])
                 elif len(line.split(",")) == 79 and "x" not in line:
                     rows.append([float(x) for x in line.split(",")])
-                    removed.append(topology)
-            assert topology == (13 if lines is mixed else None)
+                    removed.append(in_force)
+            assert in_force == topology
             mags = np.array([r[1:40] for r in rows])
             angs = np.array([r[40:] for r in rows])
             for k, event in enumerate(events):

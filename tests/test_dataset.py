@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsakit import dataset
@@ -152,6 +152,31 @@ class TestGrids:
             validate_grid(cfg, ieee39)
 
 
+@st.composite
+def voltage_rows(draw, min_steps=1, max_steps=25):
+    """(v_mag, v_ang, slack_bus): angles that cross +-pi or step by exactly
+    pi, non-finite values, and magnitudes outside [0, 2] pu."""
+    steps = draw(st.integers(min_steps, max_steps))
+    n_bus = draw(st.integers(2, 6))
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    mag = st.one_of(st.floats(-1.0, 3.0), st.just(-0.0), non_finite)
+    quarter_turns = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi])
+    ang = st.one_of(st.floats(-10.0, 10.0), quarter_turns, non_finite)
+    size = steps * n_bus
+    v_mag = np.array(draw(st.lists(mag, min_size=size, max_size=size))).reshape(steps, n_bus)
+    v_ang = np.array(draw(st.lists(ang, min_size=size, max_size=size))).reshape(steps, n_bus)
+    return v_mag, v_ang, draw(st.integers(0, n_bus - 1))
+
+
+# slack-relative angles that step by exactly +pi and -pi (np.unwrap's boundary
+# fix-up), then cross +-pi
+HALF_TURN_STEPS = (
+    np.ones((8, 2)),
+    np.stack([np.zeros(8), [-math.pi / 2, math.pi / 2] * 2 + [3.0, -3.0] * 2], axis=1),
+    0,
+)
+
+
 class TestFeatures:
     def wrap(self, x):
         return math.atan2(math.sin(x), math.cos(x))
@@ -236,6 +261,64 @@ class TestFeatures:
         assert clamped
         assert np.all(np.isfinite(feats))
         assert feats[0, 7] == 0.0
+
+    @staticmethod
+    def unwrap_features(v_mag, v_ang, slack_bus):
+        # the whole-window implementation that per-row preparation replaced
+        mags = np.array(v_mag, dtype=float)
+        angs = np.array(v_ang, dtype=float)
+        clamped = False
+        for arr in (mags, angs):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                arr[bad] = 0.0
+                clamped = True
+        if (mags < 0.0).any() or (mags > 2.0).any():
+            mags = np.clip(mags, 0.0, 2.0)
+            clamped = True
+        rel = angs - angs[:, [slack_bus]]
+        rel = np.angle(np.exp(1j * rel))
+        rel = np.unwrap(rel, axis=0)
+        return np.concatenate([mags.T, rel.T], axis=1).astype(np.float32), clamped
+
+    @settings(max_examples=120, deadline=None)
+    @given(voltage_rows())
+    @example(HALF_TURN_STEPS)
+    def test_bits_equal_whole_window_unwrap(self, window):
+        feats, clamped = dataset.features_from_window(*window)
+        ref, ref_clamped = self.unwrap_features(*window)
+        assert feats.dtype == np.float32 and feats.shape == ref.shape
+        assert feats.tobytes() == ref.tobytes()
+        assert clamped == ref_clamped
+
+    @settings(max_examples=60, deadline=None)
+    @given(voltage_rows(min_steps=1, max_steps=60), st.integers(1, 8))
+    @example(HALF_TURN_STEPS, 4)
+    def test_every_stream_window_equals_whole_window_unwrap(self, stream, steps):
+        v_mag, v_ang, slack = stream
+        window = dataset.StreamWindow(v_mag.shape[1], steps, slack)
+        for k in range(len(v_mag)):
+            window.push(v_mag[k], v_ang[k])
+            assert window.full == (k + 1 >= steps)
+            if not window.full:
+                continue
+            feats, clamped = window.features()
+            sl = slice(k + 1 - steps, k + 1)
+            ref, ref_clamped = self.unwrap_features(v_mag[sl], v_ang[sl], slack)
+            assert feats.tobytes() == ref.tobytes()
+            assert clamped == ref_clamped
+
+    def test_stream_window_rejects_bad_rows_and_early_reads(self):
+        with pytest.raises(ValueError, match="step"):
+            dataset.StreamWindow(3, 0, 0)
+        with pytest.raises(ValueError, match="slack"):
+            dataset.StreamWindow(3, 2, 3)
+        window = dataset.StreamWindow(3, 2, 0)
+        with pytest.raises(ValueError, match="3 magnitudes"):
+            window.push(np.ones(2), np.zeros(2))
+        window.push(np.ones(3), np.zeros(3))
+        with pytest.raises(ValueError, match="1 of 2"):
+            window.features()
 
     def test_window_bounds_checked(self):
         trace = make_trace(np.ones((10, 2)), np.zeros((10, 2)))
