@@ -11,10 +11,16 @@ architecture header.
 
 The architecture is defined once. Each piece runs in the form of its input:
 a Tensor records a tape against the parameter Tensors (forward, for
-training), a float64 ndarray computes plain arrays from the parameters'
-current values and records nothing (infer, for prediction and the monitor).
-Both forms make the same numpy calls on the same shapes, so they give the
-same bits.
+training), an ndarray computes plain arrays from the parameters' current
+values and records nothing (infer, for prediction and the monitor). Both
+forms make the same numpy calls on the same shapes, so on inputs of one
+dtype they give the same bits.
+
+forward computes in its inputs' dtype: float32 features, adjacency and
+parameters give a float32 graph, as training uses, and float64 inputs give
+float64 (a new model's parameters and a loaded checkpoint's are float64).
+infer casts the features and the adjacency to float64, so it reads float32
+weights exactly as it reads the same weights loaded from their checkpoint.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, affine, relu, softmax, swapaxes, tanh
+from .tensor import Tensor, affine, float_array, relu, softmax, swapaxes, tanh
 
 TASKS = ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")
 
@@ -146,7 +152,7 @@ class StabilityModel:
     @staticmethod
     def _prepare_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
         """Constant adjacency and safe inverse degree, both (batch, n, n)/(batch, n, 1)."""
-        adj = np.asarray(adjacency, dtype=float)
+        adj = float_array(adjacency)
         deg = adj.sum(axis=-1, keepdims=True)
         inv_deg = np.where(deg > 0.0, 1.0 / np.maximum(deg, 1.0), 0.0)
         return adj, inv_deg
@@ -166,12 +172,12 @@ class StabilityModel:
     def encode(self, features, adjacency):
         """Stacked layers then mean pooling: (node embeddings, pooled).
 
-        Tensor features give Tensors on the tape; anything else is read as a
-        float64 array and gives ndarrays."""
-        h = features if isinstance(features, Tensor) else np.asarray(features, dtype=float)
+        Tensor features give Tensors on the tape; anything else is read as an
+        array (float32 stays float32, the rest is float64) and gives ndarrays."""
+        h = features if isinstance(features, Tensor) else float_array(features)
         if h.ndim == 2:
             h = h.reshape(1, *h.shape)
-        adj = np.asarray(adjacency, dtype=float)
+        adj = float_array(adjacency)
         if adj.ndim == 2:
             adj = adj[None, :, :]
         if h.shape[-1] != self.config.in_dim:
@@ -211,8 +217,10 @@ class StabilityModel:
         return self._run(h, adjacency)
 
     def infer(self, features, adjacency) -> ModelOutput:
-        """The same pass without a tape: every field is a float64 ndarray."""
-        return self._run(np.asarray(features, dtype=float), adjacency)
+        """The same pass without a tape, in float64: every field is a float64 ndarray."""
+        return self._run(
+            np.asarray(features, dtype=np.float64), np.asarray(adjacency, dtype=np.float64)
+        )
 
     def _run(self, features, adjacency) -> ModelOutput:
         """Encode, apply the experts, mix them per task, then the heads."""

@@ -2,15 +2,22 @@
 
 Every operation records its inputs and a closure that routes the output
 gradient back to them; backward() runs the closures in reverse topological
-order. Only the handful of operations the stability model needs exist here,
-all in float64. Gradients accumulate into .grad like any tape system, so
-training code zeroes parameter gradients between steps. A backward closure
-computes an operand's gradient only when that operand requires one, and a
-stored gradient array is never written in place, so an array may be shared
-between nodes and with the caller's seed.
+order. Only the handful of operations the stability model needs exist here.
+Gradients accumulate into .grad like any tape system, so training code
+zeroes parameter gradients between steps. A backward closure computes an
+operand's gradient only when that operand requires one, and a stored
+gradient array is never written in place, so an array may be shared between
+nodes and with the caller's seed.
+
+A Tensor holds float32 or float64 data: float32 arrays and numpy float32
+scalars stay float32, and anything else becomes float64. A Python number
+used as an operand takes the Tensor's dtype, which is numpy's own rule for
+Python scalars, so a float32 graph stays float32 through constant factors.
+Operands of mixed array dtypes follow numpy's promotion. Gradients, the
+backward seed included, take the dtype of the value they belong to.
 
 The functions relu, tanh, softmax, swapaxes and affine take either a Tensor,
-which records its tape edge, or a float64 ndarray, which records nothing.
+which records its tape edge, or an ndarray, which records nothing.
 Every other operation the model uses is an operator or method that both
 types share, so one model definition serves training (Tensors) and tape-free
 inference (arrays). A Tensor method computes its value through the array
@@ -33,6 +40,12 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def float_array(value) -> np.ndarray:
+    """value as an ndarray: float32 stays float32, anything else is float64."""
+    value = np.asarray(value)
+    return value if value.dtype == np.float32 else value.astype(np.float64, copy=False)
 
 
 def _as_tensor(value) -> "Tensor":
@@ -98,7 +111,7 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = float_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -111,6 +124,10 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -126,6 +143,12 @@ class Tensor:
             out._parents = tuple(parents)
             out._backward = backward_fn
         return out
+
+    def _operand(self, value) -> "Tensor":
+        """The other operand of a binary operator; a Python number takes self's dtype."""
+        if type(value) in (bool, int, float):
+            return Tensor(np.asarray(value, dtype=self.data.dtype))
+        return _as_tensor(value)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -146,7 +169,7 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward without a seed needs a scalar value")
             grad = np.ones_like(self.data)
-        grad = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
+        grad = np.asarray(grad, dtype=self.data.dtype).reshape(self.data.shape)
 
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -188,7 +211,7 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = self._operand(other)
         data = self.data + other.data
 
         def backward_fn(g):
@@ -206,10 +229,10 @@ class Tensor:
         return self._result(-self.data, (self,), backward_fn)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-_as_tensor(other))
+        return self + (-self._operand(other))
 
     def __mul__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = self._operand(other)
         data = self.data * other.data
 
         def backward_fn(g):
@@ -223,7 +246,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = self._operand(other)
         data = self.data / other.data
 
         def backward_fn(g):
@@ -247,7 +270,7 @@ class Tensor:
         return self._result(data, (self,), backward_fn)
 
     def __matmul__(self, other) -> "Tensor":
-        other = _as_tensor(other)
+        other = self._operand(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must have at least 2 dimensions")
         data = self.data @ other.data

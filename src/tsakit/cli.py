@@ -302,8 +302,7 @@ def cmd_train(args) -> int:
         checkpoint = out / f"checkpoint{suffix}.tsm"
         save_checkpoint(result.model, checkpoint)
         write_training_log(result.log_rows, out / f"training_log{suffix}.csv")
-        # report on the float32 weights the file holds, as `tsa eval` sees them
-        report = evaluate(load_checkpoint(checkpoint), samples, split.test_ids)
+        report = evaluate(result.model, samples, split.test_ids)
         rows.append(
             {
                 "seed": run_seed,

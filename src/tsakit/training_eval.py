@@ -6,6 +6,14 @@ adaptive-moment gradient descent. Validation joint accuracy (both verdicts
 correct on a sample) drives early stopping and best-checkpoint retention.
 Everything is seeded and single-threaded, so a fixed configuration
 reproduces the training log and the checkpoint bit for bit.
+
+Training runs in float32, the dtype the checkpoint stores: the parameters,
+the features, the adjacency and the margin targets are cast once, and the
+taped forward, the loss, backward and Adam stay float32. The trained model
+is therefore the checkpoint it writes, and samples whose margins round to
+the same float32 values train the same model, whether they come from
+memory or from a dataset file. Prediction and evaluation run infer, in
+float64, on those float32 weights.
 """
 
 from __future__ import annotations
@@ -131,14 +139,16 @@ def multitask_loss(outputs: ModelOutput, targets: dict, weights: LossWeights):
     """Weighted sum of both task families plus the balance penalty.
 
     targets carries "tas_cls"/"tvs_cls" as integer class vectors (1 =
-    stable) and "tas_reg"/"tvs_reg" as float vectors in [-1, 1]. Returns the
-    scalar loss tensor and a float breakdown for logging.
+    stable) and "tas_reg"/"tvs_reg" as float vectors in [-1, 1], read in
+    the outputs' dtype. Returns the scalar loss tensor and a float
+    breakdown for logging.
     """
     weights.validate()
+    dtype = outputs.tas_margin_hat.dtype
     ce_tas = outputs.tas_logits.cross_entropy_logits(targets["tas_cls"])
     ce_tvs = outputs.tvs_logits.cross_entropy_logits(targets["tvs_cls"])
-    reg_tas = ((outputs.tas_margin_hat.reshape(-1) - np.asarray(targets["tas_reg"], dtype=float)) ** 2).mean()
-    reg_tvs = ((outputs.tvs_margin_hat.reshape(-1) - np.asarray(targets["tvs_reg"], dtype=float)) ** 2).mean()
+    reg_tas = ((outputs.tas_margin_hat.reshape(-1) - np.asarray(targets["tas_reg"], dtype=dtype)) ** 2).mean()
+    reg_tvs = ((outputs.tvs_margin_hat.reshape(-1) - np.asarray(targets["tvs_reg"], dtype=dtype)) ** 2).mean()
     gates = Tensor.stack([outputs.gate_weights[t] for t in TASKS])
     balance = load_balance_loss(gates)
     total = (
@@ -264,13 +274,14 @@ class TrainResult:
 
 
 def _arrays_from_samples(samples):
-    features = np.stack([np.asarray(s.features, dtype=float) for s in samples])
-    adjacency = np.stack([np.asarray(s.adjacency, dtype=float) for s in samples])
+    """float32 features, adjacency and margin targets, as a dataset file stores them."""
+    features = np.stack([np.asarray(s.features, dtype=np.float32) for s in samples])
+    adjacency = np.stack([np.asarray(s.adjacency, dtype=np.float32) for s in samples])
     targets = {
         "tas_cls": np.array([int(s.tas_stable) for s in samples]),
         "tvs_cls": np.array([int(s.tvs_stable) for s in samples]),
-        "tas_reg": np.array([s.tas_signed for s in samples], dtype=float),
-        "tvs_reg": np.array([s.tvs_signed for s in samples], dtype=float),
+        "tas_reg": np.array([s.tas_signed for s in samples], dtype=np.float32),
+        "tvs_reg": np.array([s.tvs_signed for s in samples], dtype=np.float32),
     }
     return features, adjacency, targets
 
@@ -326,6 +337,8 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     elif model_config.in_dim != features.shape[-1]:
         raise ValueError("model input dim does not match the sample features")
     model = StabilityModel(model_config)
+    for p in model.params.values():
+        p.data = p.data.astype(np.float32)
     optimizer = Adam(model.params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     weights = config.loss_weights

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tsakit.autodiff_nn.tensor import Tensor, _sum_to_shape, affine, swapaxes
+from tsakit.autodiff_nn.tensor import Tensor, _sum_to_shape, affine, relu, softmax, swapaxes, tanh
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -345,6 +345,88 @@ class TestAffine:
             assert ws.grad.tobytes() == w.grad[s].tobytes()
             assert cs.grad.tobytes() == c.grad[s, 0].tobytes()
         assert stacked_x.grad.tobytes() == separate_x.grad.tobytes()
+
+
+# each builds a Tensor from float32 leaves x (3, 4), v (3, 4), w (4, 2) and c (2,)
+FLOAT32_OPS = {
+    "add": lambda x, v, w, c: x + v,
+    "add_number": lambda x, v, w, c: x + 1.5,
+    "sub": lambda x, v, w, c: x - v,
+    "sub_int": lambda x, v, w, c: x - 2,
+    "neg": lambda x, v, w, c: -x,
+    "mul": lambda x, v, w, c: x * v,
+    "mul_number": lambda x, v, w, c: x * 0.1,
+    "number_mul": lambda x, v, w, c: 0.1 * x,
+    "mul_float32_scalar": lambda x, v, w, c: x * np.float32(0.1),
+    "div": lambda x, v, w, c: x / (v * v + 1.0),
+    "div_number": lambda x, v, w, c: x / 3.0,
+    "pow": lambda x, v, w, c: x**3,
+    "matmul": lambda x, v, w, c: x @ w,
+    "array_matmul": lambda x, v, w, c: v.data @ w,
+    "relu": lambda x, v, w, c: relu(x),
+    "tanh": lambda x, v, w, c: tanh(x),
+    "softmax": lambda x, v, w, c: softmax(x, axis=-1),
+    "sum": lambda x, v, w, c: x.sum(axis=0),
+    "mean": lambda x, v, w, c: x.mean(),
+    "mean_axis": lambda x, v, w, c: x.mean(axis=1, keepdims=True),
+    "reshape": lambda x, v, w, c: x.reshape(4, 3),
+    "index": lambda x, v, w, c: x[1:, ::2],
+    "swapaxes": lambda x, v, w, c: swapaxes(x, 0, 1),
+    "stack": lambda x, v, w, c: Tensor.stack([x, v]),
+    "affine": lambda x, v, w, c: affine(x, w, c),
+    "cross_entropy": lambda x, v, w, c: x.cross_entropy_logits([0, 3, 1]),
+}
+
+
+class TestDtypeRule:
+    """float32 stays float32 on the tape; everything else is float64."""
+
+    @pytest.mark.parametrize("op", sorted(FLOAT32_OPS))
+    def test_float32_values_and_gradients_stay_float32(self, rng, op):
+        leaves = [
+            Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+            for shape in ((3, 4), (3, 4), (4, 2), (2,))
+        ]
+        out = FLOAT32_OPS[op](*leaves)
+        assert out.dtype == np.float32
+        loss = 0.5 * out.sum()
+        assert loss.dtype == np.float32
+        loss.backward()
+        assert loss.grad.dtype == np.float32
+        grads = [t.grad for t in leaves if t.grad is not None]
+        assert grads
+        for g in grads:
+            assert g.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "value",
+        [[1.0, 2.0], [1, 2], np.arange(3), np.ones(3), np.ones(2, np.float16), 2.0, 3, np.float64(2.0)],
+        ids=["float list", "int list", "int array", "float64 array", "float16 array",
+             "float", "int", "float64 scalar"],
+    )
+    def test_everything_else_is_float64(self, value):
+        assert Tensor(value).dtype == np.float64
+
+    def test_float32_array_is_kept_not_copied(self):
+        a = np.ones((2, 3), dtype=np.float32)
+        assert Tensor(a).data is a
+        assert Tensor(np.float32(0.5)).dtype == np.float32
+
+    def test_array_operands_promote_as_numpy_does(self):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        y = x * np.full(3, 2.0)  # a float64 array operand
+        assert y.dtype == np.float64
+        y.sum().backward()
+        assert x.grad.dtype == np.float64
+        assert (x * np.float64(2.0)).dtype == np.float64  # a numpy scalar is not a Python number
+
+    def test_backward_seed_takes_the_tensors_dtype(self):
+        x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+        y = x * 2.0
+        y.backward(np.full((2, 2), 0.1))  # a float64 seed
+        assert y.grad.dtype == np.float32
+        assert x.grad.dtype == np.float32
+        np.testing.assert_array_equal(x.grad, np.float32(0.1) * np.float32(2.0))
 
 
 class TestSumToShape:

@@ -442,6 +442,23 @@ class TestInfer:
         assert not np.array_equal(before, after)
         assert after.tobytes() == model.forward(x, adj).tas_logits.data.tobytes()
 
+    def test_float32_weights_and_inputs_give_the_float64_pass(self, rng):
+        """infer computes in float64 whatever the dtype of its inputs and of the
+        weights, so float32 training weights read as their loaded checkpoint does."""
+        model, reference = small_model(seed=10), small_model(seed=10)
+        for name, p in model.params.items():
+            p.data = p.data.astype(np.float32)
+            reference.params[name].data = p.data.astype(np.float64)
+        x, adj = self.graphs(rng, 4)
+        x = x.astype(np.float32)
+        # a degree of 3 or 5 has a reciprocal that float32 rounds
+        assert np.isin(adj.sum(axis=-1), (3.0, 5.0)).any()
+        want = self.fields(reference.forward(x.astype(np.float64), adj))
+        for adjacency in (adj, adj.astype(np.float32), adj.astype(np.int8)):
+            for got, w in zip(self.fields(model.infer(x, adjacency)), want):
+                assert got.dtype == np.float64
+                assert got.tobytes() == w.data.tobytes()
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_quantized_parameters(self, tmp_path):

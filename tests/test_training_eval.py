@@ -1,6 +1,6 @@
 """Metrics, loss composition, the optimizer, and the training loop."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,10 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from toyset import make_toy_samples
 
-from tsakit.autodiff_nn import ModelConfig, ModelOutput, StabilityModel, Tensor, save_checkpoint
-from tsakit.dataset import split_dataset
+from tsakit.autodiff_nn import (
+    ModelConfig,
+    ModelOutput,
+    StabilityModel,
+    Tensor,
+    load_checkpoint,
+    save_checkpoint,
+)
+from tsakit.dataset import load_dataset, save_dataset, split_dataset
 from tsakit.training_eval import (
     Adam,
+    _arrays_from_samples,
     ConfusionMatrix,
     LossWeights,
     TrainConfig,
@@ -328,6 +336,27 @@ class TestTrain:
         save_checkpoint(b.model, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_memory_and_file_samples_train_one_checkpoint(self, tmp_path):
+        """The margins a dataset file rounds to float32 train the same model
+        as the float64 margins they came from."""
+        rng = np.random.default_rng(11)
+        samples = [
+            replace(s, tas_signed=s.tas_signed * rng.uniform(0.5, 1.0),
+                    tvs_signed=s.tvs_signed * rng.uniform(0.5, 1.0))
+            for s in make_toy_samples(n=40, seed=0)
+        ]
+        assert all(float(np.float32(s.tas_signed)) != s.tas_signed for s in samples)
+        save_dataset(samples, tmp_path / "toy.tsd")
+        reloaded, _ = load_dataset(tmp_path / "toy.tsd")
+        split = split_dataset([s.joint_label for s in samples], seed=0)
+        cfg = TrainConfig(epochs=20, accuracy_threshold=1.0, seed=0)
+        checkpoints = []
+        for name, data in (("memory", samples), ("file", reloaded)):
+            result = train(data, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+            save_checkpoint(result.model, tmp_path / f"{name}.tsm")
+            checkpoints.append((tmp_path / f"{name}.tsm").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_divergent_loss_aborts_with_finite_model(self, caplog):
         samples, split = toy_setup()
@@ -365,6 +394,72 @@ class TestTrain:
         assert util == pytest.approx(1.0, abs=1e-6)
 
 
+def _report_fields(report):
+    fields = asdict(report)
+    fields["expert_utilization"] = {k: v.tobytes() for k, v in report.expert_utilization.items()}
+    return fields
+
+
+class TestFloat32Training:
+    """train computes in float32, the dtype save_checkpoint writes."""
+
+    def test_every_step_is_float32(self, monkeypatch):
+        samples, split = toy_setup()
+        steps = []
+        step = Adam.step
+
+        def recording_step(self):
+            steps.append((self, {name: p.grad.dtype for name, p in self.params.items()}))
+            step(self)
+
+        monkeypatch.setattr(Adam, "step", recording_step)
+        cfg = TrainConfig(epochs=2, accuracy_threshold=1.0, seed=0)
+        result = train(samples, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+        assert steps
+        for optimizer, grad_dtypes in steps:
+            assert set(grad_dtypes.values()) == {np.dtype(np.float32)}
+            for buffer in (optimizer._flat, optimizer.m, optimizer.v):
+                assert buffer.dtype == np.float32
+        for p in result.model.params.values():
+            assert p.dtype == np.float32
+
+    def test_trained_model_evaluates_as_its_checkpoint(self, tmp_path):
+        samples, split = toy_setup()
+        cfg = TrainConfig(epochs=5, accuracy_threshold=1.0, seed=0)
+        result = train(samples, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+        save_checkpoint(result.model, tmp_path / "model.tsm")
+        loaded = load_checkpoint(tmp_path / "model.tsm")
+        for p in loaded.params.values():
+            assert p.data.dtype == np.float64  # a checkpoint loads for float64 inference
+        for ids in (split.val_ids, split.test_ids, np.arange(len(samples))):
+            want = _report_fields(evaluate(loaded, samples, ids))
+            assert _report_fields(evaluate(result.model, samples, ids)) == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_float32_gradients_match_float64(self, seed):
+        """Same weights and batch in both dtypes: each parameter's float32
+        gradient is within a norm-wise relative error of 1e-4 of the float64
+        one (float32 carries about 7 digits)."""
+        features, adjacency, targets = _arrays_from_samples(make_toy_samples(n=16, seed=seed))
+        config = ModelConfig(in_dim=6, seed=seed, **SMALL_MODEL)
+        models = {np.float32: StabilityModel(config), np.float64: StabilityModel(config)}
+        for name, p in models[np.float32].params.items():
+            p.data = p.data.astype(np.float32)
+            models[np.float64].params[name].data = p.data.astype(np.float64)
+        for dtype, model in models.items():
+            batch_targets = {
+                k: v.astype(dtype) if k.endswith("_reg") else v for k, v in targets.items()
+            }
+            out = model.forward(features.astype(dtype), adjacency.astype(dtype))
+            loss, _ = multitask_loss(out, batch_targets, LossWeights())
+            assert loss.dtype == dtype
+            loss.backward()
+        for name, p32 in models[np.float32].params.items():
+            g32, g64 = p32.grad, models[np.float64].params[name].grad
+            assert g32.dtype == np.float32 and g64.dtype == np.float64
+            assert np.linalg.norm(g32 - g64) <= 1e-4 * np.linalg.norm(g64), name
+
+
 @pytest.fixture(scope="module")
 def trained_toy():
     samples, split = toy_setup()
@@ -387,8 +482,6 @@ class TestEvaluate:
 
     def test_report_composition_identity(self, trained_toy):
         samples, split, result = trained_toy
-        from tsakit.training_eval import _arrays_from_samples
-
         report = evaluate(result.model, samples, split.test_ids)
         subset = [samples[i] for i in split.test_ids]
         features, adjacency, targets = _arrays_from_samples(subset)
