@@ -3,9 +3,10 @@
 Prints the sample counts, whether the files are byte-identical, the verdict
 flips of each criterion, the largest absolute change of every continuous
 label (CCTs, TSI, v_min, signed margins) with the number of samples it
-changed in, the number of samples whose flags or adjacency differ, and the
-largest feature change with the number of differing feature values. Samples
-are matched by scenario id.
+changed in, the number of samples whose flags or adjacency differ, the
+largest feature change with the number of differing feature values, and the
+scenario ids whose CCT, margin, verdict or flags changed (the first 20 and a
+count of the rest). Samples are matched by scenario id.
 
 Run from the repository root:
 
@@ -27,6 +28,9 @@ from tsakit.dataset import load_dataset  # noqa: E402
 
 VERDICTS = ("tas_stable", "tvs_stable")
 VALUES = ("tas_cct_s", "tvs_cct_s", "tsi_deg", "v_min_pu", "tas_signed", "tvs_signed")
+# the fields whose change puts a scenario id on the report's list
+LISTED = (*VERDICTS, "tas_cct_s", "tvs_cct_s", "tas_signed", "tvs_signed", "flags")
+SHOWN_IDS = 20
 
 
 def diff_report(old_path: str | Path, new_path: str | Path) -> list[str]:
@@ -67,6 +71,15 @@ def diff_report(old_path: str | Path, new_path: str | Path) -> list[str]:
         )
     if len(same_shape) < len(pairs):
         lines.append(f"feature shapes differ: {len(pairs) - len(same_shape)} samples")
+    changed = [a.scenario_id for a, b in pairs
+               if any(getattr(a, name) != getattr(b, name) for name in LISTED)]
+    line = f"scenarios with a changed CCT, margin, verdict or flags: {len(changed)}"
+    if changed:
+        shown = ", ".join(map(str, changed[:SHOWN_IDS]))
+        if len(changed) > SHOWN_IDS:
+            shown += f" and {len(changed) - SHOWN_IDS} more"
+        line += f" ({shown})"
+    lines.append(line)
     return lines
 
 

@@ -92,10 +92,14 @@ def validate_grid(cfg: GridConfig, network: Network) -> None:
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"motor fraction {frac} outside [0, 1]")
     for cyc in cfg.clearing_cycles:
-        if cyc <= 0.0:
+        if not cyc > 0.0:
             raise ValueError(f"clearing time {cyc} cycles must be positive")
     if cfg.window_steps <= 0:
         raise ValueError("window must have at least one step")
+    if not (cfg.step_s > 0.0 and cfg.duration_s > 0.0):
+        raise ValueError("step_s and duration_s must be positive")
+    if not 0.0 <= cfg.fault_start_s < cfg.duration_s:
+        raise ValueError(f"fault start {cfg.fault_start_s} s outside [0, duration_s)")
     n_steps = int(round(cfg.duration_s / cfg.step_s)) + 1
     start = int(round(cfg.fault_start_s / cfg.step_s))
     if start + cfg.window_steps > n_steps:
@@ -460,6 +464,11 @@ def label_context(
     return ContextLabels(samples, records)
 
 
+def _f32(x: float) -> float:
+    """x rounded to float32, the precision save_dataset stores a label in."""
+    return float(np.float32(x))
+
+
 def assemble_samples(
     scenario_ids: list[int],
     clear_times: list[float],
@@ -477,7 +486,9 @@ def assemble_samples(
     its own trace, margins against the searched boundaries, the features of
     cfg's window, and flags for the searches' saturation and monotonicity
     plus its trace's divergence and feature clamping. A verdict that
-    disagrees with its margin's side is logged at INFO.
+    disagrees with its margin's side is logged at INFO. The margins are
+    computed from the float64 CCTs, then every float label is rounded to
+    float32, so a sample holds what save_dataset writes and load_dataset reads.
     """
     window_start = int(round(cfg.fault_start_s / cfg.step_s))
     context_flags = (
@@ -519,12 +530,12 @@ def assemble_samples(
                 scenario_id=sid,
                 tas_stable=angle_res.stable,
                 tvs_stable=volt_res.stable,
-                tas_signed=m_a.signed,
-                tvs_signed=m_v.signed,
-                tsi_deg=angle_res.tsi_deg,
-                v_min_pu=volt_res.v_min_pu,
-                tas_cct_s=cct_a.t_cct_s,
-                tvs_cct_s=cct_v.t_cct_s,
+                tas_signed=_f32(m_a.signed),
+                tvs_signed=_f32(m_v.signed),
+                tsi_deg=_f32(angle_res.tsi_deg),
+                v_min_pu=_f32(volt_res.v_min_pu),
+                tas_cct_s=_f32(cct_a.t_cct_s),
+                tvs_cct_s=_f32(cct_v.t_cct_s),
                 flags=flags,
                 adjacency=adjacency,
                 features=features,

@@ -6,15 +6,18 @@ over the run; 180 degrees or more means loss of synchronism. Voltage
 stability requires every load bus to recover above a threshold within a
 bounded time after the fault clears.
 
-The critical clearing time for either criterion is located by a coarse scan
-over the clearing-time bracket followed by bisection down to a fraction of a
-cycle. Severity labels are normalized margins relative to that boundary.
+The critical clearing time for either criterion is searched on a lattice of
+quarter cycles, 1 to 30 cycles: a coarse scan every 2 cycles, then bisection
+of the first stable-to-unstable step down to adjacent lattice points. So
+every CCT is resolved to exactly a quarter cycle, and a 2-cycle step holds 7
+points a bisection can probe (the last step, 29 to 30 cycles, holds 3).
+Severity labels are normalized margins relative to that boundary.
 
 find_ccts is the one simulated search: it labels both criteria of a fault
 context with two lockstep simulation batches, the coarse scan first, then
-every midpoint the bisection of either criterion's bracket can probe
-(bisection_points). Each simulated trace is reduced to its two verdicts in
-one map keyed by clearing instant, and find_cct reads both searches from it.
+every lattice point inside either criterion's bracket. Each simulated trace
+is reduced to its two verdicts in one map keyed by clearing instant, and
+find_cct reads both searches from it.
 """
 
 from __future__ import annotations
@@ -134,41 +137,27 @@ def tvs(
 # ---------------------------------------------------------------------------
 
 
-# the clearing-time search in cycles of the nominal frequency: bracket,
-# coarse scan step and bisection tolerance
-T_MIN_CYCLES = 1.0
-T_MAX_CYCLES = 30.0
-COARSE_STEP_CYCLES = 2.0
-TOLERANCE_CYCLES = 0.25
+# The clearing-time search runs on a lattice of quarter cycles of the
+# network's nominal frequency f: lattice point k clears k / (4 f) seconds
+# after the fault starts. Bracket and coarse scan step in quarter cycles;
+# bisection stops at adjacent points, so the resolution is one quarter cycle.
+QUARTERS_PER_CYCLE = 4
+K_MIN = 4  # 1 cycle
+K_MAX = 120  # 30 cycles
+K_COARSE_STEP = 8  # 2 cycles
+# the coarse scan: bracket bottom, every coarse step, top
+COARSE_GRID = (*range(K_MIN, K_MAX, K_COARSE_STEP), K_MAX)
 
 
-@dataclass(frozen=True)
-class CctSearchConfig:
-    """Bracket and resolution of the clearing-time search, in seconds."""
+def lattice_s(k: int, nominal_hz: float) -> float:
+    """Clearing duration of lattice point k in seconds: k quarter cycles.
 
-    t_min_s: float
-    t_max_s: float
-    coarse_step_s: float
-    tolerance_s: float
-
-    @staticmethod
-    def from_cycles(nominal_hz: float) -> "CctSearchConfig":
-        """The search over 1 to 30 cycles, coarse scan every 2 cycles,
-        bisection down to a quarter cycle."""
-        if nominal_hz <= 0.0:
-            raise ValueError("nominal frequency must be positive")
-        return CctSearchConfig(
-            t_min_s=T_MIN_CYCLES / nominal_hz,
-            t_max_s=T_MAX_CYCLES / nominal_hz,
-            coarse_step_s=COARSE_STEP_CYCLES / nominal_hz,
-            tolerance_s=TOLERANCE_CYCLES / nominal_hz,
-        )
-
-    def validate(self) -> None:
-        if not 0.0 < self.t_min_s < self.t_max_s:
-            raise ValueError("need 0 < t_min_s < t_max_s")
-        if self.coarse_step_s <= 0.0 or self.tolerance_s <= 0.0:
-            raise ValueError("coarse step and tolerance must be positive")
+    A clearing time of c cycles, c / f, is the same double as lattice point
+    4 c whenever 4 c is an integer: both round the same rational number.
+    """
+    if nominal_hz <= 0.0:
+        raise ValueError("nominal frequency must be positive")
+    return k / (QUARTERS_PER_CYCLE * nominal_hz)
 
 
 @dataclass(frozen=True)
@@ -176,7 +165,7 @@ class CctResult:
     """Outcome of a clearing-time search.
 
     t_cct_s is the largest probed clearing time that was still stable, so the
-    true boundary lies within the search tolerance above it. When the whole
+    true boundary lies less than a quarter cycle above it. When the whole
     bracket is stable (above_bracket) it saturates at the bracket top; when
     even the bracket bottom is unstable (below_bracket) it reports the bottom.
     """
@@ -188,21 +177,13 @@ class CctResult:
     evaluations: int = 0
 
 
-def coarse_grid(cfg: CctSearchConfig) -> list[float]:
-    """Clearing times of the coarse scan: bracket bottom, every coarse step, top."""
-    cfg.validate()
-    grid = [cfg.t_min_s]
-    while grid[-1] + cfg.coarse_step_s < cfg.t_max_s - 1e-12:
-        grid.append(grid[-1] + cfg.coarse_step_s)
-    grid.append(cfg.t_max_s)
-    return grid
-
-
-def coarse_bracket(grid: Sequence[float], verdicts: Sequence[bool]) -> tuple[float, float] | None:
+def coarse_bracket(grid: Sequence[int], verdicts: Sequence[bool]) -> tuple[int, int] | None:
     """The coarse step find_cct bisects: its first stable-to-unstable step.
 
     None when there is nothing to bisect: the scan starts unstable, or no
-    step goes from stable to unstable.
+    step goes from stable to unstable. Bisecting the step (lo, hi) can probe
+    exactly the lattice points range(lo + 1, hi), each for some sequence of
+    verdicts.
     """
     if not verdicts[0]:
         return None
@@ -210,63 +191,48 @@ def coarse_bracket(grid: Sequence[float], verdicts: Sequence[bool]) -> tuple[flo
     return None if flip is None else (grid[flip], grid[flip + 1])
 
 
-def _bisection_midpoint(lo: float, hi: float, tol: float) -> float | None:
-    """The point that bisects [lo, hi], or None once it is no wider than tol."""
-    return 0.5 * (lo + hi) if hi - lo > tol else None
-
-
-def bisection_points(lo: float, hi: float, tol: float) -> list[float]:
-    """Every midpoint that bisecting [lo, hi] down to tol can probe.
-
-    Bisection keeps one half of each interval, depending on the verdict at
-    its midpoint; this is the tree of both halves, in pre-order, so it holds
-    the probes of every sequence of verdicts.
-    """
-    points, intervals = [], [(lo, hi)]
-    while intervals:
-        lo, hi = intervals.pop()
-        mid = _bisection_midpoint(lo, hi, tol)
-        if mid is not None:
-            points.append(mid)
-            intervals += [(mid, hi), (lo, mid)]
-    return points
-
-
-def find_cct(stable_at: Callable[[float], bool], cfg: CctSearchConfig) -> CctResult:
+def find_cct(stable_at: Callable[[float], bool], nominal_hz: float) -> CctResult:
     """Locate the stability boundary of a clearing-time predicate.
 
-    The full bracket is scanned at the coarse step first; stability is not
-    always monotone in clearing time, and scanning everything both finds the
-    first boundary and flags any reversal. Bisection then narrows the first
-    stable-to-unstable transition to within the tolerance.
+    stable_at takes a clearing duration in seconds and is asked only at
+    lattice points. The full bracket is scanned at the coarse step first;
+    stability is not always monotone in clearing time, and scanning
+    everything both finds the first boundary and flags any reversal.
+    Bisection then narrows the first stable-to-unstable transition to two
+    adjacent lattice points, a quarter cycle apart.
     """
-    grid = coarse_grid(cfg)
-    verdicts = [bool(stable_at(t)) for t in grid]
-    evaluations = len(grid)
+    def stable(k: int) -> bool:
+        return bool(stable_at(lattice_s(k, nominal_hz)))
+
+    verdicts = [stable(k) for k in COARSE_GRID]
+    evaluations = len(COARSE_GRID)
     if not verdicts[0]:
         return CctResult(
-            t_cct_s=cfg.t_min_s, below_bracket=True, evaluations=evaluations
+            t_cct_s=lattice_s(K_MIN, nominal_hz), below_bracket=True, evaluations=evaluations
         )
-    bracket = coarse_bracket(grid, verdicts)
+    bracket = coarse_bracket(COARSE_GRID, verdicts)
     # the scan starts stable, so a second boundary needs a reversal first
     nonmonotone = any(not a and b for a, b in zip(verdicts, verdicts[1:]))
     if nonmonotone:
         logger.warning(
             "stability is not monotone over the clearing-time bracket; "
-            "using the first boundary at %.4f s", bracket[0]
+            "using the first boundary at %.4f s", lattice_s(bracket[0], nominal_hz)
         )
     if bracket is None:
         return CctResult(
-            t_cct_s=cfg.t_max_s, above_bracket=True, evaluations=evaluations
+            t_cct_s=lattice_s(K_MAX, nominal_hz), above_bracket=True, evaluations=evaluations
         )
     lo, hi = bracket
-    while (mid := _bisection_midpoint(lo, hi, cfg.tolerance_s)) is not None:
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         evaluations += 1
-        if stable_at(mid):
+        if stable(mid):
             lo = mid
         else:
             hi = mid
-    return CctResult(t_cct_s=lo, nonmonotone=nonmonotone, evaluations=evaluations)
+    return CctResult(
+        t_cct_s=lattice_s(lo, nominal_hz), nonmonotone=nonmonotone, evaluations=evaluations
+    )
 
 
 def find_ccts(
@@ -286,12 +252,13 @@ def find_ccts(
     lockstep batch simulates the coarse scan together with clear_times (the
     scenario grid's clearing times). The traces of clear_times are copied,
     so that the batch's arrays are freed before the second batch. That one
-    simulates, for each criterion, every point the bisection of its coarse
-    bracket can probe (bisection_points) and the map lacks. Both searches
+    simulates, for each criterion, every lattice point inside its coarse
+    bracket that the map lacks: the 7 points between two scan points 2
+    cycles apart, or the 3 of the last, 29 to 30 cycle, step. Both searches
     then read only the map, so the context calls run_simulations at most
-    twice.
+    twice, and each CCT is resolved to exactly a quarter cycle.
     """
-    cfg = CctSearchConfig.from_cycles(network.nominal_hz)
+    hz = network.nominal_hz
     verdicts: dict = {}
 
     def instant(clear_s: float) -> float:
@@ -312,19 +279,19 @@ def find_ccts(
         verdicts.update((key, (tsi(tr).stable, tvs(tr).stable)) for key, tr in batch.items())
         return batch
 
-    grid = coarse_grid(cfg)
+    grid = [lattice_s(k, hz) for k in COARSE_GRID]
     first = simulate([*grid, *clear_times])
     memo: dict = {}  # one copy per shared trace; it holds the originals too
     traces = [copy.deepcopy(first[instant(c)], memo) for c in clear_times]
     del first, memo
     probes = []
     for which in (0, 1):
-        bracket = coarse_bracket(grid, [verdicts[instant(t)][which] for t in grid])
+        bracket = coarse_bracket(COARSE_GRID, [verdicts[instant(t)][which] for t in grid])
         if bracket is not None:
-            probes += bisection_points(*bracket, cfg.tolerance_s)
+            probes += (lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1]))
     simulate(probes)
-    cct_a = find_cct(lambda t: verdicts[instant(t)][0], cfg)
-    cct_v = find_cct(lambda t: verdicts[instant(t)][1], cfg)
+    cct_a = find_cct(lambda t: verdicts[instant(t)][0], hz)
+    cct_v = find_cct(lambda t: verdicts[instant(t)][1], hz)
     return cct_a, cct_v, traces
 
 

@@ -3,7 +3,8 @@
 Training minimizes weighted cross-entropy on both stability verdicts plus
 squared error on both signed margins plus the gate balance penalty, with
 adaptive-moment gradient descent. Validation joint accuracy (both verdicts
-correct on a sample) drives early stopping and best-checkpoint retention.
+correct on a sample) and, when a target is set, the validation margin error
+drive early stopping and best-checkpoint retention.
 Everything is seeded and single-threaded, so a fixed configuration
 reproduces the training log and the checkpoint bit for bit.
 
@@ -268,7 +269,7 @@ class TrainResult:
     model: StabilityModel
     log_rows: list[dict]
     best_epoch: int
-    best_val_joint: float
+    best_val_joint: float  # validation joint accuracy of the retained epoch
     stopped_early: bool
     aborted: bool
 
@@ -325,8 +326,12 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     The best-validation parameters are retained: after the loop the returned
     model carries the weights of the epoch with the highest joint validation
     accuracy, accuracy ties broken by the lower validation regression error
-    (remaining ties keep the earlier epoch). A non-finite loss aborts the
-    run with those same last-good weights and the aborted flag set.
+    (the worse of the two tasks' MSE; remaining ties keep the earlier epoch).
+    With mse_threshold set, an epoch whose regression error meets it outranks
+    every epoch that does not, so a one-sample accuracy gain on a small
+    validation split cannot retain weights whose margins have not converged.
+    The epoch that stops the run early always ranks first. A non-finite loss
+    aborts the run with those same last-good weights and the aborted flag set.
     """
     config.validate()
     if len(split.train_ids) == 0 or len(split.val_ids) == 0:
@@ -350,8 +355,8 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     val_reg = {k: targets[k][val_ids] for k in ("tas_reg", "tvs_reg")}
 
     best = _snapshot(model)
+    best_rank = (True, np.inf, np.inf)  # (misses the MSE target, -joint, MSE)
     best_joint = -1.0
-    best_mse = np.inf
     best_epoch = 0
     log_rows: list[dict] = []
     stopped_early = False
@@ -406,14 +411,14 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
         for e, u in enumerate(utilization):
             row[f"expert_util_{e}"] = float(u)
         log_rows.append(row)
-        if joint > best_joint or (joint == best_joint and val_mse < best_mse):
+        meets_mse = config.mse_threshold is None or val_mse <= config.mse_threshold
+        rank = (not meets_mse, -joint, val_mse)
+        if rank < best_rank:
+            best_rank = rank
             best_joint = joint
-            best_mse = val_mse
             best_epoch = epoch
             best = _snapshot(model)
-        if joint >= config.accuracy_threshold and (
-            config.mse_threshold is None or val_mse <= config.mse_threshold
-        ):
+        if joint >= config.accuracy_threshold and meets_mse:
             stopped_early = True
             break
 

@@ -84,6 +84,23 @@ class TestGenerate:
         assert rc == 2
         assert "invalid grid config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("step_s = 0", "must be positive"),
+        ("duration_s = 0", "must be positive"),
+        ("duration_s = -1", "must be positive"),
+        ("fault_start_s = -0.5", "outside [0, duration_s)"),
+        ("fault_start_s = 10", "outside [0, duration_s)"),
+        ("step_s = nan", "must be positive"),
+        ("clearing_cycles = 3, nan", "must be positive"),
+    ])
+    def test_invalid_timing_rejected_before_use(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(line + "\n")
+        rc = cli.main(["generate", "--config", str(cfg), "--enumerate-only"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid grid config" in err and message in err
+
     @pytest.mark.slow
     def test_tiny_generate_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
@@ -101,6 +118,10 @@ class TestGenerate:
         assert meta["n_samples"] == 2
         assert (out / "labels.csv").read_text().count("\n") == 3
         assert "n_scenarios = 2" in (out / "manifest.txt").read_text()
+        # the samples in memory hold the float32 labels the file stores
+        relabeled = tmp_path / "relabeled.csv"
+        assert cli.main(["label", "--data", str(out / "dataset.tsd"), "--out", str(relabeled)]) == 0
+        assert relabeled.read_bytes() == (out / "labels.csv").read_bytes()
 
     @pytest.mark.slow
     def test_jobs_do_not_change_the_dataset(self, tmp_path):

@@ -40,7 +40,7 @@ from tsakit.dataset import (
 )
 from tsakit import labeling
 from tsakit.grid_model import FaultSpec, adjacency_from_network
-from tsakit.labeling import CctResult, CctSearchConfig, bisection_points, coarse_grid, margin
+from tsakit.labeling import COARSE_GRID, K_MAX, K_MIN, CctResult, lattice_s, margin, tsi, tvs
 from tsakit.tds import Trace, clearing_instant, run_simulations
 
 
@@ -579,8 +579,10 @@ class TestBuildDataset:
         (samples, _), _ = tiny_build
         hz = 60.0
         for s, cycles in zip(samples, (3.0, 11.0)):
-            m_a = margin(s.tas_cct_s, cycles / hz)
-            assert s.tas_signed == pytest.approx(m_a.signed, abs=1e-12)
+            # the margin of the float64 lattice CCT, both rounded to float32
+            cct = lattice_s(round(s.tas_cct_s * 4 * hz), hz)
+            assert s.tas_cct_s == float(np.float32(cct))
+            assert s.tas_signed == float(np.float32(margin(cct, cycles / hz).signed))
 
     def test_adjacency_is_post_fault(self, tiny_build, ieee39):
         (samples, _), _ = tiny_build
@@ -638,10 +640,9 @@ class TestBuildDataset:
             clearing_cycles=(3.0, 4.0), duration_s=1.6,
         )
         build_dataset(ieee39, cfg, seed=0, jobs=1)
-        cct_cfg = CctSearchConfig.from_cycles(ieee39.nominal_hz)
-        coarse = coarse_grid(cct_cfg)
-        probes = {p for lo, hi in zip(coarse, coarse[1:])
-                  for p in bisection_points(lo, hi, cct_cfg.tolerance_s)}
+        hz = ieee39.nominal_hz
+        coarse = [lattice_s(k, hz) for k in COARSE_GRID]
+        probes = {lattice_s(k, hz) for k in range(K_MIN, K_MAX) if k not in COARSE_GRID}
         assert [loc for loc, _ in runs] == sorted(loc for loc, _ in runs)
         for loc in cfg.location_fractions:
             calls = [clears for other, clears in runs if other == loc]
@@ -707,10 +708,14 @@ class TestAssembleSamples:
         assert [s.scenario_id for s in samples] == [7, 8]
         assert (calm.tas_stable, calm.tvs_stable) == (True, True)
         assert (lost.tas_stable, lost.tvs_stable) == (False, False)
-        assert calm.tas_signed == margin(0.1, 0.15).signed
-        assert lost.tvs_signed == margin(0.2, 0.3).signed
+        # every float label is held as the float32 value the file stores
+        f32 = lambda x: float(np.float32(x))
+        assert calm.tas_signed == f32(margin(0.1, 0.15).signed)
+        assert lost.tvs_signed == f32(margin(0.2, 0.3).signed)
         assert all(s.adjacency is adjacency for s in samples)
-        assert all((s.tas_cct_s, s.tvs_cct_s) == (0.1, 0.2) for s in samples)
+        assert all((s.tas_cct_s, s.tvs_cct_s) == (f32(0.1), f32(0.2)) for s in samples)
+        assert calm.tsi_deg == f32(tsi(traces[0]).tsi_deg)
+        assert calm.v_min_pu == f32(tvs(traces[0]).v_min_pu)
         np.testing.assert_array_equal(calm.features, extract_features(traces[0], 10, 4)[0])
         base = FLAG_TAS_CCT_ABOVE | FLAG_TVS_NONMONOTONE
         assert calm.flags == base

@@ -42,6 +42,7 @@ def test_identical_files(dataset_diff, tmp_path, capsys):
     assert "tas_stable flips: 0" in out and "tvs_stable flips: 0" in out
     assert "tas_cct_s max |d|: 0, samples differing: 0" in out
     assert "features max |d|: 0, differing values: 0 of 24" in out
+    assert out[-1] == "scenarios with a changed CCT, margin, verdict or flags: 0"
 
 
 def test_changed_labels_and_features(dataset_diff, tmp_path, capsys):
@@ -63,6 +64,25 @@ def test_changed_labels_and_features(dataset_diff, tmp_path, capsys):
     assert "tsi_deg max |d|: 2, samples differing: 1" in out
     assert "tas_cct_s max |d|: 0, samples differing: 0" in out
     assert "features max |d|: 0.5, differing values: 1 of 24" in out
+    # scenario 1 changed only its TSI and a feature value
+    assert out[-1] == "scenarios with a changed CCT, margin, verdict or flags: 1 (0)"
+
+
+def test_changed_scenario_ids_listed_first_20(dataset_diff, tmp_path, capsys):
+    base = tiny_samples()[0]
+    old = [replace(base, scenario_id=i) for i in range(30)]
+    new = [replace(s, tas_cct_s=0.25) if s.scenario_id % 10 else replace(s, flags=1)
+           for s in old]
+    new[29] = old[29]
+    save_dataset(old, tmp_path / "old.tsd")
+    save_dataset(new, tmp_path / "new.tsd")
+    assert dataset_diff.main([str(tmp_path / "old.tsd"), str(tmp_path / "new.tsd")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "flags differ: 3" in out
+    ids = ", ".join(str(i) for i in range(20))
+    assert out[-1] == (
+        f"scenarios with a changed CCT, margin, verdict or flags: 29 ({ids} and 9 more)"
+    )
 
 
 def test_wrong_argument_count(dataset_diff, capsys):

@@ -30,14 +30,14 @@ GRID = GridConfig(
     clearing_cycles=(3.0, 4.0),
     duration_s=1.6,
 )
-DATASET_SHA256 = "583cd29a1e83243bcbe875ee54c15e9805c7ae8293e228e031f40c964200b9a9"
+DATASET_SHA256 = "2ca465b5c952872d7c34ff93d27b8b0d81d3030e5627e63bbd24b978af9956e7"
 MANIFEST_SHA256 = "cd1e963467d34e96ea01317743703998db0faabedc61eadc8d4342b22796ac93"
-CHECKPOINT_SHA256 = "c610f8c35d54040cf2e4c7e213f9b3e1e9b31491f5f1520ebeae41d253a12b2a"
+CHECKPOINT_SHA256 = "a622134d85f14e0cfae766a5ee93e5a3fad87c20be66a7f47e938795a0aca425"
 # the float32 checkpoint rounds away last-bit drift in the logged losses,
 # which the log digest sees; the weights are trained in float32, so their
 # float64 digest changes if any of them leaves float32
-PARAMS_F64_SHA256 = "6250c929b9794780af517041965da30004c008f6e9dfb72f05edec7ecdb4733d"
-TRAINING_LOG_SHA256 = "f780e78273f87e852bb198d5b1d0627f835d06a783f69d660b58440e03316ac9"
+PARAMS_F64_SHA256 = "0f32c0ab70c149c590dd111726557e42729f1a35635cf006b06e82aa43ec7592"
+TRAINING_LOG_SHA256 = "1acc846551dc516a6be7c316ec854b1e6564f6088c21e00a3d03f8077179c672"
 
 
 def sha(path):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,19 +10,20 @@ from tsakit import labeling
 from tsakit.dataset import desk_grid, paper_grid
 from tsakit.grid_model import FaultSpec
 from tsakit.labeling import (
+    COARSE_GRID,
+    K_MAX,
+    K_MIN,
     CctResult,
-    CctSearchConfig,
     MarginLabel,
-    bisection_points,
     coarse_bracket,
-    coarse_grid,
     find_cct,
     find_ccts,
+    lattice_s,
     margin,
     tsi,
     tvs,
 )
-from tsakit.tds import Trace, clearing_instant, run_simulation
+from tsakit.tds import Scenario, Trace, clearing_instant, clearing_time_s, run_simulation
 
 
 def make_trace(
@@ -216,9 +217,9 @@ class TestTvsRule:
     @pytest.mark.parametrize("grid", [desk_grid, paper_grid])
     def test_grids_trace_less_than_the_window_after_clearing(self, ieee39, grid):
         cfg = grid(ieee39)
-        cct = CctSearchConfig.from_cycles(ieee39.nominal_hz)
         # the shortest clearing any label build simulates, grid or CCT probe
-        shortest = min(cct.t_min_s, min(cfg.clearing_cycles) / ieee39.nominal_hz)
+        shortest = min(lattice_s(K_MIN, ieee39.nominal_hz),
+                       min(cfg.clearing_cycles) / ieee39.nominal_hz)
         t_clear = clearing_instant(cfg.fault_start_s, shortest, cfg.step_s)
         times = np.arange(int(round(cfg.duration_s / cfg.step_s)) + 1) * cfg.step_s
         start = int(np.searchsorted(times, t_clear, side="left"))
@@ -245,43 +246,40 @@ class TestTvsRule:
 # ---------------------------------------------------------------------------
 
 
-CFG_60HZ = CctSearchConfig.from_cycles(60.0)
+HZ = 60.0
+QUARTER_CYCLE_S = lattice_s(1, HZ)
 
 
 class TestFindCct:
     def test_step_functions_recovered_within_tolerance(self, rng):
-        cfg = CFG_60HZ
         for _ in range(20):
-            threshold = rng.uniform(cfg.t_min_s + 1e-3, cfg.t_max_s - 1e-3)
-            res = find_cct(lambda t: t <= threshold, cfg)
+            threshold = rng.uniform(lattice_s(K_MIN, HZ) + 1e-3, lattice_s(K_MAX, HZ) - 1e-3)
+            res = find_cct(lambda t: t <= threshold, HZ)
             assert not res.below_bracket and not res.above_bracket
             assert res.t_cct_s <= threshold
-            assert threshold - res.t_cct_s <= cfg.tolerance_s
+            assert threshold - res.t_cct_s <= QUARTER_CYCLE_S
 
     def test_below_bracket_flagged(self):
-        cfg = CFG_60HZ
-        res = find_cct(lambda t: t <= cfg.t_min_s / 2.0, cfg)
+        res = find_cct(lambda t: t <= lattice_s(K_MIN, HZ) / 2.0, HZ)
         assert res.below_bracket
-        assert res.t_cct_s == cfg.t_min_s
+        assert res.t_cct_s == lattice_s(K_MIN, HZ)
 
     def test_above_bracket_saturates(self):
-        cfg = CFG_60HZ
-        res = find_cct(lambda t: True, cfg)
+        res = find_cct(lambda t: True, HZ)
         assert res.above_bracket
-        assert res.t_cct_s == cfg.t_max_s
+        assert res.t_cct_s == lattice_s(K_MAX, HZ)
 
     def test_nonmonotone_flagged_and_first_boundary_used(self, caplog):
-        cfg = CctSearchConfig(t_min_s=1.0, t_max_s=10.0, coarse_step_s=1.0, tolerance_s=0.01)
+        # at 1 Hz the lattice is 0.25 s: the bracket 1 to 30 s, scan every 2 s;
         # stable, unstable island, stable again, unstable
         pockets = lambda t: t <= 3.2 or 5.8 <= t <= 7.9
         with caplog.at_level("WARNING", logger="tsakit.labeling"):
-            res = find_cct(pockets, cfg)
+            res = find_cct(pockets, 1.0)
         assert res.nonmonotone
-        assert abs(res.t_cct_s - 3.2) <= 0.01 + 1e-12
+        assert res.t_cct_s == 3.0  # the last lattice point at or below 3.2 s
         assert any("monotone" in r.message for r in caplog.records)
 
     def test_evaluation_count_bounded(self):
-        cfg = CFG_60HZ
         calls = 0
 
         def probe(t):
@@ -289,58 +287,101 @@ class TestFindCct:
             calls += 1
             return t <= 0.21
 
-        res = find_cct(probe, cfg)
+        res = find_cct(probe, HZ)
         assert res.evaluations == calls
-        # full coarse scan of 16 points plus a handful of bisection steps
-        assert calls <= 22
+        # full coarse scan of 16 points plus three bisection steps
+        assert calls == len(COARSE_GRID) + 3 <= 22
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            find_cct(lambda t: True, replace(CFG_60HZ, t_min_s=0.5, t_max_s=0.1))
-        with pytest.raises(ValueError):
-            find_cct(lambda t: True, replace(CFG_60HZ, tolerance_s=0.0))
+        for hz in (0.0, -60.0):
+            with pytest.raises(ValueError):
+                find_cct(lambda t: True, hz)
 
     def test_from_cycles(self):
-        cfg = CctSearchConfig.from_cycles(50.0)
-        assert cfg.t_min_s == pytest.approx(0.02)
-        assert cfg.t_max_s == pytest.approx(0.6)
-        assert cfg.coarse_step_s == pytest.approx(0.04)
-        assert cfg.tolerance_s == pytest.approx(0.005)
+        assert lattice_s(K_MIN, 50.0) == pytest.approx(0.02)
+        assert lattice_s(K_MAX, 50.0) == pytest.approx(0.6)
+        assert lattice_s(COARSE_GRID[1] - COARSE_GRID[0], 50.0) == pytest.approx(0.04)
+        assert lattice_s(1, 50.0) == pytest.approx(0.005)
+        cycles = [*range(1, 30, 2), 30]
+        assert [lattice_s(k, 50.0) for k in COARSE_GRID] == [c / 50.0 for c in cycles]
 
 
 class TestBisectionPoints:
     @given(
-        t_min=st.floats(1e-3, 0.5),
-        span=st.floats(0.05, 2.0),
-        steps=st.integers(1, 40),
-        depth=st.floats(0.5, 6.0),
+        hz=st.floats(1.0, 1000.0),
         boundary=st.floats(0.0, 1.0),
         flips=st.lists(st.floats(0.0, 1.0), max_size=6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_tree_holds_every_midpoint_find_cct_visits(
-        self, t_min, span, steps, depth, boundary, flips
-    ):
+    def test_tree_holds_every_midpoint_find_cct_visits(self, hz, boundary, flips):
         """A monotone step (no flips) or a predicate that reverses at each
-        flip point: find_cct probes no midpoint outside the tree of the
-        coarse bracket the scan gives."""
-        coarse_step = span / steps
-        cfg = CctSearchConfig(t_min_s=t_min, t_max_s=t_min + span,
-                              coarse_step_s=coarse_step,
-                              tolerance_s=coarse_step / 2.0 ** depth)
-        edges = sorted(t_min + span * f for f in [boundary, *flips])
+        flip point: find_cct probes only lattice points strictly inside the
+        coarse bracket the scan gives, and bisecting a step of 2**d quarter
+        cycles takes exactly d probes, whatever the verdicts."""
+        t_min, t_max = lattice_s(K_MIN, hz), lattice_s(K_MAX, hz)
+        edges = sorted(t_min + (t_max - t_min) * f for f in [boundary, *flips])
 
         def verdict(t):
             return sum(t > e for e in edges) % 2 == 0
 
         probed = []
-        res = find_cct(lambda t: probed.append(t) or verdict(t), cfg)
-        grid = coarse_grid(cfg)
+        res = find_cct(lambda t: probed.append(t) or verdict(t), hz)
+        grid = [lattice_s(k, hz) for k in COARSE_GRID]
         assert probed[: len(grid)] == grid and len(probed) == res.evaluations
-        bracket = coarse_bracket(grid, [verdict(t) for t in grid])
-        tree = [] if bracket is None else bisection_points(*bracket, cfg.tolerance_s)
+        bracket = coarse_bracket(COARSE_GRID, [verdict(t) for t in grid])
+        tree = [] if bracket is None else [lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1])]
         assert set(probed[len(grid) :]) <= set(tree)
         assert (bracket is None) == (len(probed) == len(grid))
+        if bracket is not None:
+            assert len(probed) - len(grid) == (bracket[1] - bracket[0]).bit_length() - 1
+
+
+class TestLattice:
+    """The search runs on integer quarter-cycle indices, so every CCT has
+    the same resolution and every bracket the same probe set."""
+
+    @pytest.mark.parametrize("hz", [50.0, 60.0])
+    def test_every_bracket_probes_7_points_and_the_last_3(self, hz, monkeypatch):
+        calls = []
+
+        def batch(network, init, fault, clear_times, *timing):
+            calls.append(list(clear_times))
+            return [SimpleNamespace(clear_s=c) for c in clear_times]
+
+        monkeypatch.setattr(labeling, "run_simulations", batch)
+        monkeypatch.setattr(labeling, "tvs", lambda tr: SimpleNamespace(stable=True))
+        for lo, hi in zip(COARSE_GRID, COARSE_GRID[1:]):
+            # the angle boundary a tenth of a quarter cycle above the step's bottom
+            boundary = lattice_s(lo, hz) + 0.1 * lattice_s(1, hz)
+            monkeypatch.setattr(labeling, "tsi",
+                                lambda tr: SimpleNamespace(stable=tr.clear_s <= boundary))
+            calls.clear()
+            cct_a, _, _ = find_ccts(SimpleNamespace(nominal_hz=hz), None, None, [],
+                                    1.0, 10.0, 0.01)
+            assert len(calls) == 2
+            assert len(calls[1]) == (3 if hi == K_MAX else 7)
+            assert sorted(calls[1]) == [lattice_s(k, hz) for k in range(lo + 1, hi)]
+            assert cct_a.t_cct_s == lattice_s(lo, hz)
+
+    @pytest.mark.parametrize("hz", [50.0, 60.0])
+    def test_cct_is_the_lattice_point_below_the_threshold(self, hz, rng):
+        for _ in range(200):
+            threshold = rng.uniform(lattice_s(K_MIN, hz), lattice_s(K_MAX, hz))
+            res = find_cct(lambda t: t <= threshold, hz)
+            k = round(res.t_cct_s * 4 * hz)
+            assert res.t_cct_s * 4 * hz == pytest.approx(k, abs=1e-9)
+            assert res.t_cct_s == lattice_s(k, hz)
+            assert k == math.floor(threshold * 4 * hz)
+
+    @pytest.mark.parametrize("hz", [50.0, 60.0])
+    def test_quarter_cycle_clearing_times_are_their_lattice_points(self, hz):
+        """A grid scenario clearing at a multiple of a quarter cycle gets the
+        trace of the lattice point: the same duration, the same instant."""
+        for k in range(K_MIN, K_MAX + 1):
+            grid_s = clearing_time_s(Scenario(FaultSpec(13, 0.5), 0.6, k / 4.0), hz)
+            assert grid_s == lattice_s(k, hz)
+            assert clearing_instant(1.0, grid_s, 0.01) == clearing_instant(
+                1.0, lattice_s(k, hz), 0.01)
 
 
 def _verdict_pair(trace):
@@ -356,16 +397,16 @@ class TestFindCctSimulated:
         fault = FaultSpec(13, 0.5)
         res, _, _ = find_ccts(net, eq, fault, [], 1.0, 10.0, 0.01)
         assert not res.below_bracket and not res.above_bracket
-        cfg = CctSearchConfig.from_cycles(net.nominal_hz)
-        assert cfg.t_min_s < res.t_cct_s < cfg.t_max_s
+        hz = net.nominal_hz
+        assert lattice_s(K_MIN, hz) < res.t_cct_s < lattice_s(K_MAX, hz)
         # the smoke points bracket the boundary: 5 cycles rode through,
         # 30 cycles lost synchronism
         assert 5.0 / 60.0 <= res.t_cct_s <= 30.0 / 60.0
-        # verify the boundary property against direct simulations
+        # verify the boundary property against direct simulations: stable at
+        # the CCT, unstable a quarter cycle later
+        k = round(res.t_cct_s * 4 * hz)
         stable_tr = run_simulation(net, eq, fault=fault, clear_s=res.t_cct_s)
-        unstable_tr = run_simulation(
-            net, eq, fault=fault, clear_s=res.t_cct_s + 1.5 * cfg.tolerance_s
-        )
+        unstable_tr = run_simulation(net, eq, fault=fault, clear_s=lattice_s(k + 1, hz))
         assert tsi(stable_tr).stable
         assert not tsi(unstable_tr).stable
 
@@ -386,14 +427,14 @@ class TestFindCctSimulated:
 
         monkeypatch.setattr(labeling, "run_simulations", recording)
         find_ccts(net, eq, FaultSpec(13, 0.5), [], 1.0, 1.6, 0.01)
-        cfg = CctSearchConfig.from_cycles(net.nominal_hz)
-        grid = coarse_grid(cfg)
+        hz = net.nominal_hz
+        grid = [lattice_s(k, hz) for k in COARSE_GRID]
         assert calls[0] == grid
         trees = []
         for which in (0, 1):
-            bracket = coarse_bracket(grid, [v[which] for v in grid_verdicts])
+            bracket = coarse_bracket(COARSE_GRID, [v[which] for v in grid_verdicts])
             if bracket is not None:
-                trees += bisection_points(*bracket, cfg.tolerance_s)
+                trees += [lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1])]
         assert trees
 
         def instant(c):
@@ -407,7 +448,6 @@ class TestFindCctSimulated:
                                                                 monkeypatch):
         net, eq = ieee39_eq06
         fault = FaultSpec(13, 0.5)
-        cfg = CctSearchConfig.from_cycles(net.nominal_hz)
         single: dict = {}  # clearing duration -> verdicts of its own simulation
 
         def verdicts(t):
@@ -416,7 +456,8 @@ class TestFindCctSimulated:
                     run_simulation(net, eq, fault=fault, clear_s=t, duration_s=1.6))
             return single[t]
 
-        separate = tuple(find_cct(lambda t: verdicts(t)[which], cfg) for which in (0, 1))
+        separate = tuple(find_cct(lambda t: verdicts(t)[which], net.nominal_hz)
+                         for which in (0, 1))
         calls = []
         batch = labeling.run_simulations
         monkeypatch.setattr(labeling, "run_simulations",
@@ -446,8 +487,7 @@ class TestFindCctSimulated:
         # the angle boundary at 12.6 cycles, the voltage one at 18.3 cycles
         monkeypatch.setattr(labeling, "tsi", lambda tr: SimpleNamespace(stable=tr.clear_s <= 0.21))
         monkeypatch.setattr(labeling, "tvs", lambda tr: SimpleNamespace(stable=tr.clear_s <= 0.305))
-        cfg = CFG_60HZ
-        grid = coarse_grid(cfg)
+        grid = [lattice_s(k, HZ) for k in COARSE_GRID]
         # 0.3 s (18 cycles) is the first midpoint of the voltage bracket
         clears = [0.1, 0.3, 0.1 + 1e-14, grid[3]]
         cct_a, cct_v, traces = find_ccts(SimpleNamespace(nominal_hz=60.0), None, None,
@@ -460,20 +500,53 @@ class TestFindCctSimulated:
             return clearing_instant(1.0, c, 0.01)
 
         assert len(calls) == 2
-        trees = [*bisection_points(grid[5], grid[6], cfg.tolerance_s),
-                 *bisection_points(grid[8], grid[9], cfg.tolerance_s)]
+        trees = [lattice_s(k, HZ) for k in [*range(COARSE_GRID[5] + 1, COARSE_GRID[6]),
+                                            *range(COARSE_GRID[8] + 1, COARSE_GRID[9])]]
         assert instant(0.3) in {instant(p) for p in trees}
         assert sorted(map(instant, calls[1])) == sorted(
             {instant(p) for p in trees} - {instant(c) for c in calls[0]})
-        assert cct_a == find_cct(lambda t: t <= 0.21, cfg)
-        assert cct_v == find_cct(lambda t: t <= 0.305, cfg)
+        assert cct_a == find_cct(lambda t: t <= 0.21, HZ)
+        assert cct_v == find_cct(lambda t: t <= 0.305, HZ)
+
+    @pytest.mark.slow
+    def test_desk_context_probes_at_most_7_points_per_criterion(self, ieee39, ieee39_eq06,
+                                                                monkeypatch):
+        """One desk context: two batches, and the second holds at most the 7
+        lattice points inside each bisected criterion's 2-cycle bracket."""
+        net, eq = ieee39_eq06
+        cfg = desk_grid(ieee39)
+        calls, first_verdicts = [], []
+        batch = labeling.run_simulations
+
+        def recording(*args):
+            traces = batch(*args)
+            calls.append(list(args[3]))
+            if len(calls) == 1:
+                first_verdicts.extend(_verdict_pair(t) for t in traces)
+            return traces
+
+        monkeypatch.setattr(labeling, "run_simulations", recording)
+        clears = [c / net.nominal_hz for c in cfg.clearing_cycles]
+        find_ccts(net, eq, FaultSpec(13, 0.5), clears, cfg.fault_start_s, cfg.duration_s,
+                  cfg.step_s)
+        assert len(calls) == 2
+        # the desk's odd clearing cycles are coarse-scan points
+        assert calls[0] == [lattice_s(k, net.nominal_hz) for k in COARSE_GRID]
+        bisected = sum(
+            coarse_bracket(COARSE_GRID, [v[which] for v in first_verdicts]) is not None
+            for which in (0, 1)
+        )
+        assert 1 <= bisected and len(calls[1]) <= 7 * bisected
 
     def test_28_cycle_probe_and_grid_value_keep_their_own_traces(self, ieee39_eq06):
-        """The first bisection midpoint between 27 and 29 cycles and 28/60 s
-        agree to 1e-12 but clear one ulp apart, so each gets its own trace."""
+        """A float midpoint of 27 and 29 cycles, each summed from 1 cycle in
+        2-cycle steps, and 28/60 s agree to 1e-12 but clear one ulp apart,
+        so each gets its own trace."""
         net, eq = ieee39_eq06
-        grid = coarse_grid(CctSearchConfig.from_cycles(net.nominal_hz))
-        probe, grid_value = 0.5 * (grid[13] + grid[14]), 28.0 / 60.0
+        summed = [1.0 / 60.0]
+        while len(summed) < 15:
+            summed.append(summed[-1] + 2.0 / 60.0)
+        probe, grid_value = 0.5 * (summed[13] + summed[14]), 28.0 / 60.0
         assert round(probe, 12) == round(grid_value, 12)
         assert 1.0 + probe != 1.0 + grid_value
         _, _, (a, b) = find_ccts(net, eq, FaultSpec(13, 0.5), [probe, grid_value],
@@ -551,3 +624,4 @@ class TestMargin:
             margin(0.0, 0.1)
         with pytest.raises(ValueError):
             margin(0.1, -0.1)
+

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from toyset import make_toy_samples
 
+from tsakit import training_eval
 from tsakit.autodiff_nn import (
     ModelConfig,
     ModelOutput,
@@ -323,6 +324,32 @@ class TestTrain:
         result = train(samples, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
         assert len(result.log_rows) == 1
         assert result.stopped_early
+
+    @pytest.mark.parametrize("mse_threshold, kept", [(None, 1), (0.01, 2)])
+    def test_retention_ranks_the_mse_target_first(self, monkeypatch, mse_threshold, kept):
+        """Scripted validation results, (wrong verdicts, margin error) per
+        epoch. Without an MSE target the highest joint accuracy is kept; with
+        one, an epoch that meets it outranks epoch 1, and among those joint
+        accuracy ranks before the lower error of epoch 4."""
+        samples, split = toy_setup()
+        script = iter([(1, 0.5), (2, 0.05), (2, 0.08), (3, 0.01)])
+        def scripted(model, features, adjacency, batch_size=64):
+            out = predict(model, features, adjacency, batch_size)
+            wrong, error = next(script)
+            for task in ("tas", "tvs"):
+                truth = np.array([getattr(samples[i], f"{task}_stable") for i in split.val_ids])
+                truth[:wrong] = ~truth[:wrong]
+                out[f"{task}_stable"] = truth
+                out[f"{task}_margin"] = np.array(
+                    [getattr(samples[i], f"{task}_signed") + error for i in split.val_ids])
+            return out
+
+        monkeypatch.setattr(training_eval, "predict", scripted)
+        cfg = TrainConfig(epochs=4, accuracy_threshold=1.0, mse_threshold=mse_threshold, seed=0)
+        result = train(samples, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+        n_val = len(split.val_ids)
+        assert (result.best_epoch, result.stopped_early) == (kept, False)
+        assert result.best_val_joint == (n_val - kept) / n_val
 
     def test_fixed_seed_reproduces_log_and_checkpoint(self, tmp_path):
         samples, split = toy_setup()
