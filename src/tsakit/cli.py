@@ -301,7 +301,8 @@ def cmd_train(args) -> int:
         suffix = "" if args.repeats == 1 else f"_seed{run_seed}"
         checkpoint = out / f"checkpoint{suffix}.tsm"
         save_checkpoint(result.model, checkpoint)
-        write_training_log(result.log_rows, out / f"training_log{suffix}.csv")
+        if result.log_rows:  # a run aborted in its first epoch logged none
+            write_training_log(result.log_rows, out / f"training_log{suffix}.csv")
         report = evaluate(result.model, samples, split.test_ids)
         rows.append(
             {

@@ -24,6 +24,7 @@ import numpy as np
 
 from .grid_model import FaultSpec, Network, adjacency_from_network, format_network
 from .labeling import (
+    RECOVERY_WINDOW_S,
     CctResult,
     find_ccts,
     margin,
@@ -79,6 +80,11 @@ class GridConfig:
             * len(self.clearing_cycles)
         )
 
+    @property
+    def window_start(self) -> int:
+        """Sample index of fault inception, where the feature window starts."""
+        return int(round(self.fault_start_s / self.step_s))
+
 
 def validate_grid(cfg: GridConfig, network: Network) -> None:
     eligible = set(network.fault_eligible_lines())
@@ -101,8 +107,15 @@ def validate_grid(cfg: GridConfig, network: Network) -> None:
     if not 0.0 <= cfg.fault_start_s < cfg.duration_s:
         raise ValueError(f"fault start {cfg.fault_start_s} s outside [0, duration_s)")
     n_steps = int(round(cfg.duration_s / cfg.step_s)) + 1
-    start = int(round(cfg.fault_start_s / cfg.step_s))
-    if start + cfg.window_steps > n_steps:
+    last_s = (n_steps - 1) * cfg.step_s
+    if last_s - cfg.fault_start_s > RECOVERY_WINDOW_S:
+        # clearing comes after the fault start, so tvs then sees every trace
+        # end inside its recovery window
+        raise ValueError(
+            f"last sample at {last_s} s lies more than the {RECOVERY_WINDOW_S} s "
+            "recovery window after the fault start"
+        )
+    if cfg.window_start + cfg.window_steps > n_steps:
         raise ValueError("feature window does not fit inside the simulation")
 
 
@@ -490,7 +503,6 @@ def assemble_samples(
     computed from the float64 CCTs, then every float label is rounded to
     float32, so a sample holds what save_dataset writes and load_dataset reads.
     """
-    window_start = int(round(cfg.fault_start_s / cfg.step_s))
     context_flags = (
         (FLAG_TAS_CCT_ABOVE, cct_a.above_bracket),
         (FLAG_TAS_CCT_BELOW, cct_a.below_bracket),
@@ -505,7 +517,7 @@ def assemble_samples(
     for sid, clear_s, trace in zip(scenario_ids, clear_times, traces):
         angle_res = tsi(trace)
         volt_res = tvs(trace)
-        features, clamped = extract_features(trace, window_start, cfg.window_steps)
+        features, clamped = extract_features(trace, cfg.window_start, cfg.window_steps)
 
         m_a = margin(cct_a.t_cct_s, clear_s)
         m_v = margin(cct_v.t_cct_s, clear_s)
@@ -645,7 +657,7 @@ def dataset_manifest(
         "config_digest": digest.hexdigest(),
         "n_bus": network.n_bus,
         "window_steps": cfg.window_steps,
-        "window_start": int(round(cfg.fault_start_s / cfg.step_s)),
+        "window_start": cfg.window_start,
         "fault_start_s": repr(cfg.fault_start_s),
         "duration_s": repr(cfg.duration_s),
         "step_s": repr(cfg.step_s),

@@ -70,9 +70,11 @@ class PowerFlowError(RuntimeError):
 class Scenario:
     """One grid point: the fault, the motor share of every load, the clearing time.
 
-    clearing_cycles is a float so continuation searches can probe between the
-    integer grid values. The timing of the simulation window belongs to the
-    grid (dataset.GridConfig), not to the scenario.
+    clearing_cycles is a float because a grid may list fractional cycles
+    (GridConfig.clearing_cycles); the CCT search probes clearing durations
+    in seconds (labeling.lattice_s), not scenarios. The timing of the
+    simulation window belongs to the grid (dataset.GridConfig), not to the
+    scenario.
     """
 
     fault: FaultSpec | None

@@ -92,6 +92,7 @@ class TestGenerate:
         ("fault_start_s = 10", "outside [0, duration_s)"),
         ("step_s = nan", "must be positive"),
         ("clearing_cycles = 3, nan", "must be positive"),
+        ("duration_s = 12", "recovery window"),
     ])
     def test_invalid_timing_rejected_before_use(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "grid.cfg"
@@ -271,6 +272,20 @@ class TestTrain:
         model = load_checkpoint(tmp_path / "checkpoint.tsm")
         assert model.config.n_experts == 2
         assert model.config.hidden_dim == 8
+
+    def test_abort_in_first_epoch_exits_1_without_a_log(self, toy_dataset, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("learning_rate = 1e200\n")
+        with np.errstate(all="ignore"):
+            rc = cli.main([
+                "train", "--data", str(toy_dataset), "--out", str(tmp_path),
+                "--config", str(cfg),
+            ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "seed 0: aborted after 0 epochs" in captured.out
+        assert "error:" not in captured.err
+        assert not (tmp_path / "training_log.csv").exists()
 
     def test_missing_dataset(self, tmp_path, capsys):
         rc = cli.main(["train", "--data", str(tmp_path / "none.tsd")])

@@ -151,6 +151,20 @@ class TestGrids:
         with pytest.raises(ValueError, match="window"):
             validate_grid(cfg, ieee39)
 
+    def test_validate_rejects_trace_past_recovery_window(self, ieee39):
+        cfg = desk_grid(ieee39)
+        longest = cfg.fault_start_s + labeling.RECOVERY_WINDOW_S
+        validate_grid(replace(cfg, duration_s=longest), ieee39)
+        for long in (replace(cfg, duration_s=longest + cfg.step_s),
+                     replace(cfg, duration_s=12.0, fault_start_s=1.5)):
+            with pytest.raises(ValueError, match="recovery window"):
+                validate_grid(long, ieee39)
+
+    def test_window_start_is_the_fault_sample(self, ieee39):
+        cfg = desk_grid(ieee39)
+        assert cfg.window_start == 100
+        assert replace(cfg, fault_start_s=0.305, step_s=0.005).window_start == 61
+
 
 @st.composite
 def voltage_rows(draw, min_steps=1, max_steps=25):
