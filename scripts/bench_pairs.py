@@ -3,9 +3,19 @@
 For each seed, `perfbench/run.py` runs once in each checkout, and the side
 that goes first alternates from pair to pair, so a slow phase of a shared
 host falls on both sides alike. For every end-to-end metric the script
-prints each side's median and quartiles and the number of pairs the change
-won (ties count for neither side; the direction comes from the change's
-`BENCHMARK.json`). Next to `peak_rss_mb` it prints each side's operation
+prints each side's median and quartiles, the number of pairs the change
+won (ties count for neither side; the direction and the bound come from the
+change's `BENCHMARK.json`) and a verdict:
+
+- `worse beyond bound`: the change's median is worse than the parent's by
+  more than the metric's bound, a fraction of the parent's median.
+- `unresolved`: the parent's interquartile range is wider than the bound,
+  so the runs spread too widely to tell.
+- `gain`: the change won at least 9 in 10 pairs and its median is better
+  by more than the parent's interquartile range.
+- `within bound`: none of these.
+
+Next to `peak_rss_mb` it prints each side's operation
 counts, since a run that fits more operations into its time may hold more
 memory: for `monitor` an operation is one replay of the stream. It then fits
 `peak_rss_mb` against the operation count over every run of both sides, with
@@ -63,19 +73,36 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Median, quartiles and the change's wins of every end-to-end metric."""
+def verdict(cell: dict, better: str, bound: float, pairs: int) -> str:
+    """The verdict on one metric's summary cell (see the module docstring)."""
+    parent = cell["parent_median"]
+    spread = cell["parent_q3"] - cell["parent_q1"]
+    sign = 1.0 if better == "higher" else -1.0
+    gain = sign * (cell["change_median"] - parent)  # negative when the change is worse
+    if -gain > bound * abs(parent):
+        return "worse beyond bound"
+    if spread > bound * abs(parent):
+        return "unresolved"
+    if 10 * cell["change_wins"] >= 9 * pairs and gain > spread:
+        return "gain"
+    return "within bound"
+
+
+def summarize(runs: list[dict], end_to_end: dict[str, dict]) -> dict:
+    """Median, quartiles, the change's wins and the verdict of every
+    end-to-end metric; end_to_end maps a name to its BENCHMARK.json entry."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in end_to_end.items():
         sides = {s: [r[s]["metrics"][name] for r in runs] for s in SIDES}
         cell = {}
         for side, values in sides.items():
             q1, median, q3 = quartiles(values)
             cell.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         cell["change_wins"] = sum(
             1 for p, c in zip(sides["parent"], sides["change"]) if sign * (c - p) > 0.0
         )
+        cell["verdict"] = verdict(cell, spec["better"], spec["bound"], len(runs))
         out[name] = cell
     return out
 
@@ -115,7 +142,7 @@ def main(argv=None) -> int:
     first, last = (int(x) for x in args.seeds.split("-"))
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
     runs = []
     for i, seed in enumerate(range(first, last + 1)):
@@ -129,13 +156,13 @@ def main(argv=None) -> int:
             + f" operations={pair[s]['operations']}" for s in SIDES
         ) + f"; digests {'identical' if pair['digests_identical'] else 'DIFFER'}", flush=True)
 
-    summary = summarize(runs, better)
+    summary = summarize(runs, end_to_end)
     print(f"\n{args.workload}: {len(runs)} pairs, seeds {first}-{last}, {args.seconds:g} s runs")
     for name, cell in summary.items():
-        line = f"{name} ({better[name]} is better): " + "; ".join(
+        line = f"{name} ({end_to_end[name]['better']} is better): " + "; ".join(
             f"{s} median {cell[f'{s}_median']:.6g} [q1 {cell[f'{s}_q1']:.6g}, q3 {cell[f'{s}_q3']:.6g}]"
             for s in SIDES
-        ) + f"; change won {cell['change_wins']} of {len(runs)}"
+        ) + f"; change won {cell['change_wins']} of {len(runs)}; {cell['verdict']}"
         if name == "peak_rss_mb":
             line += "; operations " + ", ".join(
                 f"{s} {[r[s]['operations'] for r in runs]}" for s in SIDES

@@ -11,12 +11,13 @@ from .model import (
     moe_combine,
     save_checkpoint,
 )
-from .tensor import Tensor
+from .tensor import Program, Tensor
 
 __all__ = [
     "TASKS",
     "ModelConfig",
     "ModelOutput",
+    "Program",
     "StabilityModel",
     "Tensor",
     "checkpoint_blocks",

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Tensor, affine, float_array, relu, softmax, swapaxes, tanh
+from .tensor import Tensor, affine, derived, float_array, relu, softmax, swapaxes, tanh
 
 TASKS = ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")
 
@@ -68,6 +68,12 @@ class ModelOutput:
     tas_margin_hat: Tensor | np.ndarray  # (batch, 1) in [-1, 1]
     tvs_margin_hat: Tensor | np.ndarray
     gate_weights: dict = field(default_factory=dict)  # task -> (batch, n_experts)
+
+
+def _inverse_degree(adj: np.ndarray) -> np.ndarray:
+    """1 / degree of each node, (batch, n, 1); zero for an isolated node."""
+    deg = adj.sum(axis=-1, keepdims=True)
+    return np.where(deg > 0.0, 1.0 / np.maximum(deg, 1.0), 0.0)
 
 
 class _ParamArrays:
@@ -150,12 +156,13 @@ class StabilityModel:
         return self.params if isinstance(x, Tensor) else self._arrays
 
     @staticmethod
-    def _prepare_adjacency(adjacency) -> tuple[np.ndarray, np.ndarray]:
-        """Constant adjacency and safe inverse degree, both (batch, n, n)/(batch, n, 1)."""
-        adj = float_array(adjacency)
-        deg = adj.sum(axis=-1, keepdims=True)
-        inv_deg = np.where(deg > 0.0, 1.0 / np.maximum(deg, 1.0), 0.0)
-        return adj, inv_deg
+    def _prepare_adjacency(adjacency):
+        """Constant adjacency and safe inverse degree, (batch, n, n) and (batch, n, 1).
+
+        A Tensor adjacency gives a Tensor inverse degree, a node outside the
+        gradient that a replay recomputes from the adjacency."""
+        adj = adjacency if isinstance(adjacency, Tensor) else float_array(adjacency)
+        return adj, derived(_inverse_degree, adj)
 
     # -- architecture pieces ------------------------------------------------
     # each runs on Tensors (taped) or ndarrays (untaped), the form of its input
@@ -173,11 +180,12 @@ class StabilityModel:
         """Stacked layers then mean pooling: (node embeddings, pooled).
 
         Tensor features give Tensors on the tape; anything else is read as an
-        array (float32 stays float32, the rest is float64) and gives ndarrays."""
+        array (float32 stays float32, the rest is float64) and gives ndarrays.
+        The adjacency may be a Tensor leaf (a replay input) or an array."""
         h = features if isinstance(features, Tensor) else float_array(features)
         if h.ndim == 2:
             h = h.reshape(1, *h.shape)
-        adj = float_array(adjacency)
+        adj = adjacency if isinstance(adjacency, Tensor) else float_array(adjacency)
         if adj.ndim == 2:
             adj = adj[None, :, :]
         if h.shape[-1] != self.config.in_dim:
@@ -212,7 +220,10 @@ class StabilityModel:
         return tanh(out) if task.endswith("_reg") else out
 
     def forward(self, features, adjacency) -> ModelOutput:
-        """Full pass on the tape, for training: every field is a Tensor."""
+        """Full pass on the tape, for training: every field is a Tensor.
+
+        A Program that records this pass passes features and adjacency as
+        its Tensor input leaves."""
         h = features if isinstance(features, Tensor) else Tensor(features)
         return self._run(h, adjacency)
 

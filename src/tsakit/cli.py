@@ -316,19 +316,22 @@ def cmd_train(args) -> int:
                 "aborted": result.aborted,
             }
         )
+        val_joint = "n/a" if result.best_val_joint is None else f"{result.best_val_joint:.4f}"
         state = "aborted" if result.aborted else (
             "early stop" if result.stopped_early else "epoch cap"
         )
         print(
             f"seed {run_seed}: {state} after {len(result.log_rows)} epochs, "
-            f"val joint {result.best_val_joint:.4f}, test acc "
+            f"val joint {val_joint}, test acc "
             f"tas {report.tas.accuracy:.4f} tvs {report.tvs.accuracy:.4f}, "
             f"test mse tas {report.tas_mse:.5f} tvs {report.tvs_mse:.5f}"
         )
     if args.repeats > 1:
         for key in ("val_joint", "tas_acc", "tvs_acc", "tas_mse", "tvs_mse"):
-            vals = np.array([r[key] for r in rows])
-            print(f"aggregate {key}: {vals.mean():.5f} +/- {vals.std():.5f}")
+            # a run aborted before validating an epoch has no val_joint
+            vals = np.array([r[key] for r in rows if r[key] is not None])
+            summary = f"{vals.mean():.5f} +/- {vals.std():.5f}" if vals.size else "n/a"
+            print(f"aggregate {key}: {summary}")
     return 1 if any(r["aborted"] for r in rows) else 0
 
 

@@ -15,6 +15,17 @@ is therefore the checkpoint it writes, and samples whose margins round to
 the same float32 values train the same model, whether they come from
 memory or from a dataset file. Prediction and evaluation run infer, in
 float64, on those float32 weights.
+
+A training step's graph does not change between batches of one size, so
+train records it once and replays it. The first step of each batch size
+runs on the eager tape inside a tensor.Program, which records the nodes it
+creates; every later step of that size rebinds the program's inputs to the
+batch and replays the same numpy calls in the same order, so the
+parameters and the checkpoint get the eager bits. The inputs are the
+batch's features, adjacency, class targets and margin targets; the
+inverse degree and the negated margin targets derived from them are
+recomputed nodes, and the parameters are read in place. train still calls
+optimizer.step once per step. The programs live only for one train call.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from .autodiff_nn import (
     TASKS,
     ModelConfig,
     ModelOutput,
+    Program,
     StabilityModel,
     Tensor,
     load_balance_loss,
@@ -141,29 +153,45 @@ def multitask_loss(outputs: ModelOutput, targets: dict, weights: LossWeights):
 
     targets carries "tas_cls"/"tvs_cls" as integer class vectors (1 =
     stable) and "tas_reg"/"tvs_reg" as float vectors in [-1, 1], read in
-    the outputs' dtype. Returns the scalar loss tensor and a float
-    breakdown for logging.
+    the outputs' dtype; any of them may instead be a Tensor leaf, as a
+    recorded training step passes them. Returns the scalar loss tensor and
+    a float breakdown for logging.
     """
+    terms = _loss_terms(outputs, targets, weights)
+    return terms["total"], _loss_parts(terms)
+
+
+def _loss_terms(outputs: ModelOutput, targets: dict, weights: LossWeights) -> dict:
+    """Every term of multitask_loss as a Tensor, the weighted total included."""
     weights.validate()
     dtype = outputs.tas_margin_hat.dtype
-    ce_tas = outputs.tas_logits.cross_entropy_logits(targets["tas_cls"])
-    ce_tvs = outputs.tvs_logits.cross_entropy_logits(targets["tvs_cls"])
-    reg_tas = ((outputs.tas_margin_hat.reshape(-1) - np.asarray(targets["tas_reg"], dtype=dtype)) ** 2).mean()
-    reg_tvs = ((outputs.tvs_margin_hat.reshape(-1) - np.asarray(targets["tvs_reg"], dtype=dtype)) ** 2).mean()
-    gates = Tensor.stack([outputs.gate_weights[t] for t in TASKS])
-    balance = load_balance_loss(gates)
-    total = (
-        weights.lambda_cls * (ce_tas + ce_tvs)
-        + weights.lambda_reg * (reg_tas + reg_tvs)
-        + weights.alpha_balance * balance
-    )
-    parts = {
-        "cls": float(ce_tas.data) + float(ce_tvs.data),
-        "reg": float(reg_tas.data) + float(reg_tvs.data),
-        "balance": float(balance.data),
-        "total": float(total.data),
+
+    def margins(value):
+        return value if isinstance(value, Tensor) else np.asarray(value, dtype=dtype)
+
+    terms = {
+        "ce_tas": outputs.tas_logits.cross_entropy_logits(targets["tas_cls"]),
+        "ce_tvs": outputs.tvs_logits.cross_entropy_logits(targets["tvs_cls"]),
+        "reg_tas": ((outputs.tas_margin_hat.reshape(-1) - margins(targets["tas_reg"])) ** 2).mean(),
+        "reg_tvs": ((outputs.tvs_margin_hat.reshape(-1) - margins(targets["tvs_reg"])) ** 2).mean(),
+        "balance": load_balance_loss(Tensor.stack([outputs.gate_weights[t] for t in TASKS])),
     }
-    return total, parts
+    terms["total"] = (
+        weights.lambda_cls * (terms["ce_tas"] + terms["ce_tvs"])
+        + weights.lambda_reg * (terms["reg_tas"] + terms["reg_tvs"])
+        + weights.alpha_balance * terms["balance"]
+    )
+    return terms
+
+
+def _loss_parts(terms: dict) -> dict:
+    """The float breakdown of a loss's current term values."""
+    return {
+        "cls": float(terms["ce_tas"].data) + float(terms["ce_tvs"].data),
+        "reg": float(terms["reg_tas"].data) + float(terms["reg_tvs"].data),
+        "balance": float(terms["balance"].data),
+        "total": float(terms["total"].data),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +297,9 @@ class TrainResult:
     model: StabilityModel
     log_rows: list[dict]
     best_epoch: int
-    best_val_joint: float  # validation joint accuracy of the retained epoch
+    # validation joint accuracy of the retained epoch; None when the run
+    # aborted before it validated an epoch
+    best_val_joint: float | None
     stopped_early: bool
     aborted: bool
 
@@ -356,20 +386,31 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
 
     best = _snapshot(model)
     best_rank = (True, np.inf, np.inf)  # (misses the MSE target, -joint, MSE)
-    best_joint = -1.0
+    best_joint = None
     best_epoch = 0
     log_rows: list[dict] = []
     stopped_early = False
     aborted = False
 
+    def step_loss(inputs: dict):
+        out = model.forward(inputs["features"], inputs["adjacency"])
+        terms = _loss_terms(out, inputs, weights)
+        return terms["total"], terms
+
+    programs: dict[int, Program] = {}  # batch size -> its recorded step
     for epoch in range(1, config.epochs + 1):
         order = train_ids[rng.permutation(len(train_ids))]
         batch_losses = []
         for lo in range(0, len(order), config.batch_size):
             ids = order[lo : lo + config.batch_size]
-            out = model.forward(features[ids], adjacency[ids])
-            batch_targets = {k: v[ids] for k, v in targets.items()}
-            loss, parts = multitask_loss(out, batch_targets, weights)
+            batch = {"features": features[ids], "adjacency": adjacency[ids]}
+            batch.update((k, v[ids]) for k, v in targets.items())
+            program = programs.get(len(ids))
+            if program is None:
+                program = programs[len(ids)] = Program(step_loss, batch)
+            else:
+                program.run(batch)
+            parts = _loss_parts(program.outputs)
             if not np.isfinite(parts["total"]):
                 logger.error(
                     "non-finite loss at epoch %d (batch at %d); restoring the "
@@ -378,7 +419,7 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
                 aborted = True
                 break
             optimizer.zero_grad()
-            loss.backward()
+            program.backward()
             optimizer.step()
             batch_losses.append(parts["total"])
         if aborted:

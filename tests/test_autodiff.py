@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from tsakit.autodiff_nn.tensor import Tensor, _sum_to_shape, affine, relu, softmax, swapaxes, tanh
+from tsakit.autodiff_nn.tensor import (
+    Program,
+    Tensor,
+    _sum_to_shape,
+    affine,
+    derived,
+    relu,
+    softmax,
+    swapaxes,
+    tanh,
+)
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -449,3 +459,91 @@ class TestSumToShape:
         out = _sum_to_shape(g, ())
         assert out.shape == ()
         assert out == 6.0
+
+
+def _small_graph(w, v):
+    """A loss over every replay-sensitive piece: a derived node, tanh,
+    softmax and a cross-entropy whose targets are an input."""
+
+    def fn(inputs):
+        x = inputs["x"]
+        scale = derived(lambda a: 1.0 / (1.0 + np.abs(a).sum(axis=-1, keepdims=True)), x)
+        h = tanh(affine(x * scale, w, 0.0))
+        p = softmax(h @ v, axis=-1)
+        loss = h.cross_entropy_logits(inputs["y"]) + ((p - inputs["t"]) ** 2).mean()
+        return loss, {"p": p}
+
+    return fn
+
+
+class TestProgram:
+    @staticmethod
+    def batch(rng, n=5):
+        return {
+            "x": rng.standard_normal((n, 4)).astype(np.float32),
+            "y": rng.integers(0, 3, n),
+            "t": rng.uniform(0.0, 1.0, (n, 2)).astype(np.float32),
+        }
+
+    def test_replay_gives_the_eager_bits_on_new_inputs(self, rng):
+        w = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        v = Tensor(rng.standard_normal((3, 2)).astype(np.float32), requires_grad=True)
+        fn = _small_graph(w, v)
+        program = Program(fn, self.batch(rng))
+        for _ in range(3):
+            batch = self.batch(rng)
+            w.data = w.data * np.float32(0.9)  # parameters move between steps
+            program.run(batch)
+            w.zero_grad(), v.zero_grad()
+            program.backward()
+            replayed = (program.root.data.tobytes(), program.outputs["p"].data.tobytes(),
+                        w.grad.tobytes(), v.grad.tobytes())
+            loss, outputs = fn({k: Tensor(a) for k, a in batch.items()})
+            w.zero_grad(), v.zero_grad()
+            loss.backward()
+            eager = (loss.data.tobytes(), outputs["p"].data.tobytes(),
+                     w.grad.tobytes(), v.grad.tobytes())
+            assert replayed == eager
+
+    def test_recording_is_an_eager_pass(self, rng):
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        fn, batch = _small_graph(w, v), self.batch(rng)
+        program = Program(fn, batch)
+        loss, _ = fn({k: Tensor(a) for k, a in batch.items()})
+        assert program.root.data.tobytes() == loss.data.tobytes()
+
+    def test_input_of_another_shape_or_dtype_rejected(self, rng):
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        program = Program(_small_graph(w, Tensor(np.ones((3, 2)))), self.batch(rng))
+        with pytest.raises(ValueError, match="'x' was recorded"):
+            program.run(self.batch(rng, n=6))
+        batch = self.batch(rng)
+        batch["t"] = batch["t"].astype(np.float64)
+        with pytest.raises(ValueError, match="'t' was recorded as float32"):
+            program.run(batch)
+
+    def test_root_must_be_a_differentiable_scalar(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match="scalar"):
+            Program(lambda inputs: (inputs["x"] * w, {}), {"x": np.ones(3)})
+        with pytest.raises(ValueError, match="scalar"):
+            Program(lambda inputs: (inputs["x"].sum(), {}), {"x": np.ones(3)})
+
+    def test_recordings_do_not_nest(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+
+        def outer(inputs):
+            Program(lambda inner: ((inner["x"] * w).sum(), {}), {"x": np.ones(3)})
+
+        with pytest.raises(RuntimeError, match="already recording"):
+            Program(outer, {"x": np.ones(3)})
+        Program(lambda inputs: ((inputs["x"] * w).sum(), {}), {"x": np.ones(3)})
+
+    def test_derived_node_passes_no_gradient(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        d = derived(lambda a: a * 3.0, x)
+        assert not d.requires_grad
+        (x * d).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 6.0])
+        assert derived(np.sqrt, np.array([4.0])).tolist() == [2.0]

@@ -279,13 +279,17 @@ class TestTrain:
         with np.errstate(all="ignore"):
             rc = cli.main([
                 "train", "--data", str(toy_dataset), "--out", str(tmp_path),
-                "--config", str(cfg),
+                "--config", str(cfg), "--repeats", "2",
             ])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "seed 0: aborted after 0 epochs" in captured.out
+        # no epoch was validated, so there is no validation accuracy to print or average
+        for seed in (0, 1):
+            assert f"seed {seed}: aborted after 0 epochs, val joint n/a," in captured.out
+        assert "aggregate val_joint: n/a" in captured.out
+        assert "aggregate tas_acc: " in captured.out and "-1.0" not in captured.out
         assert "error:" not in captured.err
-        assert not (tmp_path / "training_log.csv").exists()
+        assert not list(tmp_path.glob("training_log*.csv"))
 
     def test_missing_dataset(self, tmp_path, capsys):
         rc = cli.main(["train", "--data", str(tmp_path / "none.tsd")])

@@ -421,6 +421,133 @@ class TestTrain:
         assert util == pytest.approx(1.0, abs=1e-6)
 
 
+def varied_samples(n=40, seed=0):
+    """Toy samples whose adjacency, node degrees and margins differ from
+    sample to sample (some have an isolated node), so a replay that kept
+    the first batch's adjacency, inverse degree or targets gives other bits."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for s in make_toy_samples(n=n, seed=seed):
+        adj = s.adjacency.copy()
+        i, j = rng.choice(4, size=2, replace=False)
+        adj[i, j] = adj[j, i] = 1 - adj[i, j]  # add a chord or cut an edge
+        if rng.random() < 0.25:
+            adj[i, :] = adj[:, i] = 0
+        sign = 1.0 if s.tas_stable else -1.0
+        samples.append(replace(
+            s, adjacency=adj, tas_signed=sign * rng.uniform(0.1, 0.9),
+            tvs_signed=sign * rng.uniform(0.1, 0.9),
+        ))
+    return samples
+
+
+def eager_steps(samples, split, cfg, model_cfg):
+    """train's steps written out on the eager tape: forward, multitask_loss,
+    backward and Adam.step for each batch in train's order, with no early
+    stop. Returns each step's loss parts and parameters after its update,
+    then the parameters at the end of each epoch, and the (epoch, batch
+    start) of the first non-finite loss, where the steps end, or None."""
+    features, adjacency, targets = _arrays_from_samples(samples)
+    model = StabilityModel(model_cfg)
+    for p in model.params.values():
+        p.data = p.data.astype(np.float32)
+    optimizer = Adam(model.params, lr=cfg.learning_rate)
+    rng = np.random.default_rng(cfg.seed)
+    train_ids = np.asarray(split.train_ids)
+    steps, epoch_ends = [], []
+    for epoch in range(1, cfg.epochs + 1):
+        order = train_ids[rng.permutation(len(train_ids))]
+        for lo in range(0, len(order), cfg.batch_size):
+            ids = order[lo : lo + cfg.batch_size]
+            out = model.forward(features[ids], adjacency[ids])
+            loss, parts = multitask_loss(
+                out, {k: v[ids] for k, v in targets.items()}, cfg.loss_weights
+            )
+            if not np.isfinite(parts["total"]):
+                return steps, epoch_ends, (epoch, lo)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+            steps.append((parts, _snapshot_bytes(model)))
+        epoch_ends.append(_snapshot_bytes(model))
+    return steps, epoch_ends, None
+
+
+def _snapshot_bytes(model):
+    return {name: p.data.tobytes() for name, p in model.params.items()}
+
+
+class TestReplayedSteps:
+    """train records the first step of each batch size and replays it; every
+    step must give the bits of the eager tape."""
+
+    @staticmethod
+    def spied_train(monkeypatch, samples, split, cfg, model_cfg):
+        """train's loss parts per batch and parameters after each Adam.step."""
+        parts_seen, params_seen = [], []
+        loss_parts, step = training_eval._loss_parts, Adam.step
+
+        def spy_parts(terms):
+            parts_seen.append(loss_parts(terms))
+            return parts_seen[-1]
+
+        def spy_step(self):
+            step(self)
+            params_seen.append({name: p.data.tobytes() for name, p in self.params.items()})
+
+        monkeypatch.setattr(training_eval, "_loss_parts", spy_parts)
+        monkeypatch.setattr(Adam, "step", spy_step)
+        return train(samples, split, cfg, model_cfg), parts_seen, params_seen
+
+    @pytest.mark.parametrize("n, batch_size", [(40, 16), (40, 5), (40, 9), (20, 1)])
+    def test_every_step_matches_the_eager_tape_bitwise(self, monkeypatch, n, batch_size):
+        """Batches of 16 then a partial 12, of 5 then a partial 3, of 9
+        then a last batch of 1, and batches of 1."""
+        samples = varied_samples(n=n)
+        split = split_dataset([s.joint_label for s in samples], seed=0)
+        cfg = TrainConfig(
+            epochs=3, batch_size=batch_size, accuracy_threshold=1.0,
+            mse_threshold=1e-300, learning_rate=3e-3, seed=0,
+        )
+        model_cfg = ModelConfig(in_dim=6, seed=0, **SMALL_MODEL)
+        want, epoch_ends, stop = eager_steps(samples, split, cfg, model_cfg)
+        assert stop is None
+        result, parts_seen, params_seen = self.spied_train(
+            monkeypatch, samples, split, cfg, model_cfg
+        )
+        per_epoch = -(-len(split.train_ids) // batch_size)
+        assert len(want) == 3 * per_epoch
+        assert len(parts_seen) == len(params_seen) == len(want)  # one Adam.step per step
+        for k, (parts, params) in enumerate(want):
+            assert parts_seen[k] == parts, k
+            assert params_seen[k] == params, k
+        assert _snapshot_bytes(result.model) == epoch_ends[result.best_epoch - 1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_non_finite_loss_restores_the_eager_weights(self, monkeypatch):
+        """A learning rate that makes the loss non-finite in epoch 2, on the
+        replayed partial batch: the run aborts at the eager run's batch and
+        restores the weights of epoch 1."""
+        samples = varied_samples()
+        split = split_dataset([s.joint_label for s in samples], seed=0)
+        cfg = TrainConfig(
+            epochs=5, batch_size=16, accuracy_threshold=1.0, mse_threshold=1e-300,
+            learning_rate=1e5, seed=0,
+        )
+        model_cfg = ModelConfig(in_dim=6, seed=0, **SMALL_MODEL)
+        want, epoch_ends, stop = eager_steps(samples, split, cfg, model_cfg)
+        assert stop == (2, 16)
+        result, parts_seen, params_seen = self.spied_train(
+            monkeypatch, samples, split, cfg, model_cfg
+        )
+        assert result.aborted
+        assert (len(result.log_rows), result.best_epoch) == (1, 1)
+        assert [parts for parts, _ in want] == parts_seen[:-1]
+        assert not np.isfinite(parts_seen[-1]["total"])
+        assert [params for _, params in want] == params_seen  # no step on the bad batch
+        assert _snapshot_bytes(result.model) == epoch_ends[0]
+
+
 def _report_fields(report):
     fields = asdict(report)
     fields["expert_utilization"] = {k: v.tobytes() for k, v in report.expert_utilization.items()}
