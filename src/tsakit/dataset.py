@@ -15,14 +15,13 @@ import logging
 import os
 import struct
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .grid_model import FaultSpec, Network, adjacency_from_network, format_network
+from .grid_model import FaultSpec, Network, adjacency_from_network, connected, format_network
 from .labeling import (
     RECOVERY_WINDOW_S,
     CctResult,
@@ -87,6 +86,12 @@ class GridConfig:
 
 
 def validate_grid(cfg: GridConfig, network: Network) -> None:
+    for name in ("lines", "location_fractions", "motor_fractions", "clearing_cycles"):
+        axis = getattr(cfg, name)
+        if not axis:
+            raise ValueError(f"{name} is empty")
+        if len(set(axis)) != len(axis):  # one scenario under two ids
+            raise ValueError(f"{name} repeats a value")
     eligible = set(network.fault_eligible_lines())
     for idx in cfg.lines:
         if idx not in eligible:
@@ -402,57 +407,13 @@ _FLAG_COUNTS = (
 )
 
 
-@dataclass
-class ContextLabels:
-    """What label_context returns for one fault context."""
-
-    samples: list[Sample]
-    records: list[logging.LogRecord]  # what the labelling logged, in order
-
-
-class _RecordList(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
-@contextmanager
-def _captured_logs():
-    """Collect the records of the tsakit loggers instead of emitting them.
-
-    The package logger is opened to every level meanwhile, so a worker whose
-    logging was never configured still records everything; the parent drops
-    what its own levels would not have emitted when it replays the records.
-    """
-    pkg = logging.getLogger("tsakit")
-    capture = _RecordList()
-    saved = pkg.handlers, pkg.propagate, pkg.level
-    pkg.handlers, pkg.propagate = [capture], False
-    pkg.setLevel(logging.DEBUG)
-    try:
-        yield capture.records
-    finally:
-        pkg.handlers, pkg.propagate = saved[:2]
-        pkg.setLevel(saved[2])
-
-
-def _replay(records: list[logging.LogRecord]) -> None:
-    for rec in records:
-        log = logging.getLogger(rec.name)
-        if log.isEnabledFor(rec.levelno):
-            log.handle(rec)
-
-
 def label_context(
     network: Network,
     eq: EquilibriumState,
     fault: FaultSpec,
     cfg: GridConfig,
     scenarios: list[tuple[int, Scenario]],
-) -> ContextLabels:
+) -> list[Sample]:
     """Simulate and label one fault context (line, location and motor share).
 
     network carries the context's motor share and eq is its equilibrium;
@@ -462,19 +423,17 @@ def label_context(
     lockstep batches, and no clearing instant is simulated twice: the coarse
     scan with the grid clearing times, then every probe either bisection can
     make. assemble_samples turns the grid's traces into samples, which hold
-    every flag and verdict the manifest counts. The records the labelling
-    logs are returned instead of emitted, so a worker can hand them back.
+    every flag and verdict the manifest counts. Nothing here logs:
+    build_dataset reports what the samples say.
     """
     clears = [clearing_time_s(sc, network.nominal_hz) for _, sc in scenarios]
-    with _captured_logs() as records:
-        cct_a, cct_v, traces = find_ccts(
-            network, eq, fault, clears, cfg.fault_start_s, cfg.duration_s, cfg.step_s
-        )
-        samples = assemble_samples(
-            [sid for sid, _ in scenarios], clears, traces, cct_a, cct_v,
-            adjacency_from_network(network, without_line=fault.line_index), cfg,
-        )
-    return ContextLabels(samples, records)
+    cct_a, cct_v, traces = find_ccts(
+        network, eq, fault, clears, cfg.fault_start_s, cfg.duration_s, cfg.step_s
+    )
+    return assemble_samples(
+        [sid for sid, _ in scenarios], clears, traces, cct_a, cct_v,
+        adjacency_from_network(network, without_line=fault.line_index), cfg,
+    )
 
 
 def _f32(x: float) -> float:
@@ -498,8 +457,7 @@ def assemble_samples(
     and adjacency its post-fault topology. Each sample takes the verdicts of
     its own trace, margins against the searched boundaries, the features of
     cfg's window, and flags for the searches' saturation and monotonicity
-    plus its trace's divergence and feature clamping. A verdict that
-    disagrees with its margin's side is logged at INFO. The margins are
+    plus its trace's divergence and feature clamping. The margins are
     computed from the float64 CCTs, then every float label is rounded to
     float32, so a sample holds what save_dataset writes and load_dataset reads.
     """
@@ -519,19 +477,6 @@ def assemble_samples(
         volt_res = tvs(trace)
         features, clamped = extract_features(trace, cfg.window_start, cfg.window_steps)
 
-        m_a = margin(cct_a.t_cct_s, clear_s)
-        m_v = margin(cct_v.t_cct_s, clear_s)
-        if (m_a.kind == "margin") != angle_res.stable:
-            logger.info(
-                "scenario %d: angle verdict and boundary side disagree near the "
-                "boundary (clear %.4f s, cct %.4f s)", sid, clear_s, cct_a.t_cct_s,
-            )
-        if (m_v.kind == "margin") != volt_res.stable:
-            logger.info(
-                "scenario %d: voltage verdict and boundary side disagree near the "
-                "boundary (clear %.4f s, cct %.4f s)", sid, clear_s, cct_v.t_cct_s,
-            )
-
         flags = base_flags
         if trace.diverged:
             flags |= FLAG_DIVERGED
@@ -542,8 +487,8 @@ def assemble_samples(
                 scenario_id=sid,
                 tas_stable=angle_res.stable,
                 tvs_stable=volt_res.stable,
-                tas_signed=_f32(m_a.signed),
-                tvs_signed=_f32(m_v.signed),
+                tas_signed=_f32(margin(cct_a.t_cct_s, clear_s).signed),
+                tvs_signed=_f32(margin(cct_v.t_cct_s, clear_s).signed),
                 tsi_deg=_f32(angle_res.tsi_deg),
                 v_min_pu=_f32(volt_res.v_min_pu),
                 tas_cct_s=_f32(cct_a.t_cct_s),
@@ -588,9 +533,12 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
     ordered process pool of `jobs` workers (None: every CPU this process may
     use), capped at the number of contexts; with one worker they run in this
     process through the same label_context. This function keeps the rest:
-    one equilibrium per motor share, the sample order, the progress log and
-    the records each context logged (replayed in context order); the
-    manifest is dataset_manifest of the samples. The output does not depend
+    one equilibrium per motor share, the sample order and the log; the
+    manifest is dataset_manifest of the samples. After each context, in
+    context order, it logs a WARNING if clearing the fault islands the
+    network, one per criterion whose CCT search was not monotone, and an INFO
+    per sample and criterion whose verdict disagrees with its margin's side,
+    the rule dataset_manifest counts. The output and the log do not depend
     on jobs.
     """
     if jobs is not None and jobs < 1:
@@ -600,8 +548,6 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
 
     equilibria: dict = {}
     for frac in cfg.motor_fractions:
-        if frac in equilibria:
-            continue
         net_f = network.with_motor_fraction(frac)
         try:
             equilibria[frac] = (net_f, solve_equilibrium(net_f))
@@ -624,14 +570,39 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
 
     samples: list[Sample] = []
     workers = min(jobs or _available_cpus(), len(contexts))
-    for labels in _label_contexts(contexts, workers):
-        _replay(labels.records)
-        for sample in labels.samples:
+    for labelled in _label_contexts(contexts, workers):
+        _log_context(network, scenarios[labelled[0].scenario_id], labelled)
+        for sample in labelled:
             samples.append(sample)
             done = sample.scenario_id + 1
             if done % 50 == 0 or done == len(scenarios):
                 logger.info("labeled %d / %d scenarios", done, len(scenarios))
     return samples, dataset_manifest(network, cfg, seed, samples, failed)
+
+
+def _disagrees(stable: bool, signed: float) -> bool:
+    """A verdict on the other side of its signed margin (>= 0 is the stable side)."""
+    return (signed >= 0.0) != stable
+
+
+def _log_context(network: Network, scenario: Scenario, samples: list[Sample]) -> None:
+    """Log what the samples of scenario's fault context say; see build_dataset."""
+    fault, first = scenario.fault, samples[0]
+    where = (f"line {fault.line_index} at {fault.location_fraction}, "
+             f"motor share {scenario.motor_fraction}")
+    if not connected(network, without_line=fault.line_index):
+        logger.warning("%s: the post-fault network is disconnected", where)
+    for name, bit, cct in (("angle", FLAG_TAS_NONMONOTONE, first.tas_cct_s),
+                           ("voltage", FLAG_TVS_NONMONOTONE, first.tvs_cct_s)):
+        if first.flags & bit:  # every sample of a context carries its searches' flags
+            logger.warning("%s: %s stability is not monotone over the clearing-time "
+                           "bracket; using the first boundary, cct %.4f s", where, name, cct)
+    for s in samples:
+        for name, stable, signed in (("angle", s.tas_stable, s.tas_signed),
+                                     ("voltage", s.tvs_stable, s.tvs_signed)):
+            if _disagrees(stable, signed):
+                logger.info("scenario %d: %s verdict and boundary side disagree "
+                            "(signed margin %.4f)", s.scenario_id, name, signed)
 
 
 def dataset_manifest(
@@ -676,8 +647,8 @@ def dataset_manifest(
     }
     for name, bit in _FLAG_COUNTS:
         manifest[f"count_{name}"] = sum(bool(s.flags & bit) for s in samples)
-    manifest["count_tas_disagree"] = sum((s.tas_signed >= 0.0) != s.tas_stable for s in samples)
-    manifest["count_tvs_disagree"] = sum((s.tvs_signed >= 0.0) != s.tvs_stable for s in samples)
+    manifest["count_tas_disagree"] = sum(_disagrees(s.tas_stable, s.tas_signed) for s in samples)
+    manifest["count_tvs_disagree"] = sum(_disagrees(s.tvs_stable, s.tvs_signed) for s in samples)
     return manifest
 
 

@@ -8,13 +8,10 @@ a few dozen buses, so sparsity machinery would be overhead without payoff.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 BUS_KINDS = ("slack", "pv", "pq")
 
@@ -170,14 +167,16 @@ def validate_network(network: Network) -> None:
             raise NetworkValidationError(f"load at bus {ld.bus}: negative p_total")
         if not 0.0 <= ld.motor_fraction <= 1.0:
             raise NetworkValidationError(f"load at bus {ld.bus}: motor_fraction outside [0, 1]")
-    if n > 1 and not _connected(n, network.lines):
+    if not connected(network):
         raise NetworkValidationError("network graph is not connected")
 
 
-def _connected(n: int, lines, skip_index: int | None = None) -> bool:
+def connected(network: Network, without_line: int | None = None) -> bool:
+    """Whether every bus reaches bus 0, with line without_line out of service."""
+    n = network.n_bus
     adj = [[] for _ in range(n)]
-    for i, ln in enumerate(lines):
-        if i == skip_index:
+    for i, ln in enumerate(network.lines):
+        if i == without_line:
             continue
         adj[ln.from_bus].append(ln.to_bus)
         adj[ln.to_bus].append(ln.from_bus)
@@ -452,7 +451,8 @@ def build_admittance(
     state "faulted": the faulted line is replaced by its two sections joined at
     a midpoint bus appended as id n, and the fault shunt is added there;
     size (n + 1) x (n + 1).
-    state "postfault": the faulted line is removed, size n x n.
+    state "postfault": the faulted line is removed, size n x n. If that
+    islands the network the matrix says so silently; see connected().
     """
     if state not in ("prefault", "faulted", "postfault"):
         raise ValueError(f"unknown topology state {state!r}")
@@ -476,12 +476,6 @@ def build_admittance(
         _stamp_line(y_mat, sec1)
         _stamp_line(y_mat, sec2)
         y_mat[mid, mid] += fault.fault_admittance
-    if state == "postfault":
-        if n > 1 and not _connected(n, network.lines, skip_index=fault.line_index):
-            logger.warning(
-                "post-fault network is disconnected after removing line %d",
-                fault.line_index,
-            )
     return y_mat
 
 

@@ -26,7 +26,6 @@ find_cct reads both searches from it.
 from __future__ import annotations
 
 import copy
-import logging
 from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Callable
@@ -40,8 +39,6 @@ from .tds import (
     clearing_instant,
     run_simulations,
 )
-
-logger = logging.getLogger(__name__)
 
 TSI_THRESHOLD_DEG = 180.0
 V_THRESHOLD_PU = 0.8
@@ -165,9 +162,10 @@ def find_cct(stable_at: Callable[[float], bool], nominal_hz: float) -> CctResult
     stable_at takes a clearing duration in seconds and is asked only at
     lattice points. The full bracket is scanned at the coarse step first;
     stability is not always monotone in clearing time, and scanning
-    everything both finds the first boundary and flags any reversal.
-    Bisection then narrows the first stable-to-unstable transition to two
-    adjacent lattice points, a quarter cycle apart.
+    everything both finds the first boundary and flags any reversal in
+    CctResult.nonmonotone. Bisection then narrows the first stable-to-unstable
+    transition to two adjacent lattice points, a quarter cycle apart. The
+    search logs nothing; dataset.build_dataset reports the flag.
     """
     def stable(k: int) -> bool:
         return bool(stable_at(lattice_s(k, nominal_hz)))
@@ -181,11 +179,6 @@ def find_cct(stable_at: Callable[[float], bool], nominal_hz: float) -> CctResult
     bracket = coarse_bracket(COARSE_GRID, verdicts)
     # the scan starts stable, so a second boundary needs a reversal first
     nonmonotone = any(not a and b for a, b in zip(verdicts, verdicts[1:]))
-    if nonmonotone:
-        logger.warning(
-            "stability is not monotone over the clearing-time bracket; "
-            "using the first boundary at %.4f s", lattice_s(bracket[0], nominal_hz)
-        )
     if bracket is None:
         return CctResult(
             t_cct_s=lattice_s(K_MAX, nominal_hz), above_bracket=True, evaluations=evaluations

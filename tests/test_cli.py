@@ -85,6 +85,18 @@ class TestGenerate:
         assert "invalid grid config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, message", [
+        ("location_fractions =", "location_fractions is empty"),
+        # two ids for one scenario could fall on both sides of a split
+        ("lines = 1,1", "lines repeats a value"),
+    ])
+    def test_empty_or_repeated_grid_axis_rejected(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(line + "\n")
+        rc = cli.main(["generate", "--config", str(cfg), "--enumerate-only"])
+        assert rc == 2
+        assert f"invalid grid config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
         ("step_s = 0", "must be positive"),
         ("duration_s = 0", "must be positive"),
         ("duration_s = -1", "must be positive"),

@@ -688,11 +688,10 @@ class TestBuildDataset:
 
         monkeypatch.setattr(labeling, "run_simulations", two_batches)
         cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
-        labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,
-                               list(enumerate(enumerate_scenarios(cfg))))
+        samples = label_context(net, eq, FaultSpec(13, 0.5), cfg,
+                                list(enumerate(enumerate_scenarios(cfg))))
         assert len(calls) == 2
-        assert not any(s.flags & (FLAG_TAS_CCT_ABOVE | FLAG_TAS_CCT_BELOW)
-                       for s in labels.samples)
+        assert not any(s.flags & (FLAG_TAS_CCT_ABOVE | FLAG_TAS_CCT_BELOW) for s in samples)
 
 
 class TestAssembleSamples:
@@ -759,39 +758,63 @@ class TestContextPool:
         assert (tmp_path / "serial.tsd").read_bytes() == (tmp_path / "pooled.tsd").read_bytes()
         assert serial_manifest == pooled_manifest
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_context_warnings_reach_the_caller_once_in_order(self, ieee39, monkeypatch,
-                                                             caplog, jobs):
-        search = dataset.find_ccts
-
-        def loud_search(network, eq, fault, *args):
-            log = logging.getLogger("tsakit.labeling")
-            log.warning("search starts at %s", fault.location_fraction)
-            result = search(network, eq, fault, *args)
-            log.warning("search ends at %s", fault.location_fraction)
-            return result
-
+    def test_pool_and_serial_log_alike_from_the_parent(self, ieee39, monkeypatch, caplog):
+        """Non-monotone searches with a boundary below every clearing time:
+        each context logs both non-monotone warnings and a disagreement per
+        stable sample and criterion. One worker or two, the records are the
+        same, in context order, and the parent logs every one of them."""
+        low = CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True)
         # set before the pool starts, so forked workers inherit it
-        monkeypatch.setattr(dataset, "find_ccts", loud_search)
-        with caplog.at_level(logging.WARNING):
-            build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
-        records = [r for r in caplog.records if r.getMessage().startswith("search")]
-        assert [r.getMessage() for r in records] == [
-            "search starts at 0.1", "search ends at 0.1",
-            "search starts at 0.9", "search ends at 0.9",
-        ]
-        assert all((r.process != os.getpid()) == (jobs == 2) for r in records)
+        monkeypatch.setattr(
+            dataset, "find_ccts",
+            lambda network, eq, fault, clears, *timing: (
+                low, low, run_simulations(network, eq, fault, clears, *timing)),
+        )
+        logs = []
+        for jobs in (1, 2):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="tsakit"):
+                samples, _ = build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
+            assert all(r.process == os.getpid() for r in caplog.records)
+            logs.append([(r.levelname, r.name, r.getMessage()) for r in caplog.records])
+        assert logs[0] == logs[1]
+        warnings = [m.split(":")[0] for level, _, m in logs[0] if level == "WARNING"]
+        assert warnings == ["line 13 at 0.1, motor share 0.6"] * 2 + [
+            "line 13 at 0.9, motor share 0.6"] * 2
+        stable = sum(s.tas_stable + s.tvs_stable for s in samples)
+        assert stable > 0
+        assert sum("disagree" in m for _, _, m in logs[0]) == stable
+
+    def test_islanding_fault_warned_once_per_context(self, ieee39, monkeypatch, caplog):
+        """Clearing a fault on line 21 islands four buses. The context takes
+        two lockstep batches and is reported once, from the parent."""
+        batches = []
+        simulate = labeling.run_simulations
+        monkeypatch.setattr(labeling, "run_simulations",
+                            lambda *args: batches.append(args[3]) or simulate(*args))
+        cfg = GridConfig(lines=(21,), location_fractions=(0.5,), motor_fractions=(0.6,),
+                         clearing_cycles=(3.0,), duration_s=1.6)
+        with caplog.at_level(logging.WARNING, logger="tsakit"):
+            build_dataset(ieee39, cfg, seed=0, jobs=1)
+        assert len(batches) == 2  # the coarse scan, then the voltage search's probes
+        islanded = [r for r in caplog.records if "disconnected" in r.getMessage()]
+        assert [(r.name, r.getMessage(), r.process) for r in islanded] == [(
+            "tsakit.dataset",
+            "line 21 at 0.5, motor share 0.6: the post-fault network is disconnected",
+            os.getpid(),
+        )]
 
     def test_rejects_fewer_than_one_job(self, ieee39):
         with pytest.raises(ValueError, match="jobs"):
             build_dataset(ieee39, TWO_CONTEXTS, jobs=0)
 
 
-def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, monkeypatch):
+def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, ieee39,
+                                                                  monkeypatch, caplog):
     """A boundary below every clearing time puts stable traces on the degree
     side: each sample then disagrees on both criteria and carries both
-    non-monotone flags, the manifest counts them, and the INFO lines come
-    back as records."""
+    non-monotone flags, the manifest counts them, and build_dataset logs an
+    INFO line for each."""
     net, eq = ieee39_eq06
     low = CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True)
     monkeypatch.setattr(
@@ -800,15 +823,18 @@ def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, m
             low, low, run_simulations(network, eq, fault, clears, *timing)),
     )
     cfg = replace(TWO_CONTEXTS, location_fractions=(0.5,))
-    labels = label_context(net, eq, FaultSpec(13, 0.5), cfg,
-                           list(enumerate(enumerate_scenarios(cfg))))
-    assert [s.tas_stable and s.tvs_stable for s in labels.samples] == [True, True]
+    samples = label_context(net, eq, FaultSpec(13, 0.5), cfg,
+                            list(enumerate(enumerate_scenarios(cfg))))
+    assert [s.tas_stable and s.tvs_stable for s in samples] == [True, True]
     nonmonotone = FLAG_TAS_NONMONOTONE | FLAG_TVS_NONMONOTONE
-    assert all(s.flags & nonmonotone == nonmonotone for s in labels.samples)
-    counts = dataset_manifest(net, cfg, 0, labels.samples, [])
+    assert all(s.flags & nonmonotone == nonmonotone for s in samples)
+    counts = dataset_manifest(net, cfg, 0, samples, [])
     assert counts["count_tas_nonmonotone"] == counts["count_tvs_nonmonotone"] == 2
     assert counts["count_tas_disagree"] == counts["count_tvs_disagree"] == 2
-    assert [(r.levelname, r.getMessage().split(" verdict")[0]) for r in labels.records] == [
+    with caplog.at_level(logging.INFO, logger="tsakit.dataset"):
+        build_dataset(ieee39, cfg, seed=0, jobs=1)
+    disagreements = [r for r in caplog.records if "disagree" in r.getMessage()]
+    assert [(r.levelname, r.getMessage().split(" verdict")[0]) for r in disagreements] == [
         ("INFO", "scenario 0: angle"), ("INFO", "scenario 0: voltage"),
         ("INFO", "scenario 1: angle"), ("INFO", "scenario 1: voltage"),
     ]

@@ -1,4 +1,8 @@
-"""numpy is the package's only runtime dependency: every other import is stdlib."""
+"""numpy is the package's only runtime dependency: every other import is stdlib.
+
+And the modules a labelling worker runs log nothing: dataset.build_dataset
+reports each fault context from its samples, in the parent process.
+"""
 
 import ast
 import sys
@@ -29,3 +33,12 @@ def test_absolute_imports_are_numpy_or_stdlib():
         if name not in allowed
     ]
     assert foreign == []
+
+
+def test_worker_modules_import_no_logging():
+    worker_modules = ("labeling.py", "tds.py", "grid_model.py")
+    logging_users = [
+        name for name in worker_modules
+        if "logging" in absolute_imports(PACKAGE / name)
+    ]
+    assert logging_users == []
