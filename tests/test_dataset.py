@@ -758,11 +758,11 @@ class TestContextPool:
         assert (tmp_path / "serial.tsd").read_bytes() == (tmp_path / "pooled.tsd").read_bytes()
         assert serial_manifest == pooled_manifest
 
-    def test_pool_and_serial_log_alike_from_the_parent(self, ieee39, monkeypatch, caplog):
-        """Non-monotone searches with a boundary below every clearing time:
-        each context logs both non-monotone warnings and a disagreement per
-        stable sample and criterion. One worker or two, the records are the
-        same, in context order, and the parent logs every one of them."""
+    @staticmethod
+    def _build_logged(ieee39, monkeypatch, caplog, jobs):
+        """Build TWO_CONTEXTS with non-monotone searches whose boundary is
+        below every clearing time, so each context logs both non-monotone
+        warnings and a disagreement per stable sample and criterion."""
         low = CctResult(t_cct_s=1.0 / 60.0, nonmonotone=True)
         # set before the pool starts, so forked workers inherit it
         monkeypatch.setattr(
@@ -770,20 +770,31 @@ class TestContextPool:
             lambda network, eq, fault, clears, *timing: (
                 low, low, run_simulations(network, eq, fault, clears, *timing)),
         )
-        logs = []
-        for jobs in (1, 2):
-            caplog.clear()
-            with caplog.at_level(logging.INFO, logger="tsakit"):
-                samples, _ = build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
-            assert all(r.process == os.getpid() for r in caplog.records)
-            logs.append([(r.levelname, r.name, r.getMessage()) for r in caplog.records])
-        assert logs[0] == logs[1]
-        warnings = [m.split(":")[0] for level, _, m in logs[0] if level == "WARNING"]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="tsakit"):
+            samples, _ = build_dataset(ieee39, TWO_CONTEXTS, seed=0, jobs=jobs)
+        return samples, list(caplog.records)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_context_warnings_reach_the_caller_once_in_order(self, ieee39, monkeypatch,
+                                                             caplog, jobs):
+        """The parent logs every record, once per context and criterion, in
+        context order, whether one worker labels the contexts or two."""
+        samples, records = self._build_logged(ieee39, monkeypatch, caplog, jobs)
+        assert all(r.process == os.getpid() for r in records)
+        warnings = [r.getMessage().split(":")[0] for r in records if r.levelname == "WARNING"]
         assert warnings == ["line 13 at 0.1, motor share 0.6"] * 2 + [
             "line 13 at 0.9, motor share 0.6"] * 2
         stable = sum(s.tas_stable + s.tvs_stable for s in samples)
         assert stable > 0
-        assert sum("disagree" in m for _, _, m in logs[0]) == stable
+        assert sum("disagree" in r.getMessage() for r in records) == stable
+
+    def test_pool_and_serial_log_alike_from_the_parent(self, ieee39, monkeypatch, caplog):
+        """One worker or two, the records are the same, in the same order."""
+        logs = [[(r.levelname, r.name, r.getMessage())
+                 for r in self._build_logged(ieee39, monkeypatch, caplog, jobs)[1]]
+                for jobs in (1, 2)]
+        assert logs[0] and logs[0] == logs[1]
 
     def test_islanding_fault_warned_once_per_context(self, ieee39, monkeypatch, caplog):
         """Clearing a fault on line 21 islands four buses. The context takes
