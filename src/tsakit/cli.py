@@ -15,6 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -58,19 +59,8 @@ class CliError(Exception):
 # Config files: plain "key = value" lines
 # ---------------------------------------------------------------------------
 
-_GRID_KEYS = {
-    "lines", "location_fractions", "motor_fractions", "clearing_cycles",
-    "window_steps", "fault_start_s", "duration_s", "step_s",
-}
-_TRAIN_KEYS = {
-    "epochs", "batch_size", "learning_rate", "lambda_cls", "lambda_reg",
-    "alpha_balance", "accuracy_threshold", "mse_threshold",
-    "hidden_dim", "n_layers", "n_experts", "expert_hidden",
-}
-
 
 def read_config(path: str | Path) -> dict:
-
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -83,48 +73,51 @@ def read_config(path: str | Path) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"{path}:{lineno}: expected key = value")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise CliError(f"{path}:{lineno}: key {key!r} repeats")
+        out[key] = value.strip()
     return out
 
 
-def _int_tuple(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+def _tuple_of(parse):
+    return lambda text: tuple(parse(x) for x in text.split(",") if x.strip())
 
 
-def _float_tuple(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+# a config value is parsed by the annotation of the field its key names
+_PARSE = {
+    int: int, float: float, tuple[int, ...]: _tuple_of(int), tuple[float, ...]: _tuple_of(float),
+    float | None: lambda text: None if text.lower() == "none" else float(text),
+}
+
+
+def _settings(overrides: dict, kind: str, *classes) -> tuple[dict, ...]:
+    """The overrides parsed into one dict of field values per class. The keys
+    are the classes' fields but seed (a flag) and in_dim (fixed by the data)."""
+    owners = {
+        name: (i, _PARSE[hint])
+        for i, cls in enumerate(classes)
+        for name, hint in get_type_hints(cls).items()
+        if name not in ("seed", "in_dim")
+    }
+    out = tuple({} for _ in classes)
+    for key, value in overrides.items():
+        if key not in owners:
+            raise CliError(f"unknown {kind} config key: {key}")
+        i, parse = owners[key]
+        try:
+            out[i][key] = parse(value)
+        except ValueError as exc:
+            raise CliError(f"invalid {kind} config: {key}: {exc}") from exc
+    return out
 
 
 def grid_from_config(base: GridConfig, overrides: dict) -> GridConfig:
-    fields = {}
-    for key, value in overrides.items():
-        if key not in _GRID_KEYS:
-            raise CliError(f"unknown grid config key: {key}")
-        if key == "lines":
-            fields[key] = _int_tuple(value)
-        elif key in ("location_fractions", "motor_fractions", "clearing_cycles"):
-            fields[key] = _float_tuple(value)
-        elif key == "window_steps":
-            fields[key] = int(value)
-        else:
-            fields[key] = float(value)
-    return replace(base, **fields)
+    return replace(base, **_settings(overrides, "grid", GridConfig)[0])
 
 
 def train_settings_from_config(overrides: dict) -> tuple[dict, dict]:
-    train_fields, model_fields = {}, {}
-    for key, value in overrides.items():
-        if key not in _TRAIN_KEYS:
-            raise CliError(f"unknown training config key: {key}")
-        if key in ("hidden_dim", "n_layers", "n_experts", "expert_hidden"):
-            model_fields[key] = int(value)
-        elif key in ("epochs", "batch_size"):
-            train_fields[key] = int(value)
-        elif key == "mse_threshold":
-            train_fields[key] = None if value.lower() == "none" else float(value)
-        else:
-            train_fields[key] = float(value)
-    return train_fields, model_fields
+    return _settings(overrides, "training", TrainConfig, ModelConfig)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import logging
 import os
 import struct
 from collections import Counter
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import astuple, dataclass
+from itertools import groupby, takewhile
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,12 +55,14 @@ FLAG_TVS_NONMONOTONE = 128
 _DATASET_MAGIC = b"TSD1"
 _DATASET_VERSION = 1
 _LABEL_SCHEMA = 1
-_LABEL_FIELDS = 10
 
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Cartesian scenario grid over fault position, load mix, and clearing time."""
+    """Cartesian scenario grid over fault position, load mix, and clearing time.
+
+    The fields are the grid config keys; the manifest's config digest hashes
+    them in field order, so reordering one changes the digest."""
 
     lines: tuple[int, ...]
     location_fractions: tuple[float, ...]
@@ -286,6 +289,8 @@ def extract_features(trace, window_start: int, window_steps: int):
 
 @dataclass
 class Sample:
+    # the fields before adjacency are the TSD1 label columns, in field order,
+    # so reordering one changes the file format
     scenario_id: int
     tas_stable: bool
     tvs_stable: bool
@@ -617,9 +622,7 @@ def dataset_manifest(
     """
     digest = hashlib.sha256()
     digest.update(format_network(network).encode())
-    digest.update(repr((cfg.lines, cfg.location_fractions, cfg.motor_fractions,
-                        cfg.clearing_cycles, cfg.window_steps, cfg.fault_start_s,
-                        cfg.duration_s, cfg.step_s)).encode())
+    digest.update(repr(astuple(cfg)).encode())
     classes = Counter(s.joint_label for s in samples)
     manifest = {
         "format": "TSD1",
@@ -657,6 +660,11 @@ def dataset_manifest(
 # ---------------------------------------------------------------------------
 
 
+# (name, type) of each TSD1 label column: the Sample fields before adjacency
+_LABELS = tuple(takewhile(lambda item: item[0] != "adjacency", get_type_hints(Sample).items()))
+_LABEL_FIELDS = len(_LABELS)
+
+
 def save_dataset(samples: list[Sample], path: str | Path) -> None:
     """TSD1 binary: header then fixed-size float32 records per sample."""
     if not samples:
@@ -671,14 +679,7 @@ def save_dataset(samples: list[Sample], path: str | Path) -> None:
     for s in samples:
         if s.adjacency.shape != (n_bus, n_bus) or s.features.shape != (n_bus, 2 * window):
             raise ValueError(f"sample {s.scenario_id}: inconsistent shapes")
-        labels = np.array(
-            [
-                s.scenario_id, float(s.tas_stable), float(s.tvs_stable),
-                s.tas_signed, s.tvs_signed, s.tsi_deg, s.v_min_pu,
-                s.tas_cct_s, s.tvs_cct_s, float(s.flags),
-            ],
-            dtype="<f4",
-        )
+        labels = np.array([getattr(s, name) for name, _ in _LABELS], dtype="<f4")
         chunks.append(labels.tobytes())
         chunks.append(np.ascontiguousarray(s.adjacency, dtype="<f4").tobytes())
         chunks.append(np.ascontiguousarray(s.features, dtype="<f4").tobytes())
@@ -713,16 +714,7 @@ def load_dataset(path: str | Path):
         feat = vals[_LABEL_FIELDS + n_bus * n_bus :]
         samples.append(
             Sample(
-                scenario_id=int(lab[0]),
-                tas_stable=bool(lab[1]),
-                tvs_stable=bool(lab[2]),
-                tas_signed=float(lab[3]),
-                tvs_signed=float(lab[4]),
-                tsi_deg=float(lab[5]),
-                v_min_pu=float(lab[6]),
-                tas_cct_s=float(lab[7]),
-                tvs_cct_s=float(lab[8]),
-                flags=int(lab[9]),
+                **{name: kind(v) for (name, kind), v in zip(_LABELS, lab.tolist())},
                 adjacency=adj.reshape(n_bus, n_bus).astype(np.int8),
                 features=feat.reshape(n_bus, 2 * window).copy(),
             )
@@ -736,17 +728,6 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
     rebuilding an identical dataset rewrites an identical manifest."""
     lines = [f"{k} = {v}" for k, v in manifest.items()]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_manifest(path: str | Path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" = ")
-        out[key] = value
-    return out
 
 
 _CSV_COLUMNS = (

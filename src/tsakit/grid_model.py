@@ -1,15 +1,17 @@
 """Power network model: buses, lines, generators, composite loads, admittance matrices.
 
 The network is a balanced positive-sequence model in per unit on a common MVA
-base. Text files use the TSANET format documented in :func:`parse_network`.
+base. Text files use the TSANET format, whose rows are the record classes below.
 All matrices are dense complex numpy arrays; the systems of interest here are
 a few dozen buses, so sparsity machinery would be overhead without payoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -30,6 +32,11 @@ class NetworkParseError(ValueError):
 
 class NetworkValidationError(ValueError):
     """Parsed network data violates a structural invariant."""
+
+
+# Bus, Line, Generator and CompositeLoad are the rows of TSANET files, one
+# column per field in field order (a MotorParams field spans its own fields):
+# reordering a field changes the file format.
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,8 @@ class Network:
 
 def validate_network(network: Network) -> None:
     """Check structural invariants; raise NetworkValidationError naming the first violated one."""
+    if not (network.base_mva > 0.0 and network.nominal_hz > 0.0):
+        raise NetworkValidationError("base_mva and nominal_hz must be positive")
     n = network.n_bus
     ids = sorted(b.id for b in network.buses)
     if ids != list(range(n)):
@@ -205,55 +214,67 @@ def validate_fault(network: Network, fault: FaultSpec) -> None:
 # TSANET text format
 # ---------------------------------------------------------------------------
 #
-#   # comment
-#   TSANET,1,<base_mva>,<nominal_hz>
-#   [BUS]
-#   id,base_kv,kind,shunt
-#   [LINE]
-#   from,to,series_impedance,charging_b,has_transformer
-#   [GEN]
-#   bus,inertia_h,damping_d,xd_prime,p_mech,e_prime_mag
-#   [LOAD]
-#   bus,p_total,q_total,motor_fraction,stator_r,stator_x,rotor_r,rotor_x,magnetizing_x,motor_h,torque_exponent
-#
-# Complex values are python literals like 0.0035+0.0411j. Floats are written
-# with repr so a write/read cycle reproduces values exactly.
+# Each section's rows are one record class, laid out by the field-order rule
+# stated above Bus. The README's "Network file format" section lists them.
 
-_SECTIONS = ("[BUS]", "[LINE]", "[GEN]", "[LOAD]")
+_DECODE = {int: int, float: float, complex: complex, str: str.lower,
+           bool: lambda token: bool(("0", "1").index(token))}
+_ENCODE = {int: lambda n: str(int(n)), float: lambda x: repr(float(x)), str: str,
+           bool: lambda b: str(int(b)), complex: lambda z: _complex_text(complex(z))}
 
 
-def _parse_complex(tok: str, lineno: int) -> complex:
+def _complex_text(z: complex) -> str:
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}j"
+
+
+def _decode(kind: type, token: str, lineno: int):
+    """token read as a value of the declared type kind; numbers must be finite."""
     try:
-        return complex(tok)
+        value = _DECODE[kind](token)
+        if kind not in (float, complex) or math.isfinite(value.real) and math.isfinite(value.imag):
+            return value
     except ValueError:
-        raise NetworkParseError(lineno, f"bad complex value {tok!r}") from None
+        pass
+    raise NetworkParseError(lineno, f"bad {kind.__name__} value {token!r}")
 
 
-def _parse_float(tok: str, lineno: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise NetworkParseError(lineno, f"bad float value {tok!r}") from None
+class _Layout:
+    """The columns of a record class, each read and written by its field's type."""
+
+    def __init__(self, cls: type):
+        hints = get_type_hints(cls)
+        self.cls, self.names = cls, [f.name for f in fields(cls)]
+        self.kinds = [_Layout(hints[n]) if is_dataclass(hints[n]) else hints[n] for n in self.names]
+        self.width = sum(k.width if isinstance(k, _Layout) else 1 for k in self.kinds)
+
+    def decode(self, tokens, lineno: int):
+        return self.cls(*[
+            k.decode(tokens, lineno) if isinstance(k, _Layout) else _decode(k, next(tokens), lineno)
+            for k in self.kinds
+        ])
+
+    def encode(self, record) -> list[str]:
+        out = []
+        for name, k in zip(self.names, self.kinds):
+            value = getattr(record, name)
+            out += k.encode(value) if isinstance(k, _Layout) else [_ENCODE[k](value)]
+        return out
 
 
-def _parse_int(tok: str, lineno: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise NetworkParseError(lineno, f"bad integer value {tok!r}") from None
+# section -> (Network field, layout of its rows)
+_SECTIONS = {
+    "[BUS]": ("buses", _Layout(Bus)),
+    "[LINE]": ("lines", _Layout(Line)),
+    "[GEN]": ("generators", _Layout(Generator)),
+    "[LOAD]": ("loads", _Layout(CompositeLoad)),
+}
 
 
 def parse_network(text: str) -> Network:
     """Parse TSANET text into a validated Network."""
-    buses: list[Bus] = []
-    lines: list[Line] = []
-    gens: list[Generator] = []
-    loads: list[CompositeLoad] = []
-    base_mva = None
-    nominal_hz = None
-    section = None
-    saw_header = False
-
+    records = {name: [] for name, _ in _SECTIONS.values()}
+    header = section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         row = raw.split("#", 1)[0].strip()
         if not row:
@@ -263,135 +284,49 @@ def parse_network(text: str) -> Network:
                 raise NetworkParseError(lineno, f"unknown section {row!r}")
             section = row
             continue
-        fields = [f.strip() for f in row.split(",")]
-        if not saw_header:
-            if fields[0] != "TSANET":
-                raise NetworkParseError(lineno, "file must start with a TSANET header")
-            if len(fields) != 4:
-                raise NetworkParseError(lineno, f"header needs 4 fields, got {len(fields)}")
-            version = _parse_int(fields[1], lineno)
-            if version != 1:
-                raise NetworkParseError(lineno, f"unsupported format version {version}")
-            base_mva = _parse_float(fields[2], lineno)
-            nominal_hz = _parse_float(fields[3], lineno)
-            saw_header = True
-            continue
-        if section is None:
+        tokens = [t.strip() for t in row.split(",")]
+        if header is None:
+            header = _parse_header(tokens, lineno)
+        elif section is None:
             raise NetworkParseError(lineno, "data row before any section")
-        if section == "[BUS]":
-            if len(fields) != 4:
-                raise NetworkParseError(lineno, f"BUS row needs 4 fields, got {len(fields)}")
-            kind = fields[2].lower()
-            if kind not in BUS_KINDS:
-                raise NetworkParseError(lineno, f"unknown bus kind {fields[2]!r}")
-            buses.append(
-                Bus(
-                    id=_parse_int(fields[0], lineno),
-                    base_kv=_parse_float(fields[1], lineno),
-                    bus_kind=kind,
-                    shunt=_parse_complex(fields[3], lineno),
+        else:
+            name, layout = _SECTIONS[section]
+            if len(tokens) != layout.width:
+                raise NetworkParseError(
+                    lineno, f"{section[1:-1]} row needs {layout.width} fields, got {len(tokens)}"
                 )
-            )
-        elif section == "[LINE]":
-            if len(fields) != 5:
-                raise NetworkParseError(lineno, f"LINE row needs 5 fields, got {len(fields)}")
-            lines.append(
-                Line(
-                    from_bus=_parse_int(fields[0], lineno),
-                    to_bus=_parse_int(fields[1], lineno),
-                    series_impedance=_parse_complex(fields[2], lineno),
-                    charging_susceptance=_parse_float(fields[3], lineno),
-                    has_transformer=bool(_parse_int(fields[4], lineno)),
-                )
-            )
-        elif section == "[GEN]":
-            if len(fields) != 6:
-                raise NetworkParseError(lineno, f"GEN row needs 6 fields, got {len(fields)}")
-            gens.append(
-                Generator(
-                    bus=_parse_int(fields[0], lineno),
-                    inertia_h=_parse_float(fields[1], lineno),
-                    damping_d=_parse_float(fields[2], lineno),
-                    xd_prime=_parse_float(fields[3], lineno),
-                    p_mech=_parse_float(fields[4], lineno),
-                    e_prime_mag=_parse_float(fields[5], lineno),
-                )
-            )
-        else:  # [LOAD]
-            if len(fields) != 11:
-                raise NetworkParseError(lineno, f"LOAD row needs 11 fields, got {len(fields)}")
-            loads.append(
-                CompositeLoad(
-                    bus=_parse_int(fields[0], lineno),
-                    p_total=_parse_float(fields[1], lineno),
-                    q_total=_parse_float(fields[2], lineno),
-                    motor_fraction=_parse_float(fields[3], lineno),
-                    motor_params=MotorParams(
-                        stator_r=_parse_float(fields[4], lineno),
-                        stator_x=_parse_float(fields[5], lineno),
-                        rotor_r=_parse_float(fields[6], lineno),
-                        rotor_x=_parse_float(fields[7], lineno),
-                        magnetizing_x=_parse_float(fields[8], lineno),
-                        inertia_h=_parse_float(fields[9], lineno),
-                        load_torque_exponent=_parse_float(fields[10], lineno),
-                    ),
-                )
-            )
-    if not saw_header:
+            records[name].append(layout.decode(iter(tokens), lineno))
+    if header is None:
         raise NetworkParseError(1, "empty file, expected a TSANET header")
-    network = Network(
-        buses=tuple(buses),
-        lines=tuple(lines),
-        generators=tuple(gens),
-        loads=tuple(loads),
-        base_mva=base_mva,
-        nominal_hz=nominal_hz,
-    )
+    network = Network(**{name: tuple(rows) for name, rows in records.items()}, **header)
     validate_network(network)
     return network
+
+
+def _parse_header(tokens: list[str], lineno: int) -> dict:
+    """base_mva and nominal_hz of a TSANET,1,<base_mva>,<nominal_hz> row."""
+    if tokens[0] != "TSANET":
+        raise NetworkParseError(lineno, "file must start with a TSANET header")
+    if len(tokens) != 4:
+        raise NetworkParseError(lineno, f"header needs 4 fields, got {len(tokens)}")
+    version = _decode(int, tokens[1], lineno)
+    if version != 1:
+        raise NetworkParseError(lineno, f"unsupported format version {version}")
+    return {"base_mva": _decode(float, tokens[2], lineno),
+            "nominal_hz": _decode(float, tokens[3], lineno)}
 
 
 def load_network(path: str | Path) -> Network:
     return parse_network(Path(path).read_text())
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_complex(z: complex) -> str:
-    re, im = z.real, z.imag
-    sign = "+" if im >= 0 else "-"
-    return f"{re!r}{sign}{abs(im)!r}j"
-
-
 def format_network(network: Network) -> str:
     """Serialize to TSANET text. repr-based floats round-trip exactly."""
-    out = [f"TSANET,1,{_fmt_float(network.base_mva)},{_fmt_float(network.nominal_hz)}"]
-    out.append("[BUS]")
-    for b in network.buses:
-        out.append(f"{b.id},{_fmt_float(b.base_kv)},{b.bus_kind},{_fmt_complex(b.shunt)}")
-    out.append("[LINE]")
-    for ln in network.lines:
-        out.append(
-            f"{ln.from_bus},{ln.to_bus},{_fmt_complex(ln.series_impedance)},"
-            f"{_fmt_float(ln.charging_susceptance)},{int(ln.has_transformer)}"
-        )
-    out.append("[GEN]")
-    for g in network.generators:
-        out.append(
-            f"{g.bus},{_fmt_float(g.inertia_h)},{_fmt_float(g.damping_d)},"
-            f"{_fmt_float(g.xd_prime)},{_fmt_float(g.p_mech)},{_fmt_float(g.e_prime_mag)}"
-        )
-    out.append("[LOAD]")
-    for ld in network.loads:
-        mp = ld.motor_params
-        out.append(
-            f"{ld.bus},{_fmt_float(ld.p_total)},{_fmt_float(ld.q_total)},"
-            f"{_fmt_float(ld.motor_fraction)},{_fmt_float(mp.stator_r)},{_fmt_float(mp.stator_x)},"
-            f"{_fmt_float(mp.rotor_r)},{_fmt_float(mp.rotor_x)},{_fmt_float(mp.magnetizing_x)},"
-            f"{_fmt_float(mp.inertia_h)},{_fmt_float(mp.load_torque_exponent)}"
-        )
+    fmt = _ENCODE[float]
+    out = [f"TSANET,1,{fmt(network.base_mva)},{fmt(network.nominal_hz)}"]
+    for section, (name, layout) in _SECTIONS.items():
+        out.append(section)
+        out.extend(",".join(layout.encode(r)) for r in getattr(network, name))
     return "\n".join(out) + "\n"
 
 

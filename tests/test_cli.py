@@ -7,8 +7,11 @@ use the small synthetic dataset from toyset.
 
 import logging
 import math
+import re
 import struct
 import zlib
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ import pytest
 from toyset import make_toy_samples
 from tsakit import cli, packaged_network_path
 from tsakit.autodiff_nn import ModelConfig, StabilityModel, save_checkpoint
-from tsakit.dataset import load_dataset, save_dataset
+from tsakit.dataset import GridConfig, load_dataset, save_dataset
 from tsakit.grid_model import load_network
+from tsakit.training_eval import TrainConfig
 
 TOY_WINDOW = 3  # steps per toy feature window -> model in_dim 6
 N_BUS_TOY = 4
@@ -105,6 +109,7 @@ class TestGenerate:
         ("step_s = nan", "must be positive"),
         ("clearing_cycles = 3, nan", "must be positive"),
         ("duration_s = 12", "recovery window"),
+        ("lines = 1,x", "lines: invalid literal for int()"),
     ])
     def test_invalid_timing_rejected_before_use(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "grid.cfg"
@@ -209,6 +214,24 @@ class TestTrain:
         ])
         assert rc == 2
         assert "invalid training config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("learning_rate = 0", "learning rate must be positive"),
+        ("epochs = 2.5", "epochs: invalid literal for int()"),
+    ])
+    def test_invalid_training_value_rejected_before_use(
+        self, toy_dataset, tmp_path, capsys, line, message
+    ):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        rc = cli.main([
+            "train", "--data", str(toy_dataset), "--config", str(cfg), "--out", str(out),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid training config" in err and message in err
+        assert not out.exists()
 
     def test_repeats_writes_per_seed_and_aggregate(self, toy_dataset, tmp_path, capsys):
         rc = cli.main([
@@ -669,6 +692,36 @@ class TestConfigParsing:
         cfg.write_text("justakey\n")
         with pytest.raises(cli.CliError, match="key = value"):
             cli.read_config(cfg)
+
+    def test_read_config_rejects_repeated_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lines = 1,5\n# narrowed\nlines = 13\n")
+        with pytest.raises(cli.CliError, match=f"{cfg}:3: key 'lines' repeats"):
+            cli.read_config(cfg)
+        rc = cli.main(["generate", "--config", str(cfg), "--enumerate-only"])
+        assert rc == 2
+        assert "key 'lines' repeats" in capsys.readouterr().err
+
+    def test_readme_lists_the_config_keys(self):
+        """The README's key lists are the settable dataclass fields, and the
+        parsers accept each key."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+
+        def listed(kind):
+            bullet = re.search(rf"^- {kind} keys, (.*?)[;.]$", readme, re.M | re.S).group(1)
+            return set(re.findall(r"`(\w+)`", bullet.split(": ", 1)[1]))
+
+        def names(*classes):
+            return {f.name for cls in classes for f in fields(cls)} - {"seed", "in_dim"}
+
+        assert listed("grid") == names(GridConfig)
+        assert listed("training") == names(TrainConfig, ModelConfig)
+        for key in names(GridConfig):
+            with pytest.raises(cli.CliError, match=f"invalid grid config: {key}: "):
+                cli.grid_from_config(None, {key: "x"})
+        for key in names(TrainConfig, ModelConfig):
+            with pytest.raises(cli.CliError, match=f"invalid training config: {key}: "):
+                cli.train_settings_from_config({key: "x"})
 
     def test_train_settings_split_model_keys(self):
         train_fields, model_fields = cli.train_settings_from_config(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tsakit import dataset
+from tsakit import cli, dataset
 from tsakit.dataset import (
     FLAG_CLAMPED,
     FLAG_DIVERGED,
@@ -31,7 +31,6 @@ from tsakit.dataset import (
     extract_features,
     load_dataset,
     paper_grid,
-    read_manifest,
     save_dataset,
     split_dataset,
     validate_grid,
@@ -526,7 +525,7 @@ class TestManifestAndCsv:
         manifest = {"format": "TSD1", "seed": 3, "step_s": repr(0.01), "lines": "1,5,13"}
         path = tmp_path / "m.txt"
         write_manifest(manifest, path)
-        back = read_manifest(path)
+        back = cli.read_config(path)
         assert back == {k: str(v) for k, v in manifest.items()}
 
     def test_manifest_bytes_stable(self, tmp_path):

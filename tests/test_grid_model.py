@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsakit import packaged_network_path
 from tsakit.grid_model import (
     Bus,
     CompositeLoad,
@@ -23,7 +26,7 @@ from tsakit.grid_model import (
 )
 
 MOTOR = MotorParams(
-    stator_r=0.02, stator_x=0.1, rotor_r=0.02, rotor_x=0.12,
+    stator_r=0.02, stator_x=0.1, rotor_r=0.03, rotor_x=0.12,
     magnetizing_x=3.0, inertia_h=0.6, load_torque_exponent=2.0,
 )
 
@@ -100,26 +103,46 @@ class TestFileFormat:
         assert parse_network(format_network(net)) == net
 
     def test_two_bus_minimal_file(self):
+        """Every column lands in its field: no two columns of a row hold
+        the same value, so a swap of two columns fails."""
         text = "\n".join([
             "# minimal system",
-            "TSANET,1,100.0,60.0",
+            "TSANET,1,200.0,50.0",
             "[BUS]",
             "0,345.0,slack,0j",
-            "1,345.0,pq,0j",
+            "1,138.0,PQ,0.0+0.05j",
             "[LINE]",
-            "0,1,0.01+0.1j,0.2,0",
+            "0,1,0.01+0.1j,0.2,1",
             "[GEN]",
             "0,5.0,2.0,0.1,1.0,1.05",
             "[LOAD]",
-            "1,1.0,0.3,0.5,0.02,0.1,0.02,0.12,3.0,0.6,2.0",
+            "1,1.5,0.3,0.5,0.02,0.1,0.03,0.12,3.0,0.6,2.0",
         ])
-        net = parse_network(text)
-        assert net.n_bus == 2
-        assert len(net.lines) == 1
-        assert len(net.generators) == 1
-        assert len(net.loads) == 1
-        assert net.lines[0].series_impedance == complex(0.01, 0.1)
-        assert net.nominal_hz == 60.0
+        assert parse_network(text) == Network(
+            buses=(
+                Bus(id=0, base_kv=345.0, bus_kind="slack", shunt=0j),
+                Bus(id=1, base_kv=138.0, bus_kind="pq", shunt=complex(0.0, 0.05)),
+            ),
+            lines=(
+                Line(from_bus=0, to_bus=1, series_impedance=complex(0.01, 0.1),
+                     charging_susceptance=0.2, has_transformer=True),
+            ),
+            generators=(
+                Generator(bus=0, inertia_h=5.0, damping_d=2.0, xd_prime=0.1,
+                          p_mech=1.0, e_prime_mag=1.05),
+            ),
+            loads=(
+                CompositeLoad(
+                    bus=1, p_total=1.5, q_total=0.3, motor_fraction=0.5,
+                    motor_params=MotorParams(
+                        stator_r=0.02, stator_x=0.1, rotor_r=0.03, rotor_x=0.12,
+                        magnetizing_x=3.0, inertia_h=0.6, load_torque_exponent=2.0,
+                    ),
+                ),
+            ),
+            base_mva=200.0,
+            nominal_hz=50.0,
+        )
 
     def test_comments_and_blank_lines_ignored(self):
         net = two_bus_network()
@@ -150,6 +173,22 @@ class TestFileFormat:
             parse_network("NETDATA,1,100.0,60.0\n")
         with pytest.raises(NetworkParseError):
             parse_network("")
+
+    @pytest.mark.parametrize("row, lineno, message", [
+        ("TSANET,1,100.0,nan", 1, "bad float value 'nan'"),
+        ("0,inf,2.0,0.1,1.0,1.05", 8, "bad float value 'inf'"),  # a machine that never swings
+        ("0,1,0.01+infj,0.2,0", 6, "bad complex value '0.01+infj'"),
+        ("0,1,0.01+0.1j,0.2,2", 6, "bad bool value '2'"),
+    ], ids=["nan_frequency", "inf_inertia", "inf_reactance", "transformer_flag_2"])
+    def test_bad_value_rejected_on_its_line(self, row, lineno, message):
+        """Numbers must be finite and flags 0 or 1."""
+        lines = format_network(two_bus_network()).splitlines()
+        assert lines[7] == "0,5.0,2.0,0.1,1.0,1.05"
+        lines[lineno - 1] = row
+        with pytest.raises(NetworkParseError) as err:
+            parse_network("\n".join(lines))
+        assert err.value.lineno == lineno
+        assert message in str(err.value)
 
     def test_bad_complex_value_rejected(self):
         text = "\n".join([
@@ -247,6 +286,13 @@ class TestValidation:
         )
         with pytest.raises(NetworkValidationError, match="connected"):
             validate_network(bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_mva", 0.0), ("base_mva", -100.0), ("nominal_hz", 0.0), ("nominal_hz", float("nan")),
+    ])
+    def test_non_positive_base_rejected(self, field, value):
+        with pytest.raises(NetworkValidationError, match="must be positive"):
+            validate_network(two_bus_network(**{field: value}))
 
     def test_motor_fraction_bounds(self):
         net = self.base()
@@ -477,3 +523,4 @@ class TestBundledNetwork:
 
     def test_round_trips(self, ieee39):
         assert parse_network(format_network(ieee39)) == ieee39
+        assert format_network(ieee39) == Path(packaged_network_path()).read_text()
