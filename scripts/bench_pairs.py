@@ -20,15 +20,17 @@ counts, since a run that fits more operations into its time may hold more
 memory: for `monitor` an operation is one replay of the stream. It then fits
 `peak_rss_mb` against the operation count over every run of both sides, with
 one slope and one intercept per side, and prints the slope in MB per
-operation and the change's RSS difference at equal operation counts: the
-slope is memory the harness keeps per operation, the difference the
-program's own. It also reports whether the output digests agree in every
-pair.
+operation and the change's RSS difference at equal operation counts, in MB
+and as a share of the parent's median beside the metric's bound: the slope
+is memory the harness keeps per operation, the difference the program's
+own. It also reports whether the output digests agree in every pair.
 
 Run from anywhere, with the parent checkout first:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload train \\
         --seeds 21-30 --seconds 20 --json BENCH_11.json
+
+--seeds takes a range, first-last, or a single seed.
 
 With --json the workload's summary and every run's values are written
 under "workloads" in that file; the other workloads already in it stay.
@@ -126,8 +128,16 @@ def rss_fit(runs: list[dict]) -> dict | None:
         return None
     slope = sxy / sxx
     at_equal = {side: my - slope * mx for side, (mx, my) in means.items()}
-    return {"mb_per_operation": slope,
-            "change_minus_parent_mb": at_equal["change"] - at_equal["parent"]}
+    diff = at_equal["change"] - at_equal["parent"]
+    parent_median = statistics.median(r["parent"]["metrics"]["peak_rss_mb"] for r in runs)
+    return {"mb_per_operation": slope, "change_minus_parent_mb": diff,
+            "change_minus_parent_share": diff / parent_median}
+
+
+def seed_range(text: str) -> range:
+    """The seeds of "first-last", or of a single "seed"."""
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
 
 
 def main(argv=None) -> int:
@@ -135,17 +145,18 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, help="first-last, e.g. 21-30")
+    ap.add_argument("--seeds", required=True, help="first-last, e.g. 21-30, or one seed")
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--json", type=Path)
     args = ap.parse_args(argv)
-    first, last = (int(x) for x in args.seeds.split("-"))
+    seeds = seed_range(args.seeds)
+    first, last = seeds[0], seeds[-1]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
 
     runs = []
-    for i, seed in enumerate(range(first, last + 1)):
+    for i, seed in enumerate(seeds):
         pair = {"seed": seed}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
@@ -171,7 +182,9 @@ def main(argv=None) -> int:
     fit = rss_fit(runs)
     if fit is not None:
         print(f"peak_rss_mb fit over both sides: {fit['mb_per_operation']:.4g} MB per operation; "
-              f"change minus parent at equal operations {fit['change_minus_parent_mb']:+.4g} MB")
+              f"change minus parent at equal operations {fit['change_minus_parent_mb']:+.4g} MB, "
+              f"{100 * fit['change_minus_parent_share']:+.2f}% of the parent's median "
+              f"(bound {100 * end_to_end['peak_rss_mb']['bound']:g}%)")
     failed = {s: sum(r[s]["failed"] for r in runs) for s in SIDES}
     identical = all(r["digests_identical"] for r in runs)
     print(f"failed operations: {failed}; digests identical in every pair: {identical}")

@@ -21,6 +21,7 @@ parameters give a float32 graph, as training uses, and float64 inputs give
 float64 (a new model's parameters and a loaded checkpoint's are float64).
 infer casts the features and the adjacency to float64, so it reads float32
 weights exactly as it reads the same weights loaded from their checkpoint.
+It also takes the graph prepare_graph made once, as the monitor does per topology.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +70,13 @@ class ModelOutput:
     tas_margin_hat: Tensor | np.ndarray  # (batch, 1) in [-1, 1]
     tvs_margin_hat: Tensor | np.ndarray
     gate_weights: dict = field(default_factory=dict)  # task -> (batch, n_experts)
+
+
+class PreparedGraph(NamedTuple):
+    """An adjacency as encode uses it, (batch, n, n), and its inverse degree, (batch, n, 1)."""
+
+    adjacency: Tensor | np.ndarray
+    inv_degree: Tensor | np.ndarray
 
 
 def _inverse_degree(adj: np.ndarray) -> np.ndarray:
@@ -131,11 +140,14 @@ class StabilityModel:
 
         d_in, d_h, d_e = config.in_dim, config.hidden_dim, config.expert_hidden
         n_e = config.n_experts
-        for layer in range(config.n_layers):
+        self._sage_names = [(f"sage{i}.w_self", f"sage{i}.w_neigh", f"sage{i}.b")
+                            for i in range(config.n_layers)]
+        self._head_names = {task: (f"head.{task}.w", f"head.{task}.b") for task in TASKS}
+        for layer, (w_self, w_neigh, b) in enumerate(self._sage_names):
             src = d_in if layer == 0 else d_h
-            param(f"sage{layer}.w_self", weight(src, d_h))
-            param(f"sage{layer}.w_neigh", weight(src, d_h))
-            param(f"sage{layer}.b", np.zeros(d_h))
+            param(w_self, weight(src, d_h))
+            param(w_neigh, weight(src, d_h))
+            param(b, np.zeros(d_h))
         # drawn expert by expert, then gate by gate, so a seed gives the per-name weights
         experts = [(weight(d_h, d_e), weight(d_e, d_h)) for _ in range(n_e)]
         param("experts.w1", np.stack([w1 for w1, _ in experts]))
@@ -144,10 +156,10 @@ class StabilityModel:
         param("experts.b2", np.zeros((n_e, 1, d_h)))
         param("gates.w", np.stack([weight(d_h, n_e) for _ in TASKS]))
         param("gates.b", np.zeros((len(TASKS), 1, n_e)))
-        for task in TASKS:
+        for task, (w, b) in self._head_names.items():
             width = 1 if task.endswith("_reg") else 2  # a margin, or 2 logits
-            param(f"head.{task}.w", weight(d_h, width))
-            param(f"head.{task}.b", np.zeros(width))
+            param(w, weight(d_h, width))
+            param(b, np.zeros(width))
 
     # -- plumbing -----------------------------------------------------------
 
@@ -156,13 +168,23 @@ class StabilityModel:
         return self.params if isinstance(x, Tensor) else self._arrays
 
     @staticmethod
-    def _prepare_adjacency(adjacency):
+    def _prepare_adjacency(adjacency) -> PreparedGraph:
         """Constant adjacency and safe inverse degree, (batch, n, n) and (batch, n, 1).
 
-        A Tensor adjacency gives a Tensor inverse degree, a node outside the
-        gradient that a replay recomputes from the adjacency."""
+        A 2-D adjacency is one graph; a PreparedGraph passes through. A Tensor
+        adjacency gives a Tensor inverse degree, a node outside the gradient
+        that a replay recomputes from the adjacency."""
+        if isinstance(adjacency, PreparedGraph):
+            return adjacency
         adj = adjacency if isinstance(adjacency, Tensor) else float_array(adjacency)
-        return adj, derived(_inverse_degree, adj)
+        if adj.ndim == 2:
+            adj = adj[None, :, :]
+        return PreparedGraph(adj, derived(_inverse_degree, adj))
+
+    def prepare_graph(self, adjacency) -> PreparedGraph:
+        """The float64 graph infer makes of a raw adjacency: given to infer in its
+        place, it gives the same bits, so a fixed topology is prepared once."""
+        return self._prepare_adjacency(np.asarray(adjacency, dtype=np.float64))
 
     # -- architecture pieces ------------------------------------------------
     # each runs on Tensors (taped) or ndarrays (untaped), the form of its input
@@ -171,9 +193,10 @@ class StabilityModel:
         if h.shape[-2] != adj.shape[-1]:
             raise ValueError("node count of features and adjacency differ")
         p = self._params_like(h)
+        w_self, w_neigh, b = self._sage_names[layer]
         neigh = (adj @ h) * inv_deg  # mean over neighbors, zero when isolated
-        out = affine(h, p[f"sage{layer}.w_self"], neigh @ p[f"sage{layer}.w_neigh"])
-        out = out + p[f"sage{layer}.b"]  # last, as in (h @ W_self + neigh @ W_neigh) + b
+        out = affine(h, p[w_self], neigh @ p[w_neigh])
+        out = out + p[b]  # last, as in (h @ W_self + neigh @ W_neigh) + b
         return relu(out) if activate else out
 
     def encode(self, features, adjacency):
@@ -181,18 +204,15 @@ class StabilityModel:
 
         Tensor features give Tensors on the tape; anything else is read as an
         array (float32 stays float32, the rest is float64) and gives ndarrays.
-        The adjacency may be a Tensor leaf (a replay input) or an array."""
+        The adjacency may be a Tensor leaf (a replay input), an array or a PreparedGraph."""
         h = features if isinstance(features, Tensor) else float_array(features)
         if h.ndim == 2:
             h = h.reshape(1, *h.shape)
-        adj = adjacency if isinstance(adjacency, Tensor) else float_array(adjacency)
-        if adj.ndim == 2:
-            adj = adj[None, :, :]
         if h.shape[-1] != self.config.in_dim:
             raise ValueError(
                 f"feature dim {h.shape[-1]} does not match model input {self.config.in_dim}"
             )
-        adj, inv_deg = self._prepare_adjacency(adj)
+        adj, inv_deg = self._prepare_adjacency(adjacency)
         last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
             h = self.graphsage_layer(h, adj, inv_deg, layer, activate=layer < last)
@@ -216,7 +236,8 @@ class StabilityModel:
     def head(self, combined, task: str):
         """Task head on its gate's mixture: 2 logits, or a tanh margin."""
         p = self._params_like(combined)
-        out = combined @ p[f"head.{task}.w"] + p[f"head.{task}.b"]
+        w, b = self._head_names[task]
+        out = combined @ p[w] + p[b]
         return tanh(out) if task.endswith("_reg") else out
 
     def forward(self, features, adjacency) -> ModelOutput:
@@ -228,10 +249,11 @@ class StabilityModel:
         return self._run(h, adjacency)
 
     def infer(self, features, adjacency) -> ModelOutput:
-        """The same pass without a tape, in float64: every field is a float64 ndarray."""
-        return self._run(
-            np.asarray(features, dtype=np.float64), np.asarray(adjacency, dtype=np.float64)
-        )
+        """The same pass without a tape, in float64: every field is a float64 ndarray.
+
+        The adjacency is an array, or the PreparedGraph prepare_graph made of it."""
+        graph = adjacency if isinstance(adjacency, PreparedGraph) else self.prepare_graph(adjacency)
+        return self._run(np.asarray(features, dtype=np.float64), graph)
 
     def _run(self, features, adjacency) -> ModelOutput:
         """Encode, apply the experts, mix them per task, then the heads."""

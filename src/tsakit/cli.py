@@ -10,10 +10,13 @@ seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -146,18 +149,19 @@ def _fold_margin(stable: bool, margin_hat: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+@functools.cache
+def _event_template(gate_counts: tuple[int, ...]) -> str:
+    """The % template of an event line with these numbers of gate weights per task."""
+    gates = (f"gates_{task}=" + ",".join(["%.17g"] * n) for task, n in zip(TASKS, gate_counts))
+    return "t=%.17g tas=%s tas_value=%.17g tvs=%s tvs_value=%.17g " + " ".join(gates)
+
+
 def format_event(event: MonitorEvent) -> str:
-    parts = [
-        f"t={event.timestamp:.17g}",
-        f"tas={event.tas_decision}",
-        f"tas_value={event.tas_value:.17g}",
-        f"tvs={event.tvs_decision}",
-        f"tvs_value={event.tvs_value:.17g}",
-    ]
-    for task in TASKS:
-        weights = ",".join(f"{w:.17g}" for w in event.gate_weights[task])
-        parts.append(f"gates_{task}={weights}")
-    return " ".join(parts)
+    weights = [event.gate_weights[task] for task in TASKS]
+    return _event_template(tuple(map(len, weights))) % (
+        event.timestamp, event.tas_decision, event.tas_value,
+        event.tvs_decision, event.tvs_value, *chain.from_iterable(weights),
+    )
 
 
 def parse_event(line: str) -> MonitorEvent:
@@ -167,29 +171,32 @@ def parse_event(line: str) -> MonitorEvent:
         if not sep:
             raise ValueError(f"malformed event token: {token!r}")
         fields[key] = value
-    gates = {
-        task: tuple(float(x) for x in fields[f"gates_{task}"].split(","))
-        for task in TASKS
-    }
-    return MonitorEvent(
-        timestamp=float(fields["t"]),
-        tas_decision=fields["tas"],
-        tas_value=float(fields["tas_value"]),
-        tvs_decision=fields["tvs"],
-        tvs_value=float(fields["tvs_value"]),
-        gate_weights=gates,
-    )
+    try:
+        gates = {
+            task: tuple(float(x) for x in fields[f"gates_{task}"].split(","))
+            for task in TASKS
+        }
+        return MonitorEvent(
+            timestamp=float(fields["t"]),
+            tas_decision=fields["tas"],
+            tas_value=float(fields["tas_value"]),
+            tvs_decision=fields["tvs"],
+            tvs_value=float(fields["tvs_value"]),
+            gate_weights=gates,
+        )
+    except KeyError as exc:
+        raise ValueError(f"event has no {exc.args[0]!r} field") from None
 
 
 def assess_window(model, v_mag, v_ang, slack_bus: int, adjacency, timestamp: float) -> MonitorEvent:
     """Classify one full window and quantify the margins, as an event."""
     features, _ = features_from_window(v_mag, v_ang, slack_bus)
-    return _event(model, features, np.asarray(adjacency, dtype=float), timestamp)
+    return _event(model, features, model.prepare_graph(adjacency), timestamp)
 
 
-def _event(model, features, adjacency, timestamp: float) -> MonitorEvent:
-    """The event of one window's float32 features on a float64 adjacency."""
-    out = model.infer(np.asarray(features, dtype=float)[None], adjacency[None])
+def _event(model, features, graph, timestamp: float) -> MonitorEvent:
+    """The event of one window's float32 features on a prepared graph."""
+    out = model.infer(np.asarray(features, dtype=float)[None], graph)
     tas_stable = bool(out.tas_logits[0].argmax() == STABLE_CLASS)
     tvs_stable = bool(out.tvs_logits[0].argmax() == STABLE_CLASS)
     return MonitorEvent(
@@ -198,10 +205,7 @@ def _event(model, features, adjacency, timestamp: float) -> MonitorEvent:
         tas_value=_fold_margin(tas_stable, float(out.tas_margin_hat[0, 0])),
         tvs_decision="stable" if tvs_stable else "unstable",
         tvs_value=_fold_margin(tvs_stable, float(out.tvs_margin_hat[0, 0])),
-        gate_weights={
-            task: tuple(float(w) for w in out.gate_weights[task][0])
-            for task in TASKS
-        },
+        gate_weights={task: tuple(out.gate_weights[task][0].tolist()) for task in TASKS},
     )
 
 
@@ -367,7 +371,7 @@ def cmd_monitor(args) -> int:
     window_steps = model.config.in_dim // 2
     network = _network_from_args(args)
     n_bus = network.n_bus
-    adjacency = adjacency_from_network(network).astype(float)
+    graph = model.prepare_graph(adjacency_from_network(network))
 
     if args.stream and args.stream != "-":
         stream_path = Path(args.stream)
@@ -379,7 +383,7 @@ def cmd_monitor(args) -> int:
 
     window = StreamWindow(n_bus, window_steps, network.slack_bus)
     width = 1 + 2 * n_bus
-    n_rows = emitted = topologies = 0
+    n_rows = repaired = emitted = topologies = 0
     skipped = Counter()
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -394,7 +398,7 @@ def cmd_monitor(args) -> int:
                     continue
                 try:
                     index = int(parts[2])
-                    adjacency = adjacency_from_network(network, without_line=index).astype(float)
+                    graph = model.prepare_graph(adjacency_from_network(network, without_line=index))
                 except ValueError as exc:
                     logger.warning("line %d: bad topology record: %s", lineno, exc)
                     skipped["topology"] += 1
@@ -410,25 +414,27 @@ def cmd_monitor(args) -> int:
                 skipped["fields"] += 1
                 continue
             try:
-                values = np.array([float(x) for x in fields])
+                values = np.array(fields, dtype=float)
             except ValueError:
-                logger.warning("line %d: non-numeric field; skipped", lineno)
+                values = None
+            if values is None or not math.isfinite(values[0]):
+                logger.warning("line %d: non-numeric field or non-finite time; skipped", lineno)
                 skipped["non_numeric"] += 1
                 continue
-            window.push(values[1 : 1 + n_bus], values[1 + n_bus :])
+            repaired += window.push(values[1 : 1 + n_bus], values[1 + n_bus :])
             n_rows += 1
             if window.full:
                 features, _ = window.features()
-                event = _event(model, features, adjacency, float(values[0]))
+                event = _event(model, features, graph, float(values[0]))
                 print(format_event(event), flush=True)
                 emitted += 1
     finally:
         if stream is not sys.stdin:
             stream.close()
     logger.info(
-        "stream ended: %d valid rows, %d events, %d topology records applied; "
+        "stream ended: %d valid rows (%d repaired), %d events, %d topology records applied; "
         "lines skipped: %d fields, %d non-numeric, %d topology",
-        n_rows, emitted, topologies,
+        n_rows, repaired, emitted, topologies,
         skipped["fields"], skipped["non_numeric"], skipped["topology"],
     )
     return 0

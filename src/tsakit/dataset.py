@@ -196,6 +196,7 @@ class StreamWindow:
         self._mag = np.empty((2 * steps, n_bus))
         self._rel = np.empty((2 * steps, n_bus))
         self._corr = np.empty((2 * steps, n_bus))
+        self._no_corr = np.zeros(n_bus)  # the correction of a row that needs none
         self._prev_rel = None
         self._count = 0
         self._last_clamped = -1  # index of the newest row with a value replaced or clamped
@@ -204,28 +205,28 @@ class StreamWindow:
     def full(self) -> bool:
         return self._count >= self.steps
 
-    def push(self, v_mag_row, v_ang_row) -> None:
-        """Prepare one (n_bus,) row of magnitudes and angles and make it the newest."""
+    def push(self, v_mag_row, v_ang_row) -> bool:
+        """Prepare one (n_bus,) row of magnitudes and angles and make it the
+        newest; True when a value of the row was zeroed or clamped."""
         mag = np.array(v_mag_row, dtype=float)
         ang = np.array(v_ang_row, dtype=float)
         if mag.shape != (self.n_bus,) or ang.shape != (self.n_bus,):
             raise ValueError(f"a stream row needs {self.n_bus} magnitudes and angles")
         clamped = False
         for arr in (mag, ang):
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                arr[bad] = 0.0
+            if not np.isfinite(arr).all():
+                arr[~np.isfinite(arr)] = 0.0
                 clamped = True
-        if (mag < 0.0).any() or (mag > 2.0).any():
+        if mag.min() < 0.0 or mag.max() > 2.0:
             mag = np.clip(mag, 0.0, 2.0)
             clamped = True
         rel = np.angle(np.exp(1j * (ang - ang[self.slack_bus])))
-        corr = np.zeros(self.n_bus)
+        corr = self._no_corr
         if self._prev_rel is not None:
             # numpy's unwrap step with period 2 pi, boundary fix-up included;
             # every correction is 0 unless some step reaches pi
             dd = rel - self._prev_rel
-            if (np.abs(dd) >= np.pi).any():
+            if np.abs(dd).max() >= np.pi:
                 ddmod = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
                 np.copyto(ddmod, np.pi, where=(ddmod == -np.pi) & (dd > 0))
                 corr = ddmod - dd
@@ -238,6 +239,7 @@ class StreamWindow:
             self._last_clamped = self._count
         self._prev_rel = rel
         self._count += 1
+        return clamped
 
     def features(self):
         """(features, clamped) of the newest full window; see features_from_window."""

@@ -70,3 +70,22 @@ def test_lower_is_better_metric(bench_pairs):
         "change_median": 100.0, "change_q1": 99.125, "change_q3": 100.875,
         "change_wins": 0, "verdict": "within bound",
     }
+
+
+@pytest.mark.parametrize("text, seeds", [("51", [51]), ("51-58", list(range(51, 59)))])
+def test_seed_range(bench_pairs, text, seeds):
+    assert list(bench_pairs.seed_range(text)) == seeds
+
+
+def test_rss_fit_at_equal_operations(bench_pairs):
+    """1 MB per operation on both sides; at equal counts the change holds 2 MB
+    more, 2% of the parent's median of 100 MB."""
+    runs = [
+        {side: {"operations": ops, "metrics": {"peak_rss_mb": rss}}
+         for side, ops, rss in (("parent", op, 98.0 + op), ("change", oc, 100.0 + oc))}
+        for op, oc in ((1, 3), (2, 4), (3, 5))
+    ]
+    fit = bench_pairs.rss_fit(runs)
+    assert fit["mb_per_operation"] == pytest.approx(1.0)
+    assert fit["change_minus_parent_mb"] == pytest.approx(2.0)
+    assert fit["change_minus_parent_share"] == pytest.approx(0.02)

@@ -460,6 +460,7 @@ class TestMonitor:
         text = stream.read_text().splitlines()
         text.insert(2, "0.015,1.0,0.5")          # wrong field count
         text.insert(3, "zero," + ",".join(["1.0"] * 78))  # non-numeric time
+        text.insert(4, "nan," + ",".join(["1.0"] * 78))  # non-finite time
         stream.write_text("\n".join(text) + "\n")
         rc = cli.main([
             "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
@@ -469,7 +470,7 @@ class TestMonitor:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4 - TOY_WINDOW + 1  # only valid rows advance
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 2
+        assert len(warnings) == 3
 
     def test_comments_and_blanks_ignored(self, trained, tmp_path, capsys):
         stream = tmp_path / "s.csv"
@@ -529,6 +530,33 @@ class TestMonitor:
         # the last good topology stays in use
         assert out == without_13
 
+    def test_graph_prepared_once_per_topology(self, trained, tmp_path, capsys, monkeypatch):
+        """The inverse degree is computed at start-up and at each applied
+        topology record, not once per window."""
+        from tsakit.autodiff_nn import model as model_module
+
+        stream = tmp_path / "s.csv"
+        write_stream(stream, rows=7)
+        rows = stream.read_text().splitlines()
+        rows[2:2] = ["topology,remove_line,13", "topology,remove_line,999"]
+        rows[6:6] = ["topology,remove_line,5"]
+        stream.write_text("\n".join(rows) + "\n")
+        prepared = []
+        inverse_degree = model_module._inverse_degree
+
+        def counting(adj):
+            prepared.append(adj.shape)
+            return inverse_degree(adj)
+
+        monkeypatch.setattr(model_module, "_inverse_degree", counting)
+        rc = cli.main([
+            "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
+            "--stream", str(stream),
+        ])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 7 - TOY_WINDOW + 1
+        assert prepared == [(1, 39, 39)] * (1 + 2)
+
     def test_stdin_stream(self, trained, tmp_path, capsys, monkeypatch):
         import io
         stream = tmp_path / "s.csv"
@@ -562,6 +590,35 @@ class TestMonitor:
             },
         )
         assert cli.parse_event(cli.format_event(event)) == event
+
+    def test_format_event_exact_text(self):
+        """The text the f-string formatter wrote before the % template, byte for byte."""
+        event = cli.MonitorEvent(
+            timestamp=12.345678901234567,
+            tas_decision="unstable", tas_value=-0.0,
+            tvs_decision="stable", tvs_value=0.12345678901234568,
+            gate_weights={
+                "tas_cls": (0.1, 0.2, 0.3, 0.4),
+                "tvs_cls": (0.5, 0.25, 0.125, 0.125),
+                "tas_reg": (1.0, 0.0, -0.0, 1e-300),
+                "tvs_reg": (0.30000000000000004, 0.19999999999999998, 0.25, 0.25),
+            },
+        )
+        assert cli.format_event(event) == (
+            "t=12.345678901234567 tas=unstable tas_value=-0 tvs=stable "
+            "tvs_value=0.12345678901234568 gates_tas_cls=0.10000000000000001,"
+            "0.20000000000000001,0.29999999999999999,0.40000000000000002 "
+            "gates_tvs_cls=0.5,0.25,0.125,0.125 gates_tas_reg=1,0,-0,1e-300 "
+            "gates_tvs_reg=0.30000000000000004,0.19999999999999998,0.25,0.25"
+        )
+
+    @pytest.mark.parametrize("line, message", [
+        ("t=1 tas=stable", "event has no 'gates_tas_cls' field"),
+        ("t=1 tas", "malformed event token: 'tas'"),
+    ])
+    def test_parse_event_rejects_an_incomplete_line(self, line, message):
+        with pytest.raises(ValueError, match=message):
+            cli.parse_event(line)
 
     @pytest.mark.parametrize("margin_hat", [-1.5, -0.25, 0.0, -0.0, 0.5, 1.0, 2.0, math.nan])
     @pytest.mark.parametrize("stable", [True, False])
@@ -638,9 +695,9 @@ class TestMonitorReplayMatchesOffline:
         wrapping[4:4] = [wrapping[3][: wrapping[3].rindex(",")], "topology,remove_line,13"]
 
         caplog.set_level(logging.INFO, logger="tsakit.cli")
-        for lines, n_rows, topology, skipped in ((plain, 5, None, (0, 0, 0)),
-                                                 (mixed, 9, 13, (1, 1, 1)),
-                                                 (wrapping, 8, 13, (1, 0, 0))):
+        for lines, n_rows, repaired, topology, skipped in ((plain, 5, 0, None, (0, 0, 0)),
+                                                           (mixed, 9, 0, 13, (1, 1, 1)),
+                                                           (wrapping, 8, 1, 13, (1, 0, 0))):
             stream.write_text("\n".join(lines) + "\n")
             caplog.clear()
             rc = cli.main([
@@ -654,7 +711,7 @@ class TestMonitorReplayMatchesOffline:
             assert len([r for r in caplog.records if r.levelname == "WARNING"]) == sum(skipped)
             summary = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
             assert summary == [
-                f"stream ended: {n_rows} valid rows, {n_events} events, "
+                f"stream ended: {n_rows} valid rows ({repaired} repaired), {n_events} events, "
                 f"{int(topology is not None)} topology records applied; lines skipped: "
                 "%d fields, %d non-numeric, %d topology" % skipped
             ]

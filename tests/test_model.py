@@ -459,6 +459,20 @@ class TestInfer:
                 assert got.dtype == np.float64
                 assert got.tobytes() == w.data.tobytes()
 
+    def test_prepared_graph_gives_the_raw_adjacency_bits(self, rng):
+        """A graph prepared once, as the monitor keeps it, gives infer the bits
+        of the taped forward on the raw float64 adjacency, whatever the dtype
+        of the adjacency it was prepared from."""
+        model = small_model(seed=10)
+        x, adj = self.graphs(rng, 4)
+        assert np.isin(adj.sum(axis=-1), (3.0, 5.0)).any()
+        want = self.fields(model.forward(x, adj))
+        for adjacency in (adj, adj.astype(np.float32), adj.astype(np.int8)):
+            graph = model.prepare_graph(adjacency)
+            assert graph.adjacency.dtype == graph.inv_degree.dtype == np.float64
+            for got, w in zip(self.fields(model.infer(x, graph)), want):
+                assert got.tobytes() == w.data.tobytes()
+
 
 class TestCheckpoint:
     def test_roundtrip_preserves_quantized_parameters(self, tmp_path):
