@@ -4,6 +4,7 @@ from .model import (
     TASKS,
     ModelConfig,
     ModelOutput,
+    PreparedGraph,
     StabilityModel,
     checkpoint_blocks,
     load_balance_loss,
@@ -17,6 +18,7 @@ __all__ = [
     "TASKS",
     "ModelConfig",
     "ModelOutput",
+    "PreparedGraph",
     "Program",
     "StabilityModel",
     "Tensor",

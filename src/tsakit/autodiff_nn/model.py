@@ -22,19 +22,23 @@ float64 (a new model's parameters and a loaded checkpoint's are float64).
 infer casts the features and the adjacency to float64, so it reads float32
 weights exactly as it reads the same weights loaded from their checkpoint.
 It also takes the graph prepare_graph made once, as the monitor does per topology.
+
+Every task's gate comes from one stacked softmax, so ModelOutput carries the
+(tasks, batch, experts) gate array as it is computed: the balance loss reads
+it whole, and gate_weights gives each task's slice of it.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, affine, derived, float_array, relu, softmax, swapaxes, tanh
+from .tensor import Tensor, affine, float_array, relu, softmax, swapaxes, tanh
 
 TASKS = ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")
 
@@ -69,7 +73,12 @@ class ModelOutput:
     tvs_logits: Tensor | np.ndarray
     tas_margin_hat: Tensor | np.ndarray  # (batch, 1) in [-1, 1]
     tvs_margin_hat: Tensor | np.ndarray
-    gate_weights: dict = field(default_factory=dict)  # task -> (batch, n_experts)
+    gates: Tensor | np.ndarray  # (tasks, batch, n_experts), in TASKS order
+
+    @property
+    def gate_weights(self) -> dict:
+        """task -> its (batch, n_experts) gate weights, a slice of gates."""
+        return {task: self.gates[i] for i, task in enumerate(TASKS)}
 
 
 class PreparedGraph(NamedTuple):
@@ -171,15 +180,15 @@ class StabilityModel:
     def _prepare_adjacency(adjacency) -> PreparedGraph:
         """Constant adjacency and safe inverse degree, (batch, n, n) and (batch, n, 1).
 
-        A 2-D adjacency is one graph; a PreparedGraph passes through. A Tensor
-        adjacency gives a Tensor inverse degree, a node outside the gradient
-        that a replay recomputes from the adjacency."""
+        A 2-D adjacency is one graph; a PreparedGraph passes through. The
+        arrays keep a float32 adjacency's dtype, as training prepares its
+        graphs, and are float64 otherwise."""
         if isinstance(adjacency, PreparedGraph):
             return adjacency
-        adj = adjacency if isinstance(adjacency, Tensor) else float_array(adjacency)
+        adj = float_array(adjacency)
         if adj.ndim == 2:
             adj = adj[None, :, :]
-        return PreparedGraph(adj, derived(_inverse_degree, adj))
+        return PreparedGraph(adj, _inverse_degree(adj))
 
     def prepare_graph(self, adjacency) -> PreparedGraph:
         """The float64 graph infer makes of a raw adjacency: given to infer in its
@@ -204,7 +213,8 @@ class StabilityModel:
 
         Tensor features give Tensors on the tape; anything else is read as an
         array (float32 stays float32, the rest is float64) and gives ndarrays.
-        The adjacency may be a Tensor leaf (a replay input), an array or a PreparedGraph."""
+        The adjacency is an array or a PreparedGraph, whose arrays may be
+        Tensor leaves (a recorded training step's inputs)."""
         h = features if isinstance(features, Tensor) else float_array(features)
         if h.ndim == 2:
             h = h.reshape(1, *h.shape)
@@ -243,8 +253,9 @@ class StabilityModel:
     def forward(self, features, adjacency) -> ModelOutput:
         """Full pass on the tape, for training: every field is a Tensor.
 
-        A Program that records this pass passes features and adjacency as
-        its Tensor input leaves."""
+        A Program that records this pass passes the features and a
+        PreparedGraph of the adjacency and its inverse degree as its Tensor
+        input leaves."""
         h = features if isinstance(features, Tensor) else Tensor(features)
         return self._run(h, adjacency)
 
@@ -263,7 +274,7 @@ class StabilityModel:
         combined = moe_combine(gates, experts)
         heads = [self.head(combined[i], task) for i, task in enumerate(TASKS)]
         # ModelOutput's head fields are in TASKS order
-        return ModelOutput(*heads, gate_weights={task: gates[i] for i, task in enumerate(TASKS)})
+        return ModelOutput(*heads, gates=gates)
 
 
 # ---------------------------------------------------------------------------

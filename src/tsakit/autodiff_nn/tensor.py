@@ -352,12 +352,11 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         def backward_fn(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            full = np.empty_like(self.data)
+            full[...] = g
+            self._accumulate(full)
 
         return self._result(lambda: self.data.sum(axis=axis, keepdims=keepdims), (self,), backward_fn)
 
@@ -424,8 +423,8 @@ class Tensor:
         rows = np.arange(n)
 
         def forward_fn():
-            shifted = self.data - self.data.max(axis=1, keepdims=True)
-            lse = np.log(np.exp(shifted).sum(axis=1)) + self.data.max(axis=1)
+            top = self.data.max(axis=1, keepdims=True)
+            lse = np.log(np.exp(self.data - top).sum(axis=1)) + top[:, 0]
             picked = self.data[rows, targets.data.astype(int)]
             return (lse - picked).mean()
 

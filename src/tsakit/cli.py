@@ -205,7 +205,7 @@ def _event(model, features, graph, timestamp: float) -> MonitorEvent:
         tas_value=_fold_margin(tas_stable, float(out.tas_margin_hat[0, 0])),
         tvs_decision="stable" if tvs_stable else "unstable",
         tvs_value=_fold_margin(tvs_stable, float(out.tvs_margin_hat[0, 0])),
-        gate_weights={task: tuple(out.gate_weights[task][0].tolist()) for task in TASKS},
+        gate_weights={task: tuple(w) for task, w in zip(TASKS, out.gates[:, 0].tolist())},
     )
 
 
@@ -214,11 +214,19 @@ def _event(model, features, graph, timestamp: float) -> MonitorEvent:
 # ---------------------------------------------------------------------------
 
 
+def _open_input(kind: str, path: Path, reader):
+    """reader(path); a path that is missing or cannot be read exits 2 naming it."""
+    if not path.exists():
+        raise CliError(f"{kind} file not found: {path}")
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise CliError(f"cannot read {kind} file: {path}") from exc
+
+
 def _network_from_args(args):
     path = Path(args.network) if args.network else Path(packaged_network_path())
-    if not path.exists():
-        raise CliError(f"network file not found: {path}")
-    return load_network(path)
+    return _open_input("network", path, load_network)
 
 
 def _out_dir(args) -> Path:
@@ -265,13 +273,7 @@ def cmd_label(args) -> int:
 def _load_dataset_checked(path):
     if not path:
         raise CliError("this command needs --data pointing at a dataset file")
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"dataset file not found: {p}")
-    try:
-        return load_dataset(p)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _open_input("dataset", Path(path), load_dataset)
 
 
 def cmd_train(args) -> int:
@@ -355,13 +357,7 @@ def cmd_eval(args) -> int:
 def _load_checkpoint_checked(path):
     if not path:
         raise CliError("this command needs --checkpoint")
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"checkpoint file not found: {p}")
-    try:
-        return load_checkpoint(p)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _open_input("checkpoint", Path(path), load_checkpoint)
 
 
 def cmd_monitor(args) -> int:
@@ -374,10 +370,7 @@ def cmd_monitor(args) -> int:
     graph = model.prepare_graph(adjacency_from_network(network))
 
     if args.stream and args.stream != "-":
-        stream_path = Path(args.stream)
-        if not stream_path.exists():
-            raise CliError(f"stream file not found: {stream_path}")
-        stream = stream_path.open()
+        stream = _open_input("stream", Path(args.stream), Path.open)
     else:
         stream = sys.stdin
 
@@ -413,10 +406,13 @@ def cmd_monitor(args) -> int:
                 )
                 skipped["fields"] += 1
                 continue
-            try:
-                values = np.array(fields, dtype=float)
-            except ValueError:
-                values = None
+            values = None
+            # float() also reads forms no CSV writer produces: 1_0, non-ASCII digits
+            if text.isascii() and "_" not in text:
+                try:
+                    values = np.array(fields, dtype=float)
+                except ValueError:
+                    pass
             if values is None or not math.isfinite(values[0]):
                 logger.warning("line %d: non-numeric field or non-finite time; skipped", lineno)
                 skipped["non_numeric"] += 1

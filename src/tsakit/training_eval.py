@@ -22,10 +22,16 @@ runs on the eager tape inside a tensor.Program, which records the nodes it
 creates; every later step of that size rebinds the program's inputs to the
 batch and replays the same numpy calls in the same order, so the
 parameters and the checkpoint get the eager bits. The inputs are the
-batch's features, adjacency, class targets and margin targets; the
-inverse degree and the negated margin targets derived from them are
-recomputed nodes, and the parameters are read in place. train still calls
-optimizer.step once per step. The programs live only for one train call.
+batch's features, adjacency, inverse degree, class targets and margin
+targets; the negated margin targets are recomputed nodes, and the
+parameters are read in place. train still calls optimizer.step once per
+step. The programs live only for one train call.
+
+A sample's graph does not change while it trains, so train prepares every
+graph once per call: the inverse degree of the whole float32 adjacency
+stack, which a step slices as it slices the adjacency, and the float64
+validation graph that predict reads each epoch. The inverse degree is
+computed row by row, so a slice of it has the bits of a batch's own.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .autodiff_nn import (
     TASKS,
     ModelConfig,
     ModelOutput,
+    PreparedGraph,
     Program,
     StabilityModel,
     Tensor,
@@ -174,7 +181,7 @@ def _loss_terms(outputs: ModelOutput, targets: dict, weights: LossWeights) -> di
         "ce_tvs": outputs.tvs_logits.cross_entropy_logits(targets["tvs_cls"]),
         "reg_tas": ((outputs.tas_margin_hat.reshape(-1) - margins(targets["tas_reg"])) ** 2).mean(),
         "reg_tvs": ((outputs.tvs_margin_hat.reshape(-1) - margins(targets["tvs_reg"])) ** 2).mean(),
-        "balance": load_balance_loss(Tensor.stack([outputs.gate_weights[t] for t in TASKS])),
+        "balance": load_balance_loss(outputs.gates),
     }
     terms["total"] = (
         weights.lambda_cls * (terms["ce_tas"] + terms["ce_tvs"])
@@ -318,12 +325,16 @@ def _arrays_from_samples(samples):
 
 
 def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) -> dict:
-    """Tape-free forward in chunks; bool verdicts, float margins, gate weights per task."""
-    n = features.shape[0]
+    """Tape-free forward in chunks; bool verdicts, float margins, gate weights per task.
+
+    The adjacency is an array or the PreparedGraph prepare_graph made of it;
+    an array is prepared once here, and each chunk takes a slice of the graph."""
+    graph = adjacency if isinstance(adjacency, PreparedGraph) else model.prepare_graph(adjacency)
     chunks = []
-    for lo in range(0, n, batch_size):
-        out = model.infer(features[lo : lo + batch_size], adjacency[lo : lo + batch_size])
-        chunks.append(out)
+    for lo in range(0, features.shape[0], batch_size):
+        part = slice(lo, lo + batch_size)
+        chunks.append(model.infer(features[part], PreparedGraph(*(a[part] for a in graph))))
+    gates = np.concatenate([c.gates for c in chunks], axis=1)
     return {
         "tas_stable": np.concatenate(
             [c.tas_logits.argmax(axis=1) == STABLE_CLASS for c in chunks]
@@ -333,10 +344,7 @@ def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) ->
         ),
         "tas_margin": np.concatenate([c.tas_margin_hat[:, 0] for c in chunks]),
         "tvs_margin": np.concatenate([c.tvs_margin_hat[:, 0] for c in chunks]),
-        "gates": {
-            task: np.concatenate([c.gate_weights[task] for c in chunks])
-            for task in TASKS
-        },
+        "gates": {task: gates[i] for i, task in enumerate(TASKS)},
     }
 
 
@@ -380,7 +388,9 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
 
     train_ids = np.asarray(split.train_ids)
     val_ids = np.asarray(split.val_ids)
-    val_feat, val_adj = features[val_ids], adjacency[val_ids]
+    inv_degree = model._prepare_adjacency(adjacency).inv_degree
+    val_feat = features[val_ids].astype(np.float64)
+    val_graph = model.prepare_graph(adjacency[val_ids])
     val_cls = {k: targets[k][val_ids] for k in ("tas_cls", "tvs_cls")}
     val_reg = {k: targets[k][val_ids] for k in ("tas_reg", "tvs_reg")}
 
@@ -393,7 +403,8 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     aborted = False
 
     def step_loss(inputs: dict):
-        out = model.forward(inputs["features"], inputs["adjacency"])
+        graph = PreparedGraph(inputs["adjacency"], inputs["inv_degree"])
+        out = model.forward(inputs["features"], graph)
         terms = _loss_terms(out, inputs, weights)
         return terms["total"], terms
 
@@ -403,7 +414,10 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
         batch_losses = []
         for lo in range(0, len(order), config.batch_size):
             ids = order[lo : lo + config.batch_size]
-            batch = {"features": features[ids], "adjacency": adjacency[ids]}
+            batch = {
+                "features": features[ids], "adjacency": adjacency[ids],
+                "inv_degree": inv_degree[ids],
+            }
             batch.update((k, v[ids]) for k, v in targets.items())
             program = programs.get(len(ids))
             if program is None:
@@ -425,7 +439,7 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
         if aborted:
             break
 
-        val_pred = predict(model, val_feat, val_adj)
+        val_pred = predict(model, val_feat, val_graph)
         acc_tas = float(np.mean(val_pred["tas_stable"] == val_cls["tas_cls"].astype(bool)))
         acc_tvs = float(np.mean(val_pred["tvs_stable"] == val_cls["tvs_cls"].astype(bool)))
         joint = float(

@@ -123,6 +123,19 @@ class TestReductions:
     def test_sum_axis_keepdims(self, rng):
         check_op(lambda a: (a / a.sum(axis=1, keepdims=True)).sum(), (3, 4), rng=rng)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis, keepdims", [(None, False), (1, False), (1, True), ((0, 2), False)])
+    def test_sum_gradient_is_a_writable_array_of_the_operands_dtype(self, rng, dtype, axis,
+                                                                    keepdims):
+        x = Tensor(rng.standard_normal((2, 3, 4)).astype(dtype), requires_grad=True)
+        s = x.sum(axis=axis, keepdims=keepdims)
+        seed = (1.0 + np.arange(s.data.size, dtype=dtype)).reshape(s.shape)
+        s.backward(seed)
+        assert type(x.grad) is np.ndarray and x.grad.dtype == dtype
+        assert x.grad.flags.writeable and x.grad.shape == x.shape
+        spread = seed if axis is None or keepdims else np.expand_dims(seed, axis)
+        assert x.grad.tobytes() == np.broadcast_to(spread, x.shape).tobytes()
+
     def test_mean_matches_manual(self, rng):
         a = rng.standard_normal((4, 6))
         t = Tensor(a, requires_grad=True)

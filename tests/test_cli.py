@@ -425,6 +425,25 @@ def write_stream(path, rows, n_bus=39, start=0.0, step=0.01, seed=0):
     return times
 
 
+@pytest.mark.parametrize("command, flag, kind", [
+    ("train", "--data", "dataset"), ("eval", "--data", "dataset"),
+    ("monitor", "--checkpoint", "checkpoint"), ("monitor", "--stream", "stream"),
+    ("monitor", "--network", "network"),
+])
+def test_unreadable_input_path_exits_2_naming_it(toy_dataset, trained, tmp_path, capsys,
+                                                 command, flag, kind):
+    """An input path that exists but cannot be read, here a directory."""
+    args = {
+        "train": {"--data": str(toy_dataset), "--out": str(tmp_path / "out")},
+        "eval": {"--data": str(toy_dataset), "--checkpoint": str(trained / "checkpoint.tsm")},
+        "monitor": {"--checkpoint": str(trained / "checkpoint.tsm")},
+    }[command]
+    args[flag] = str(tmp_path)
+    rc = cli.main([command, *(x for pair in args.items() for x in pair)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot read {kind} file: {tmp_path}\n"
+
+
 class TestMonitor:
     def test_event_per_complete_window(self, trained, tmp_path, capsys):
         stream = tmp_path / "s.csv"
@@ -461,6 +480,8 @@ class TestMonitor:
         text.insert(2, "0.015,1.0,0.5")          # wrong field count
         text.insert(3, "zero," + ",".join(["1.0"] * 78))  # non-numeric time
         text.insert(4, "nan," + ",".join(["1.0"] * 78))  # non-finite time
+        text.insert(5, "0.015,1_0," + ",".join(["1.0"] * 77))  # float() reads 1_0 as 10
+        text.insert(6, "0.015," + ",".join(["1.0"] * 77) + ",\u0661")  # and an Arabic-Indic 1
         stream.write_text("\n".join(text) + "\n")
         rc = cli.main([
             "monitor", "--checkpoint", str(trained / "checkpoint.tsm"),
@@ -470,7 +491,8 @@ class TestMonitor:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4 - TOY_WINDOW + 1  # only valid rows advance
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 3
+        assert len(warnings) == 5
+        assert sum("non-numeric" in r.getMessage() for r in warnings) == 4
 
     def test_comments_and_blanks_ignored(self, trained, tmp_path, capsys):
         stream = tmp_path / "s.csv"

@@ -240,6 +240,23 @@ class TestLoadBalance:
         assert g.grad is not None
         assert np.any(g.grad != 0.0)
 
+    def test_stacked_gates_give_the_bits_of_their_restacked_slices(self, rng):
+        """The loss on a taped float32 (tasks, batch, experts) gate tensor has the
+        value and gradient bytes of stacking its per-task slices first, with the
+        gates also feeding another consumer, as they feed the expert mixture."""
+        logits = rng.standard_normal((4, 16, 4)).astype(np.float32)
+        weights = rng.standard_normal((4, 16, 4)).astype(np.float32)
+        results = []
+        for restack in (False, True):
+            leaf = Tensor(logits, requires_grad=True)
+            gates = leaf.softmax(axis=-1)
+            routed = Tensor.stack([gates[i] for i in range(4)]) if restack else gates
+            balance = load_balance_loss(routed)
+            ((gates * weights).sum() + balance).backward()
+            assert balance.dtype == leaf.grad.dtype == np.float32
+            results.append((balance.data.tobytes(), gates.grad.tobytes(), leaf.grad.tobytes()))
+        assert results[0] == results[1]
+
     def test_stacked_task_axis_accepted(self, rng):
         g = rng.dirichlet(np.ones(4), size=(3, 5))
         loss = load_balance_loss(Tensor(g))

@@ -10,6 +10,7 @@ from toyset import make_toy_samples
 
 from tsakit import training_eval
 from tsakit.autodiff_nn import (
+    TASKS,
     ModelConfig,
     ModelOutput,
     StabilityModel,
@@ -149,8 +150,7 @@ def synthetic_output(logit_tas, logit_tvs, m_tas, m_tvs, gates=None, n_experts=4
         tvs_logits=Tensor(np.asarray(logit_tvs, dtype=float)),
         tas_margin_hat=Tensor(np.asarray(m_tas, dtype=float).reshape(-1, 1)),
         tvs_margin_hat=Tensor(np.asarray(m_tvs, dtype=float).reshape(-1, 1)),
-        gate_weights={t: Tensor(np.array(gates, dtype=float)) for t in
-                      ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")},
+        gates=Tensor(np.stack([np.array(gates, dtype=float)] * 4)),
     )
 
 
@@ -546,6 +546,52 @@ class TestReplayedSteps:
         assert not np.isfinite(parts_seen[-1]["total"])
         assert [params for _, params in want] == params_seen  # no step on the bad batch
         assert _snapshot_bytes(result.model) == epoch_ends[0]
+
+
+class TestPreparedGraphs:
+    """train prepares each sample's graph once per call, with the bits a
+    batch or a chunk would prepare for itself."""
+
+    def test_inverse_degree_is_computed_once_per_train_call(self, monkeypatch):
+        from tsakit.autodiff_nn import model as model_module
+
+        samples, split = toy_setup()
+        inverse_degree, shapes = model_module._inverse_degree, []
+
+        def counting(adj):
+            shapes.append(adj.shape)
+            return inverse_degree(adj)
+
+        monkeypatch.setattr(model_module, "_inverse_degree", counting)
+        seen = {}
+        for epochs in (1, 3):
+            shapes.clear()
+            cfg = TrainConfig(epochs=epochs, accuracy_threshold=1.0, mse_threshold=1e-300, seed=0)
+            result = train(samples, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+            assert len(result.log_rows) == epochs
+            seen[epochs] = list(shapes)
+        n_bus = samples[0].adjacency.shape[0]
+        assert seen[1] == seen[3] == [
+            (len(samples), n_bus, n_bus), (len(split.val_ids), n_bus, n_bus),
+        ]
+
+    def test_predict_on_a_prepared_graph_gives_each_chunks_own_bits(self):
+        samples = varied_samples(n=40)
+        features, adjacency, _ = _arrays_from_samples(samples)
+        model = StabilityModel(ModelConfig(in_dim=6, seed=4, **SMALL_MODEL))
+        graph = model.prepare_graph(adjacency)
+        for batch_size in (7, 64):  # 40 samples: six chunks of 7 and a partial one, or one
+            chunks = [model.infer(features[lo : lo + batch_size], adjacency[lo : lo + batch_size])
+                      for lo in range(0, len(samples), batch_size)]
+            want = [np.concatenate([c.tas_margin_hat[:, 0] for c in chunks]),
+                    np.concatenate([c.tvs_logits for c in chunks]),
+                    np.concatenate([c.gates for c in chunks], axis=1)]
+            for got in (predict(model, features, adjacency, batch_size),
+                        predict(model, features.astype(np.float64), graph, batch_size)):
+                assert got["tas_margin"].tobytes() == want[0].tobytes()
+                assert np.array_equal(got["tvs_stable"], want[1].argmax(axis=1) == 1)
+                stacked = np.stack([got["gates"][task] for task in TASKS])
+                assert stacked.tobytes() == want[2].tobytes()
 
 
 def _report_fields(report):
