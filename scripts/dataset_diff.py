@@ -1,12 +1,13 @@
 """Compare two TSD1 dataset files label by label and feature by feature.
 
-Prints the sample counts, whether the files are byte-identical, the verdict
-flips of each criterion, the largest absolute change of every continuous
-label (CCTs, TSI, v_min, signed margins) with the number of samples it
-changed in, the number of samples whose flags or adjacency differ, the
-largest feature change with the number of differing feature values, and the
-scenario ids whose CCT, margin, verdict or flags changed (the first 20 and a
-count of the rest). Samples are matched by scenario id.
+Prints the sample counts, whether the files are byte-identical, one line per
+label field of `dataset.Sample` but the scenario id, in field order (a
+verdict's flips, a float label's largest absolute change with the number of
+samples it changed in, and the number of samples whose flags differ), the
+number of samples whose adjacency differs, the largest feature change with
+the number of differing feature values, and the scenario ids with any
+changed label (the first 20 and a count of the rest). Samples are matched by
+scenario id.
 
 Run from the repository root:
 
@@ -24,12 +25,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tsakit.dataset import load_dataset  # noqa: E402
+from tsakit.dataset import _LABELS, load_dataset  # noqa: E402
 
-VERDICTS = ("tas_stable", "tvs_stable")
-VALUES = ("tas_cct_s", "tvs_cct_s", "tsi_deg", "v_min_pu", "tas_signed", "tvs_signed")
-# the fields whose change puts a scenario id on the report's list
-LISTED = (*VERDICTS, "tas_cct_s", "tvs_cct_s", "tas_signed", "tvs_signed", "flags")
+LABELS = [(name, kind) for name, kind in _LABELS if name != "scenario_id"]
 SHOWN_IDS = 20
 
 
@@ -49,14 +47,16 @@ def diff_report(old_path: str | Path, new_path: str | Path) -> list[str]:
     if unmatched:
         lines.append(f"scenario ids in only one file: {unmatched}")
     pairs = [(old_by_id[i], new_by_id[i]) for i in ids]
-    for name in VERDICTS:
-        flips = sum(getattr(a, name) != getattr(b, name) for a, b in pairs)
-        lines.append(f"{name} flips: {flips}")
-    for name in VALUES:
-        deltas = [abs(getattr(a, name) - getattr(b, name)) for a, b in pairs]
-        changed = sum(d != 0 for d in deltas)
-        lines.append(f"{name} max |d|: {max(deltas, default=0.0):.6g}, samples differing: {changed}")
-    lines.append(f"flags differ: {sum(a.flags != b.flags for a, b in pairs)}")
+    for name, kind in LABELS:
+        if kind is float:
+            deltas = [abs(getattr(a, name) - getattr(b, name)) for a, b in pairs]
+            changed = sum(d != 0 for d in deltas)
+            lines.append(
+                f"{name} max |d|: {max(deltas, default=0.0):.6g}, samples differing: {changed}"
+            )
+        else:
+            changed = sum(getattr(a, name) != getattr(b, name) for a, b in pairs)
+            lines.append(f"{name} {'flips' if kind is bool else 'differ'}: {changed}")
     lines.append(
         f"adjacency differs: {sum(not np.array_equal(a.adjacency, b.adjacency) for a, b in pairs)}"
     )
@@ -72,8 +72,8 @@ def diff_report(old_path: str | Path, new_path: str | Path) -> list[str]:
     if len(same_shape) < len(pairs):
         lines.append(f"feature shapes differ: {len(pairs) - len(same_shape)} samples")
     changed = [a.scenario_id for a, b in pairs
-               if any(getattr(a, name) != getattr(b, name) for name in LISTED)]
-    line = f"scenarios with a changed CCT, margin, verdict or flags: {len(changed)}"
+               if any(getattr(a, name) != getattr(b, name) for name, _ in LABELS)]
+    line = f"scenarios with a changed label: {len(changed)}"
     if changed:
         shown = ", ".join(map(str, changed[:SHOWN_IDS]))
         if len(changed) > SHOWN_IDS:

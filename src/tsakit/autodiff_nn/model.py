@@ -116,12 +116,13 @@ def moe_combine(gates, expert_outputs):
     return (expanded * expert_outputs).sum(axis=-2)
 
 
-def load_balance_loss(gate_weights: Tensor) -> Tensor:
+def load_balance_loss(gate_weights):
     """Squared coefficient of variation of per-expert importance.
 
     Importance is each expert's total gate mass over everything but the
     expert axis. Zero iff all experts carry equal mass; concentrating on one
-    of N experts gives N - 1.
+    of N experts gives N - 1. A Tensor in gives a taped Tensor, an ndarray
+    a numpy scalar of the same value.
     """
     axes = tuple(range(gate_weights.ndim - 1))
     importance = gate_weights.sum(axis=axes) if axes else gate_weights

@@ -17,8 +17,8 @@ Python scalars, so a float32 graph stays float32 through constant factors.
 Operands of mixed array dtypes follow numpy's promotion. Gradients, the
 backward seed included, take the dtype of the value they belong to.
 
-The functions relu, tanh, softmax, swapaxes, affine and derived take either
-a Tensor, which records its tape edge, or an ndarray, which records nothing.
+The functions relu, tanh, softmax, swapaxes and affine take either a
+Tensor, which records its tape edge, or an ndarray, which records nothing.
 Every other operation the model uses is an operator or method that both
 types share, so one model definition serves training (Tensors) and tape-free
 inference (arrays). A Tensor method computes its value through the array
@@ -34,11 +34,11 @@ order are those of an eager pass, so a replay gives the eager bits. Forward
 and backward closures therefore read their operands' current data, never
 an array captured while the graph was built. The replay's inputs are the
 program's input leaves: anything a function derives from them must be a
-node (derived() makes one outside the gradient), since a leaf built from an
-input's array would stay frozen at its recorded value. Leaves made outside
-the call, such as parameters updated in place, are read at their current
-value; constant leaves such as Python-number operands keep theirs. One
-Program records at a time.
+node computed from them, since a leaf built from an input's array would
+stay frozen at its recorded value. Leaves made outside the call, such as
+parameters updated in place, are read at their current value; constant
+leaves such as Python-number operands keep theirs. One Program records at
+a time.
 """
 
 from __future__ import annotations
@@ -97,14 +97,6 @@ def swapaxes(x, a: int, b: int):
     return x._result(
         lambda: np.swapaxes(x.data, a, b), (x,), lambda g: x._accumulate(np.swapaxes(g, a, b))
     )
-
-
-def derived(fn, x):
-    """fn(x) for an ndarray. For a Tensor, a node holding fn(x.data) that
-    passes no gradient back to x and that a replay recomputes."""
-    if not isinstance(x, Tensor):
-        return fn(x)
-    return Tensor._result(lambda: fn(x.data), (x,), None)
 
 
 def affine(x, w, c):
@@ -202,11 +194,11 @@ class Tensor:
     def _result(forward_fn, parents, backward_fn) -> "Tensor":
         """The node whose value is forward_fn(), computed now from the parents' data.
 
-        It tracks gradients when backward_fn is given and a parent does."""
+        It tracks gradients when a parent does."""
         out = Tensor(forward_fn())
         out._forward = forward_fn
         out._parents = tuple(parents)
-        if backward_fn is not None and any(p.requires_grad for p in out._parents):
+        if any(p.requires_grad for p in out._parents):
             out.requires_grad = True
             out._backward = backward_fn
         if _recording is not None:

@@ -390,6 +390,9 @@ def cmd_monitor(args) -> int:
                     skipped["topology"] += 1
                     continue
                 try:
+                    # int() also reads forms no stream writer produces: 1_3, non-ASCII digits
+                    if not (parts[2].isascii() and parts[2].isdigit()):
+                        raise ValueError(f"line index {parts[2]!r} is not a decimal number")
                     index = int(parts[2])
                     graph = model.prepare_graph(adjacency_from_network(network, without_line=index))
                 except ValueError as exc:

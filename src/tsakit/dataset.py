@@ -18,11 +18,12 @@ from collections import Counter
 from dataclasses import astuple, dataclass
 from itertools import groupby, takewhile
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .grid_model import FaultSpec, Network, adjacency_from_network, connected, format_network
+from .grid_model import _ENCODE  # the network file's writer of each value type
 from .labeling import (
     RECOVERY_WINDOW_S,
     CctResult,
@@ -61,8 +62,8 @@ _LABEL_SCHEMA = 1
 class GridConfig:
     """Cartesian scenario grid over fault position, load mix, and clearing time.
 
-    The fields are the grid config keys; the manifest's config digest hashes
-    them in field order, so reordering one changes the digest."""
+    The fields are the grid config keys. The manifest lists them and its
+    config digest hashes them in field order, so reordering one changes both."""
 
     lines: tuple[int, ...]
     location_fractions: tuple[float, ...]
@@ -291,8 +292,8 @@ def extract_features(trace, window_start: int, window_steps: int):
 
 @dataclass
 class Sample:
-    # the fields before adjacency are the TSD1 label columns, in field order,
-    # so reordering one changes the file format
+    # the fields before adjacency are the TSD1 and labels.csv label columns,
+    # in field order, so reordering one changes both file formats
     scenario_id: int
     tas_stable: bool
     tvs_stable: bool
@@ -612,15 +613,27 @@ def _log_context(network: Network, scenario: Scenario, samples: list[Sample]) ->
                             "(signed margin %.4f)", s.scenario_id, name, signed)
 
 
+# (name, type) of each grid config key: the GridConfig fields
+_GRID_KEYS = tuple(get_type_hints(GridConfig).items())
+
+
+def _config_text(kind: type, value) -> str:
+    """A config value as cli parses it: a tuple comma-joined, a number as _ENCODE writes it."""
+    if get_origin(kind) is tuple:
+        return ",".join(map(_ENCODE[get_args(kind)[0]], value))
+    return _ENCODE[kind](value)
+
+
 def dataset_manifest(
     network: Network, cfg: GridConfig, seed: int, samples: list[Sample], failed: list[int]
 ) -> dict:
     """The manifest of a dataset built from cfg: its configuration and counts.
 
-    failed holds the ids of the scenarios that gave no sample. Every count
-    is read off the samples: the joint classes, each flag of _FLAG_COUNTS,
-    and per criterion the samples whose verdict disagrees with the side of
-    their margin (a signed margin >= 0 is the stable side).
+    The configuration is a digest of network and cfg, each cfg field in field
+    order, and the window start. failed holds the ids of the scenarios that
+    gave no sample. Every count is read off the samples: the joint classes,
+    each flag of _FLAG_COUNTS, and per criterion the samples whose verdict
+    disagrees with the side of their margin (>= 0 is the stable side).
     """
     digest = hashlib.sha256()
     digest.update(format_network(network).encode())
@@ -632,15 +645,8 @@ def dataset_manifest(
         "seed": seed,
         "config_digest": digest.hexdigest(),
         "n_bus": network.n_bus,
-        "window_steps": cfg.window_steps,
+        **{name: _config_text(kind, getattr(cfg, name)) for name, kind in _GRID_KEYS},
         "window_start": cfg.window_start,
-        "fault_start_s": repr(cfg.fault_start_s),
-        "duration_s": repr(cfg.duration_s),
-        "step_s": repr(cfg.step_s),
-        "lines": ",".join(str(i) for i in cfg.lines),
-        "location_fractions": ",".join(repr(x) for x in cfg.location_fractions),
-        "motor_fractions": ",".join(repr(x) for x in cfg.motor_fractions),
-        "clearing_cycles": ",".join(repr(x) for x in cfg.clearing_cycles),
         "n_scenarios": cfg.n_scenarios,
         "n_samples": len(samples),
         "n_failed": len(failed),
@@ -662,7 +668,7 @@ def dataset_manifest(
 # ---------------------------------------------------------------------------
 
 
-# (name, type) of each TSD1 label column: the Sample fields before adjacency
+# (name, type) of each TSD1 and labels.csv label: the Sample fields before adjacency
 _LABELS = tuple(takewhile(lambda item: item[0] != "adjacency", get_type_hints(Sample).items()))
 _LABEL_FIELDS = len(_LABELS)
 
@@ -732,18 +738,14 @@ def write_manifest(manifest: dict, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_CSV_COLUMNS = (
-    "scenario_id,tas_stable,tvs_stable,tsi_deg,v_min_pu,tas_cct_s,tvs_cct_s,"
-    "tas_margin_or_degree,tvs_margin_or_degree,saturation_flags"
-)
+def _label_text(kind: type, value) -> str:
+    """A labels.csv cell: a float to 10 significant digits, a bool as 0/1, an int as itself."""
+    return format(value, ".10g") if kind is float else _ENCODE[kind](value)
 
 
 def write_labels_csv(samples: list[Sample], path: str | Path) -> None:
-    rows = [_CSV_COLUMNS]
+    """One row per sample of its label fields, under a header of their names."""
+    rows = [",".join(name for name, _ in _LABELS)]
     for s in samples:
-        rows.append(
-            f"{s.scenario_id},{int(s.tas_stable)},{int(s.tvs_stable)},"
-            f"{s.tsi_deg:.10g},{s.v_min_pu:.10g},{s.tas_cct_s:.10g},"
-            f"{s.tvs_cct_s:.10g},{s.tas_signed:.10g},{s.tvs_signed:.10g},{s.flags}"
-        )
+        rows.append(",".join(_label_text(kind, getattr(s, name)) for name, kind in _LABELS))
     Path(path).write_text("\n".join(rows) + "\n")

@@ -325,7 +325,7 @@ def _arrays_from_samples(samples):
 
 
 def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) -> dict:
-    """Tape-free forward in chunks; bool verdicts, float margins, gate weights per task.
+    """Tape-free forward in chunks; verdicts, margins, (tasks, samples, experts) gates.
 
     The adjacency is an array or the PreparedGraph prepare_graph made of it;
     an array is prepared once here, and each chunk takes a slice of the graph."""
@@ -334,7 +334,6 @@ def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) ->
     for lo in range(0, features.shape[0], batch_size):
         part = slice(lo, lo + batch_size)
         chunks.append(model.infer(features[part], PreparedGraph(*(a[part] for a in graph))))
-    gates = np.concatenate([c.gates for c in chunks], axis=1)
     return {
         "tas_stable": np.concatenate(
             [c.tas_logits.argmax(axis=1) == STABLE_CLASS for c in chunks]
@@ -344,7 +343,7 @@ def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) ->
         ),
         "tas_margin": np.concatenate([c.tas_margin_hat[:, 0] for c in chunks]),
         "tvs_margin": np.concatenate([c.tvs_margin_hat[:, 0] for c in chunks]),
-        "gates": {task: gates[i] for i, task in enumerate(TASKS)},
+        "gates": np.concatenate([c.gates for c in chunks], axis=1),
     }
 
 
@@ -452,9 +451,8 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
             regression_metrics(val_reg["tas_reg"], val_pred["tas_margin"])[0],
             regression_metrics(val_reg["tvs_reg"], val_pred["tvs_margin"])[0],
         )
-        gates = np.stack([val_pred["gates"][t] for t in TASKS])
-        balance = float(load_balance_loss(Tensor(gates)).data)
-        utilization = gates.mean(axis=(0, 1))
+        balance = float(load_balance_loss(val_pred["gates"]))
+        utilization = val_pred["gates"].mean(axis=(0, 1))
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
@@ -543,7 +541,7 @@ def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
     tvs_mse, tvs_mae = regression_metrics(targets["tvs_reg"], pred["tvs_margin"])
     mm_tas = float(pred["tas_margin"][tas_actual].mean()) if tas_actual.any() else None
     mm_tvs = float(pred["tvs_margin"][tvs_actual].mean()) if tvs_actual.any() else None
-    utilization = {task: pred["gates"][task].mean(axis=0) for task in TASKS}
+    utilization = {task: pred["gates"][i].mean(axis=0) for i, task in enumerate(TASKS)}
     both_right = (pred["tas_stable"] == tas_actual) & (pred["tvs_stable"] == tvs_actual)
     joint = {}
     for name in ("SS", "SU", "US", "UU"):  # TAS then TVS reference verdict, S = stable

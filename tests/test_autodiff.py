@@ -8,7 +8,6 @@ from tsakit.autodiff_nn.tensor import (
     Tensor,
     _sum_to_shape,
     affine,
-    derived,
     relu,
     softmax,
     swapaxes,
@@ -475,13 +474,11 @@ class TestSumToShape:
 
 
 def _small_graph(w, v):
-    """A loss over every replay-sensitive piece: a derived node, tanh,
-    softmax and a cross-entropy whose targets are an input."""
+    """A loss over every replay-sensitive piece: tanh, softmax and a
+    cross-entropy whose targets are an input."""
 
     def fn(inputs):
-        x = inputs["x"]
-        scale = derived(lambda a: 1.0 / (1.0 + np.abs(a).sum(axis=-1, keepdims=True)), x)
-        h = tanh(affine(x * scale, w, 0.0))
+        h = tanh(affine(inputs["x"], w, 0.0))
         p = softmax(h @ v, axis=-1)
         loss = h.cross_entropy_logits(inputs["y"]) + ((p - inputs["t"]) ** 2).mean()
         return loss, {"p": p}
@@ -552,11 +549,3 @@ class TestProgram:
         with pytest.raises(RuntimeError, match="already recording"):
             Program(outer, {"x": np.ones(3)})
         Program(lambda inputs: ((inputs["x"] * w).sum(), {}), {"x": np.ones(3)})
-
-    def test_derived_node_passes_no_gradient(self):
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        d = derived(lambda a: a * 3.0, x)
-        assert not d.requires_grad
-        (x * d).sum().backward()
-        np.testing.assert_array_equal(x.grad, [3.0, 6.0])
-        assert derived(np.sqrt, np.array([4.0])).tolist() == [2.0]

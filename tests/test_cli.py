@@ -552,6 +552,27 @@ class TestMonitor:
         # the last good topology stays in use
         assert out == without_13
 
+    @pytest.mark.parametrize("index", ["1_3", "\u0661\u0663"])
+    def test_topology_index_must_be_ascii_digits(self, trained, tmp_path, capsys, caplog, index):
+        """int() reads 1_3 and Arabic-Indic 13 as 13; the monitor skips both records."""
+        caplog.set_level(logging.INFO, logger="tsakit.cli")
+        stream = tmp_path / "s.csv"
+        write_stream(stream, rows=3)
+        data = stream.read_text()
+        args = ["monitor", "--checkpoint", str(trained / "checkpoint.tsm"), "--stream", str(stream)]
+        assert cli.main(args) == 0
+        plain = capsys.readouterr().out
+        stream.write_text(f"topology,remove_line,{index}\n" + data)
+        caplog.clear()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == plain
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            f"line 1: bad topology record: line index {index!r} is not a decimal number"
+        ]
+        summary = "0 topology records applied; lines skipped: 0 fields, 0 non-numeric, 1 topology"
+        assert summary in caplog.text
+
     def test_graph_prepared_once_per_topology(self, trained, tmp_path, capsys, monkeypatch):
         """The inverse degree is computed at start-up and at each applied
         topology record, not once per window."""

@@ -6,7 +6,7 @@ import math
 import os
 import struct
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -535,26 +535,46 @@ class TestManifestAndCsv:
         write_manifest(manifest, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_labels_csv_golden_row(self, tmp_path):
-        sample = Sample(
-            scenario_id=7,
-            tas_stable=True,
-            tvs_stable=False,
-            tas_signed=0.25,
-            tvs_signed=-0.5,
-            tsi_deg=123.5,
-            v_min_pu=0.75,
-            tas_cct_s=0.2,
-            tvs_cct_s=0.1,
-            flags=FLAG_CLAMPED,
-            adjacency=np.zeros((2, 2), dtype=np.int8),
-            features=np.zeros((2, 4), dtype=np.float32),
-        )
+    def test_labels_csv_header_is_the_label_fields(self, tmp_path, rng):
         path = tmp_path / "labels.csv"
-        write_labels_csv([sample], path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("scenario_id,tas_stable,tvs_stable")
-        assert lines[1] == "7,1,0,123.5,0.75,0.2,0.1,0.25,-0.5,32"
+        write_labels_csv(random_samples(rng, count=1), path)
+        header = path.read_text().splitlines()[0]
+        assert header.split(",") == [name for name, _ in dataset._LABELS]
+        assert header.startswith("scenario_id,tas_stable,tvs_stable,tas_signed,tvs_signed,")
+
+    def test_labels_csv_cells_are_the_float32_labels(self, tmp_path, rng):
+        samples = random_samples(rng, count=40) + [
+            Sample(
+                scenario_id=7, tas_stable=True, tvs_stable=False, tas_signed=-0.0,
+                tvs_signed=float(np.float32(1 / 3)), tsi_deg=123.5, v_min_pu=0.75,
+                tas_cct_s=0.2, tvs_cct_s=float(np.float32(0.1)), flags=FLAG_CLAMPED,
+                adjacency=np.zeros((2, 2), dtype=np.int8),
+                features=np.zeros((2, 4), dtype=np.float32),
+            )
+        ]
+        path = tmp_path / "labels.csv"
+        write_labels_csv(samples, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == len(samples)
+        for s, row in zip(samples, rows):
+            assert len(row) == len(dataset._LABELS)
+            for (name, _), cell in zip(dataset._LABELS, row):
+                got = np.float32(float(cell))
+                assert got.tobytes() == np.float32(getattr(s, name)).tobytes(), (name, cell)
+        assert rows[-1] == ["7", "1", "0", "-0", "0.3333333433", "123.5", "0.75", "0.2",
+                            "0.1000000015", "32"]
+
+    def test_manifest_grid_keys_give_back_the_grid(self, ieee39, tmp_path):
+        base = GridConfig(lines=(0,), location_fractions=(0.25,), motor_fractions=(0.0,),
+                          clearing_cycles=(1.0,), window_steps=2, fault_start_s=0.5,
+                          duration_s=2.0, step_s=0.02)
+        names = [name for name, _ in dataset._GRID_KEYS]
+        for cfg in (desk_grid(ieee39), paper_grid(ieee39)):
+            path = tmp_path / "manifest.txt"
+            write_manifest(dataset_manifest(ieee39, cfg, 0, [], []), path)
+            keys = {k: v for k, v in cli.read_config(path).items() if k in names}
+            assert list(keys) == [f.name for f in fields(GridConfig)]
+            assert cli.grid_from_config(base, keys) == cfg
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsakit.dataset import Sample, save_dataset
+from tsakit.dataset import _LABELS, Sample, save_dataset
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "dataset_diff.py"
 
@@ -42,7 +42,18 @@ def test_identical_files(dataset_diff, tmp_path, capsys):
     assert "tas_stable flips: 0" in out and "tvs_stable flips: 0" in out
     assert "tas_cct_s max |d|: 0, samples differing: 0" in out
     assert "features max |d|: 0, differing values: 0 of 24" in out
-    assert out[-1] == "scenarios with a changed CCT, margin, verdict or flags: 0"
+    assert out[-1] == "scenarios with a changed label: 0"
+
+
+def test_one_report_line_per_label_field(dataset_diff, tmp_path, capsys):
+    save_dataset(tiny_samples(), tmp_path / "a.tsd")
+    dataset_diff.main([str(tmp_path / "a.tsd"), str(tmp_path / "a.tsd")])
+    out = capsys.readouterr().out.splitlines()
+    # after the sample count and byte lines, in field order, scenario_id skipped
+    assert _LABELS[0][0] == "scenario_id"
+    rest = {bool: " flips: 0", int: " differ: 0", float: " max |d|: 0, samples differing: 0"}
+    assert out[2 : 1 + len(_LABELS)] == [name + rest[kind] for name, kind in _LABELS[1:]]
+    assert out[1 + len(_LABELS)].startswith("adjacency differs")
 
 
 def test_changed_labels_and_features(dataset_diff, tmp_path, capsys):
@@ -64,8 +75,8 @@ def test_changed_labels_and_features(dataset_diff, tmp_path, capsys):
     assert "tsi_deg max |d|: 2, samples differing: 1" in out
     assert "tas_cct_s max |d|: 0, samples differing: 0" in out
     assert "features max |d|: 0.5, differing values: 1 of 24" in out
-    # scenario 1 changed only its TSI and a feature value
-    assert out[-1] == "scenarios with a changed CCT, margin, verdict or flags: 1 (0)"
+    # scenario 1 changed its TSI, a label, and a feature value
+    assert out[-1] == "scenarios with a changed label: 2 (0, 1)"
 
 
 def test_changed_scenario_ids_listed_first_20(dataset_diff, tmp_path, capsys):
@@ -80,9 +91,7 @@ def test_changed_scenario_ids_listed_first_20(dataset_diff, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "flags differ: 3" in out
     ids = ", ".join(str(i) for i in range(20))
-    assert out[-1] == (
-        f"scenarios with a changed CCT, margin, verdict or flags: 29 ({ids} and 9 more)"
-    )
+    assert out[-1] == f"scenarios with a changed label: 29 ({ids} and 9 more)"
 
 
 def test_wrong_argument_count(dataset_diff, capsys):

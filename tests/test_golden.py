@@ -31,7 +31,8 @@ GRID = GridConfig(
     duration_s=1.6,
 )
 DATASET_SHA256 = "2ca465b5c952872d7c34ff93d27b8b0d81d3030e5627e63bbd24b978af9956e7"
-MANIFEST_SHA256 = "cd1e963467d34e96ea01317743703998db0faabedc61eadc8d4342b22796ac93"
+# grid keys in GridConfig field order: the lines of cd1e9634..., reordered
+MANIFEST_SHA256 = "c8b6ec59597848ff2b8ebe782d17968ea3eea0e9cf5ad01ed57d4ada47edf105"
 CHECKPOINT_SHA256 = "a622134d85f14e0cfae766a5ee93e5a3fad87c20be66a7f47e938795a0aca425"
 # the float32 checkpoint rounds away last-bit drift in the logged losses,
 # which the log digest sees; the weights are trained in float32, so their

@@ -240,6 +240,15 @@ class TestLoadBalance:
         assert g.grad is not None
         assert np.any(g.grad != 0.0)
 
+    def test_array_gates_give_the_tensor_bits(self, rng):
+        """Training's validation pass takes the loss of predict's float64 gates
+        without a Tensor; the value is the taped one's, bit for bit."""
+        for shape in ((4, 37, 4), (16, 4)):
+            g = rng.dirichlet(np.ones(4), size=shape[:-1])
+            loss = load_balance_loss(g)
+            assert isinstance(loss, np.floating)
+            assert loss.tobytes() == load_balance_loss(Tensor(g)).data.tobytes()
+
     def test_stacked_gates_give_the_bits_of_their_restacked_slices(self, rng):
         """The loss on a taped float32 (tasks, batch, experts) gate tensor has the
         value and gradient bytes of stacking its per-task slices first, with the
@@ -445,8 +454,7 @@ class TestInfer:
         assert np.array_equal(pred["tvs_stable"], out.tvs_logits.data.argmax(axis=1) == STABLE_CLASS)
         assert pred["tas_margin"].tobytes() == out.tas_margin_hat.data[:, 0].tobytes()
         assert pred["tvs_margin"].tobytes() == out.tvs_margin_hat.data[:, 0].tobytes()
-        for task in TASKS:
-            assert pred["gates"][task].tobytes() == out.gate_weights[task].data.tobytes()
+        assert pred["gates"].tobytes() == out.gates.data.tobytes()
 
     def test_reads_the_current_parameter_values(self, rng):
         """infer reads the parameters' current arrays, as training replaces them."""

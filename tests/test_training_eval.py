@@ -10,7 +10,6 @@ from toyset import make_toy_samples
 
 from tsakit import training_eval
 from tsakit.autodiff_nn import (
-    TASKS,
     ModelConfig,
     ModelOutput,
     StabilityModel,
@@ -590,8 +589,7 @@ class TestPreparedGraphs:
                         predict(model, features.astype(np.float64), graph, batch_size)):
                 assert got["tas_margin"].tobytes() == want[0].tobytes()
                 assert np.array_equal(got["tvs_stable"], want[1].argmax(axis=1) == 1)
-                stacked = np.stack([got["gates"][task] for task in TASKS])
-                assert stacked.tobytes() == want[2].tobytes()
+                assert got["gates"].tobytes() == want[2].tobytes()
 
 
 def _report_fields(report):
