@@ -231,8 +231,19 @@ def _network_from_args(args):
 
 def _out_dir(args) -> Path:
     out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
     return out
+
+
+def _write_output(write, value, path: Path) -> None:
+    """write(value, path); a path that cannot be written exits 2 naming it."""
+    try:
+        write(value, path)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -253,9 +264,9 @@ def cmd_generate(args) -> int:
     samples, manifest = build_dataset(network, cfg, seed=args.seed, jobs=args.jobs)
     if not samples:
         raise CliError("no scenario produced a sample; see the log", code=1)
-    save_dataset(samples, out / "dataset.tsd")
-    write_labels_csv(samples, out / "labels.csv")
-    write_manifest(manifest, out / "manifest.txt")
+    _write_output(save_dataset, samples, out / "dataset.tsd")
+    _write_output(write_labels_csv, samples, out / "labels.csv")
+    _write_output(write_manifest, manifest, out / "manifest.txt")
     print(f"wrote {len(samples)} samples to {out}")
     return 0
 
@@ -265,7 +276,7 @@ def cmd_label(args) -> int:
     out = Path(args.out) if args.out else Path("labels.csv")
     if out.is_dir():
         out = out / "labels.csv"
-    write_labels_csv(samples, out)
+    _write_output(write_labels_csv, samples, out)
     print(f"wrote labels for {len(samples)} samples to {out}")
     return 0
 
@@ -298,10 +309,9 @@ def cmd_train(args) -> int:
         model_cfg = ModelConfig(in_dim=in_dim, seed=run_seed, **model_fields)
         result = train(samples, split, cfg, model_cfg)
         suffix = "" if args.repeats == 1 else f"_seed{run_seed}"
-        checkpoint = out / f"checkpoint{suffix}.tsm"
-        save_checkpoint(result.model, checkpoint)
+        _write_output(save_checkpoint, result.model, out / f"checkpoint{suffix}.tsm")
         if result.log_rows:  # a run aborted in its first epoch logged none
-            write_training_log(result.log_rows, out / f"training_log{suffix}.csv")
+            _write_output(write_training_log, result.log_rows, out / f"training_log{suffix}.csv")
         report = evaluate(result.model, samples, split.test_ids)
         rows.append(
             {
@@ -350,7 +360,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, samples, ids)
     print(format_report(report))
     if args.report_csv:
-        report_to_csv(report, args.report_csv)
+        _write_output(report_to_csv, report, Path(args.report_csv))
     return 0
 
 

@@ -74,6 +74,15 @@ class GridConfig:
     duration_s: float = 10.0
     step_s: float = 0.01
 
+    def __post_init__(self) -> None:
+        # a float field holds floats even when given ints, so that equal
+        # grids, (3, 5) and (3.0, 5.0) cycles say, give one config digest
+        for name, kind in _GRID_KEYS:
+            if kind is float:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            elif kind == tuple[float, ...]:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+
     @property
     def n_scenarios(self) -> int:
         return (
@@ -87,6 +96,10 @@ class GridConfig:
     def window_start(self) -> int:
         """Sample index of fault inception, where the feature window starts."""
         return int(round(self.fault_start_s / self.step_s))
+
+
+# (name, type) of each grid config key: the GridConfig fields
+_GRID_KEYS = tuple(get_type_hints(GridConfig).items())
 
 
 def validate_grid(cfg: GridConfig, network: Network) -> None:
@@ -115,6 +128,10 @@ def validate_grid(cfg: GridConfig, network: Network) -> None:
         raise ValueError("step_s and duration_s must be positive")
     if not 0.0 <= cfg.fault_start_s < cfg.duration_s:
         raise ValueError(f"fault start {cfg.fault_start_s} s outside [0, duration_s)")
+    for name, kind in _GRID_KEYS:  # the checks above let an infinity through
+        value = getattr(cfg, name)
+        if float in (kind, *get_args(kind)) and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
     n_steps = int(round(cfg.duration_s / cfg.step_s)) + 1
     last_s = (n_steps - 1) * cfg.step_s
     if last_s - cfg.fault_start_s > RECOVERY_WINDOW_S:
@@ -495,8 +512,8 @@ def assemble_samples(
                 scenario_id=sid,
                 tas_stable=angle_res.stable,
                 tvs_stable=volt_res.stable,
-                tas_signed=_f32(margin(cct_a.t_cct_s, clear_s).signed),
-                tvs_signed=_f32(margin(cct_v.t_cct_s, clear_s).signed),
+                tas_signed=_f32(margin(cct_a.t_cct_s, clear_s)),
+                tvs_signed=_f32(margin(cct_v.t_cct_s, clear_s)),
                 tsi_deg=_f32(angle_res.tsi_deg),
                 v_min_pu=_f32(volt_res.v_min_pu),
                 tas_cct_s=_f32(cct_a.t_cct_s),
@@ -611,10 +628,6 @@ def _log_context(network: Network, scenario: Scenario, samples: list[Sample]) ->
             if _disagrees(stable, signed):
                 logger.info("scenario %d: %s verdict and boundary side disagree "
                             "(signed margin %.4f)", s.scenario_id, name, signed)
-
-
-# (name, type) of each grid config key: the GridConfig fields
-_GRID_KEYS = tuple(get_type_hints(GridConfig).items())
 
 
 def _config_text(kind: type, value) -> str:

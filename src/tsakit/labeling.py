@@ -139,7 +139,6 @@ class CctResult:
     below_bracket: bool = False
     above_bracket: bool = False
     nonmonotone: bool = False
-    evaluations: int = 0
 
 
 def coarse_bracket(grid: Sequence[int], verdicts: Sequence[bool]) -> tuple[int, int] | None:
@@ -171,29 +170,21 @@ def find_cct(stable_at: Callable[[float], bool], nominal_hz: float) -> CctResult
         return bool(stable_at(lattice_s(k, nominal_hz)))
 
     verdicts = [stable(k) for k in COARSE_GRID]
-    evaluations = len(COARSE_GRID)
     if not verdicts[0]:
-        return CctResult(
-            t_cct_s=lattice_s(K_MIN, nominal_hz), below_bracket=True, evaluations=evaluations
-        )
+        return CctResult(t_cct_s=lattice_s(K_MIN, nominal_hz), below_bracket=True)
     bracket = coarse_bracket(COARSE_GRID, verdicts)
     # the scan starts stable, so a second boundary needs a reversal first
     nonmonotone = any(not a and b for a, b in zip(verdicts, verdicts[1:]))
     if bracket is None:
-        return CctResult(
-            t_cct_s=lattice_s(K_MAX, nominal_hz), above_bracket=True, evaluations=evaluations
-        )
+        return CctResult(t_cct_s=lattice_s(K_MAX, nominal_hz), above_bracket=True)
     lo, hi = bracket
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        evaluations += 1
         if stable(mid):
             lo = mid
         else:
             hi = mid
-    return CctResult(
-        t_cct_s=lattice_s(lo, nominal_hz), nonmonotone=nonmonotone, evaluations=evaluations
-    )
+    return CctResult(t_cct_s=lattice_s(lo, nominal_hz), nonmonotone=nonmonotone)
 
 
 def find_ccts(
@@ -261,30 +252,16 @@ def find_ccts(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarginLabel:
-    """Normalized severity relative to the critical clearing time.
+def margin(t_cct_s: float, t_clear_s: float) -> float:
+    """Signed severity of an actual clearing time against the critical one.
 
-    kind "margin": the case cleared before the boundary; value is the spare
-    fraction of the critical time. kind "degree": it cleared after; value is
-    the overshoot fraction of the actual clearing time. Both live in [0, 1]
-    and meet continuously at 0 on the boundary.
+    Cleared before the boundary, it is the margin: the spare fraction of
+    the critical time. Cleared after, it is minus the degree: the overshoot
+    fraction of the actual clearing time. Both fractions live in [0, 1] and
+    meet continuously at 0 on the boundary.
     """
-
-    kind: str  # "margin" | "degree"
-    value: float
-
-    @property
-    def signed(self) -> float:
-        return self.value if self.kind == "margin" else -self.value
-
-
-def margin(t_cct_s: float, t_clear_s: float) -> MarginLabel:
-    """Severity label for an actual clearing time against the critical one."""
     if t_cct_s <= 0.0 or t_clear_s <= 0.0:
         raise ValueError("clearing times must be positive")
     if t_clear_s <= t_cct_s:
-        value = (t_cct_s - t_clear_s) / t_cct_s
-        return MarginLabel(kind="margin", value=float(np.clip(value, 0.0, 1.0)))
-    value = (t_clear_s - t_cct_s) / t_clear_s
-    return MarginLabel(kind="degree", value=float(np.clip(value, 0.0, 1.0)))
+        return float(np.clip((t_cct_s - t_clear_s) / t_cct_s, 0.0, 1.0))
+    return -float(np.clip((t_clear_s - t_cct_s) / t_clear_s, 0.0, 1.0))

@@ -4,7 +4,9 @@ Training minimizes weighted cross-entropy on both stability verdicts plus
 squared error on both signed margins plus the gate balance penalty, with
 adaptive-moment gradient descent. Validation joint accuracy (both verdicts
 correct on a sample) and, when a target is set, the validation margin error
-drive early stopping and best-checkpoint retention.
+drive early stopping and best-checkpoint retention. Each epoch's validation
+is scored by the report evaluate returns, and the retained weights are a
+copy of the optimizer's one flat parameter buffer.
 Everything is seeded and single-threaded, so a fixed configuration
 reproduces the training log and the checkpoint bit for bit.
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,14 @@ def regression_metrics(targets, predictions) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(config) -> None:
+    """Reject a float field of a config dataclass that holds nan or an infinity."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     lambda_cls: float = 1.0
@@ -151,6 +161,7 @@ class LossWeights:
     alpha_balance: float = 0.01
 
     def validate(self) -> None:
+        _check_finite(self)
         if min(self.lambda_cls, self.lambda_reg, self.alpha_balance) < 0.0:
             raise ValueError("loss weights must be nonnegative")
 
@@ -216,8 +227,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        if lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
         self.params = params
         self.lr = lr
         self.t = 0
@@ -282,6 +293,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if self.batch_size < 1:
@@ -347,16 +359,6 @@ def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) ->
     }
 
 
-def _snapshot(model: StabilityModel) -> dict:
-    return {name: p.data.copy() for name, p in model.params.items()}
-
-
-def _restore(model: StabilityModel, snapshot: dict) -> None:
-    """Copy into the parameter arrays, which may be an optimizer's views."""
-    for name, p in model.params.items():
-        p.data[...] = snapshot[name]
-
-
 def train(samples, split, config: TrainConfig, model_config: ModelConfig | None = None) -> TrainResult:
     """Fit the model on the train split, early-stopping on validation.
 
@@ -390,10 +392,9 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     inv_degree = model._prepare_adjacency(adjacency).inv_degree
     val_feat = features[val_ids].astype(np.float64)
     val_graph = model.prepare_graph(adjacency[val_ids])
-    val_cls = {k: targets[k][val_ids] for k in ("tas_cls", "tvs_cls")}
-    val_reg = {k: targets[k][val_ids] for k in ("tas_reg", "tvs_reg")}
+    val_targets = {k: v[val_ids] for k, v in targets.items()}
 
-    best = _snapshot(model)
+    best = optimizer._flat.copy()  # every parameter is a view of this buffer
     best_rank = (True, np.inf, np.inf)  # (misses the MSE target, -joint, MSE)
     best_joint = None
     best_epoch = 0
@@ -439,27 +440,18 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
             break
 
         val_pred = predict(model, val_feat, val_graph)
-        acc_tas = float(np.mean(val_pred["tas_stable"] == val_cls["tas_cls"].astype(bool)))
-        acc_tvs = float(np.mean(val_pred["tvs_stable"] == val_cls["tvs_cls"].astype(bool)))
-        joint = float(
-            np.mean(
-                (val_pred["tas_stable"] == val_cls["tas_cls"].astype(bool))
-                & (val_pred["tvs_stable"] == val_cls["tvs_cls"].astype(bool))
-            )
-        )
-        val_mse = max(
-            regression_metrics(val_reg["tas_reg"], val_pred["tas_margin"])[0],
-            regression_metrics(val_reg["tvs_reg"], val_pred["tvs_margin"])[0],
-        )
-        balance = float(load_balance_loss(val_pred["gates"]))
+        report = _report(val_pred, val_targets)
+        joint = sum(right for right, _ in report.joint_correct.values()) / report.n_samples
+        val_mse = max(report.tas_mse, report.tvs_mse)
+        # the gates averaged over tasks and samples together, not per task
         utilization = val_pred["gates"].mean(axis=(0, 1))
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
-            "val_acc_tas": acc_tas,
-            "val_acc_tvs": acc_tvs,
+            "val_acc_tas": report.tas.accuracy,
+            "val_acc_tvs": report.tvs.accuracy,
             "val_joint_acc": joint,
-            "balance_loss": balance,
+            "balance_loss": float(load_balance_loss(val_pred["gates"])),
         }
         for e, u in enumerate(utilization):
             row[f"expert_util_{e}"] = float(u)
@@ -470,12 +462,12 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
             best_rank = rank
             best_joint = joint
             best_epoch = epoch
-            best = _snapshot(model)
+            best = optimizer._flat.copy()
         if joint >= config.accuracy_threshold and meets_mse:
             stopped_early = True
             break
 
-    _restore(model, best)
+    optimizer._flat[...] = best
     return TrainResult(
         model=model,
         log_rows=log_rows,
@@ -491,13 +483,15 @@ def write_training_log(rows: list[dict], path: str | Path) -> None:
         raise ValueError("refusing to write an empty training log")
     columns = list(rows[0].keys())
     lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for c in columns:
-            v = row[c]
-            cells.append(str(v) if isinstance(v, int) else f"{v:.10g}")
-        lines.append(",".join(cells))
+    lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _cell(value) -> str:
+    """A CSV cell: None as undefined, an int as itself, a float to 10 digits."""
+    if value is None:
+        return "undefined"
+    return str(value) if isinstance(value, int) else f"{value:.10g}"
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +524,12 @@ def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
     ids = np.asarray(ids)
     if ids.size == 0:
         raise ValueError("evaluation needs at least one sample")
-    subset = [samples[i] for i in ids]
-    features, adjacency, targets = _arrays_from_samples(subset)
-    pred = predict(model, features, adjacency)
+    features, adjacency, targets = _arrays_from_samples([samples[i] for i in ids])
+    return _report(predict(model, features, adjacency), targets)
+
+
+def _report(pred: dict, targets: dict) -> EvalReport:
+    """The report of predict's output against class and margin targets."""
     tas_actual = targets["tas_cls"].astype(bool)
     tvs_actual = targets["tvs_cls"].astype(bool)
     tas_m = metrics(confusion(tas_actual, pred["tas_stable"]))
@@ -557,7 +554,7 @@ def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
         mean_margin_tas=mm_tas,
         mean_margin_tvs=mm_tvs,
         expert_utilization=utilization,
-        n_samples=int(ids.size),
+        n_samples=int(tas_actual.size),
         joint_correct=joint,
     )
 
@@ -606,8 +603,5 @@ def report_to_csv(report: EvalReport, path: str | Path) -> None:
         "mean_margin_tvs": report.mean_margin_tvs,
     }
     header = ",".join(cells)
-    values = ",".join(
-        "undefined" if v is None else (str(v) if isinstance(v, int) else f"{v:.10g}")
-        for v in cells.values()
-    )
+    values = ",".join(map(_cell, cells.values()))
     Path(path).write_text(header + "\n" + values + "\n")

@@ -39,6 +39,7 @@ from tsakit.training_eval import (
     metrics,
     multitask_loss,
     train,
+    write_training_log,
 )
 
 
@@ -82,6 +83,9 @@ DESK_CHECKPOINT_SHA256 = "c9b67515525fcb41dd293e622eb4c4baeeb6b99c6dbc4b2ac50924
 # The manifest lists the grid keys in GridConfig field order since they are
 # written from the fields: same key = value lines as 7e7b30f7..., reordered.
 DESK_MANIFEST_SHA256 = "b52277db80d13cedd6ac27250b0527f0bbdcca6eb86b05c359ce55a400a76a45"
+# The training log `tsa train` writes beside the checkpoint: the numbers it
+# prints per epoch must come from the same run, bit for bit.
+DESK_TRAINING_LOG_SHA256 = "f35d24e805066e6f30e7f40ba0649558b38323b2a416a707c8ee827cb64a1965"
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +104,7 @@ def desk_run(tmp_path_factory, ieee39):
     result = train(samples, split, train_cfg, model_cfg)
     train_s = time.perf_counter() - t0
     save_checkpoint(result.model, out / "checkpoint.tsm")
+    write_training_log(result.log_rows, out / "training_log.csv")
     return {
         "dir": out, "cfg": cfg, "samples": samples, "manifest": manifest,
         "split": split, "train_cfg": train_cfg, "model_cfg": model_cfg,
@@ -313,7 +318,7 @@ def test_criterion_07_desk_end_to_end(desk_run):
 
 @pytest.mark.slow  # rebuilds and retrains the desk run
 def test_criterion_08_determinism(desk_run, ieee39, tmp_path):
-    with criterion(8, "bit-identical dataset and checkpoint on repeat run") as res:
+    with criterion(8, "bit-identical dataset, checkpoint and training log on repeat run") as res:
         # desk_run labels in a process pool; this rebuild labels in-process
         samples2, manifest2 = build_dataset(ieee39, desk_run["cfg"], seed=0, jobs=1)
         save_dataset(samples2, tmp_path / "dataset.tsd")
@@ -325,17 +330,21 @@ def test_criterion_08_determinism(desk_run, ieee39, tmp_path):
         split2 = split_dataset([s.joint_label for s in samples2], seed=0)
         result2 = train(samples2, split2, desk_run["train_cfg"], desk_run["model_cfg"])
         save_checkpoint(result2.model, tmp_path / "checkpoint.tsm")
+        write_training_log(result2.log_rows, tmp_path / "training_log.csv")
         ck1 = (desk_run["dir"] / "checkpoint.tsm").read_bytes()
         ck2 = (tmp_path / "checkpoint.tsm").read_bytes()
         assert ck1 == ck2
+        log = (desk_run["dir"] / "training_log.csv").read_bytes()
+        assert log == (tmp_path / "training_log.csv").read_bytes()
         assert hashlib.sha256(first).hexdigest() == DESK_DATASET_SHA256
         assert hashlib.sha256(ck1).hexdigest() == DESK_CHECKPOINT_SHA256
         manifest = (desk_run["dir"] / "manifest.txt").read_bytes()
         assert hashlib.sha256(manifest).hexdigest() == DESK_MANIFEST_SHA256
+        assert hashlib.sha256(log).hexdigest() == DESK_TRAINING_LOG_SHA256
         res["ok"] = True
         res["detail"] = (
-            f"dataset ({len(first)} bytes), manifest and checkpoint ({len(ck1)} bytes) "
-            f"bit-identical across runs and equal to the pinned digests"
+            f"dataset ({len(first)} bytes), manifest, checkpoint ({len(ck1)} bytes) "
+            f"and training log bit-identical across runs and equal to the pinned digests"
         )
 
 

@@ -110,6 +110,11 @@ class TestGenerate:
         ("clearing_cycles = 3, nan", "must be positive"),
         ("duration_s = 12", "recovery window"),
         ("lines = 1,x", "lines: invalid literal for int()"),
+        # an infinity passes the range checks; it overflowed int() in the
+        # step count, or in the clearing-instant rounding while labelling
+        ("duration_s = inf", "duration_s must be finite"),
+        ("step_s = inf", "step_s must be finite"),
+        ("clearing_cycles = 3,inf", "clearing_cycles must be finite"),
     ])
     def test_invalid_timing_rejected_before_use(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "grid.cfg"
@@ -218,6 +223,10 @@ class TestTrain:
     @pytest.mark.parametrize("line, message", [
         ("learning_rate = 0", "learning rate must be positive"),
         ("epochs = 2.5", "epochs: invalid literal for int()"),
+        # nan compares false with everything: the MSE target could never be met
+        ("mse_threshold = nan", "mse_threshold must be finite"),
+        ("learning_rate = inf", "learning_rate must be finite"),
+        ("lambda_cls = nan", "lambda_cls must be finite"),
     ])
     def test_invalid_training_value_rejected_before_use(
         self, toy_dataset, tmp_path, capsys, line, message
@@ -442,6 +451,28 @@ def test_unreadable_input_path_exits_2_naming_it(toy_dataset, trained, tmp_path,
     rc = cli.main([command, *(x for pair in args.items() for x in pair)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: cannot read {kind} file: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("command", ["label", "eval", "generate", "train"])
+def test_unwritable_output_path_exits_2_naming_it(toy_dataset, trained, tmp_path, capsys,
+                                                  command):
+    """A file under a missing directory, or an output directory that is a file."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = tmp_path / "missing" / "dir"
+    ckpt = str(trained / "checkpoint.tsm")
+    argv, path = {
+        "label": (["--data", str(toy_dataset), "--out", str(missing / "labels.csv")],
+                  missing / "labels.csv"),
+        "eval": (["--data", str(toy_dataset), "--checkpoint", ckpt,
+                  "--report-csv", str(missing / "r.csv")], missing / "r.csv"),
+        "generate": (["--out", str(taken)], taken),
+        "train": (["--data", str(toy_dataset), "--out", str(taken), "--epochs", "1"], taken),
+    }[command]
+    rc = cli.main([command, *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
 
 
 class TestMonitor:

@@ -576,6 +576,18 @@ class TestManifestAndCsv:
             assert list(keys) == [f.name for f in fields(GridConfig)]
             assert cli.grid_from_config(base, keys) == cfg
 
+    def test_equal_grids_share_one_config_digest(self, ieee39):
+        ints = GridConfig(lines=(13,), location_fractions=(0.5,), motor_fractions=(1,),
+                          clearing_cycles=(3, 5), fault_start_s=1, duration_s=10)
+        floats = GridConfig(lines=(13,), location_fractions=(0.5,), motor_fractions=(1.0,),
+                            clearing_cycles=(3.0, 5.0), fault_start_s=1.0, duration_s=10.0)
+        assert ints == floats
+        assert ints.clearing_cycles == (3.0, 5.0)
+        assert all(type(c) is float for c in ints.clearing_cycles)
+        assert type(ints.duration_s) is float
+        assert (dataset_manifest(ieee39, ints, 0, [], [])["config_digest"]
+                == dataset_manifest(ieee39, floats, 0, [], [])["config_digest"])
+
 
 @pytest.fixture(scope="module")
 def tiny_build(ieee39):
@@ -615,7 +627,7 @@ class TestBuildDataset:
             # the margin of the float64 lattice CCT, both rounded to float32
             cct = lattice_s(round(s.tas_cct_s * 4 * hz), hz)
             assert s.tas_cct_s == float(np.float32(cct))
-            assert s.tas_signed == float(np.float32(margin(cct, cycles / hz).signed))
+            assert s.tas_signed == float(np.float32(margin(cct, cycles / hz)))
 
     def test_adjacency_is_post_fault(self, tiny_build, ieee39):
         (samples, _), _ = tiny_build
@@ -742,8 +754,8 @@ class TestAssembleSamples:
         assert (lost.tas_stable, lost.tvs_stable) == (False, False)
         # every float label is held as the float32 value the file stores
         f32 = lambda x: float(np.float32(x))
-        assert calm.tas_signed == f32(margin(0.1, 0.15).signed)
-        assert lost.tvs_signed == f32(margin(0.2, 0.3).signed)
+        assert calm.tas_signed == f32(margin(0.1, 0.15))
+        assert lost.tvs_signed == f32(margin(0.2, 0.3))
         assert all(s.adjacency is adjacency for s in samples)
         assert all((s.tas_cct_s, s.tvs_cct_s) == (f32(0.1), f32(0.2)) for s in samples)
         assert calm.tsi_deg == f32(tsi(traces[0]).tsi_deg)

@@ -15,7 +15,6 @@ from tsakit.labeling import (
     K_MAX,
     K_MIN,
     CctResult,
-    MarginLabel,
     coarse_bracket,
     find_cct,
     find_ccts,
@@ -291,8 +290,7 @@ class TestFindCct:
             calls += 1
             return t <= 0.21
 
-        res = find_cct(probe, HZ)
-        assert res.evaluations == calls
+        find_cct(probe, HZ)
         # full coarse scan of 16 points plus three bisection steps
         assert calls == len(COARSE_GRID) + 3 <= 22
 
@@ -329,9 +327,9 @@ class TestBisectionPoints:
             return sum(t > e for e in edges) % 2 == 0
 
         probed = []
-        res = find_cct(lambda t: probed.append(t) or verdict(t), hz)
+        find_cct(lambda t: probed.append(t) or verdict(t), hz)
         grid = [lattice_s(k, hz) for k in COARSE_GRID]
-        assert probed[: len(grid)] == grid and len(probed) == res.evaluations
+        assert probed[: len(grid)] == grid
         bracket = coarse_bracket(COARSE_GRID, [verdict(t) for t in grid])
         tree = [] if bracket is None else [lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1])]
         assert set(probed[len(grid) :]) <= set(tree)
@@ -583,21 +581,15 @@ class TestFindCctSimulated:
 
 class TestMargin:
     def test_stable_side_half(self):
-        lab = margin(t_cct_s=0.2, t_clear_s=0.1)
-        assert lab.kind == "margin"
-        assert lab.value == pytest.approx(0.5)
-        assert lab.signed == pytest.approx(0.5)
+        assert margin(t_cct_s=0.2, t_clear_s=0.1) == pytest.approx(0.5)
 
     def test_unstable_side_half(self):
-        lab = margin(t_cct_s=0.2, t_clear_s=0.4)
-        assert lab.kind == "degree"
-        assert lab.value == pytest.approx(0.5)
-        assert lab.signed == pytest.approx(-0.5)
+        assert margin(t_cct_s=0.2, t_clear_s=0.4) == pytest.approx(-0.5)
 
     def test_boundary_is_zero_from_both_formulas(self):
-        lab = margin(t_cct_s=0.25, t_clear_s=0.25)
-        assert lab.value == 0.0
-        assert lab.signed == 0.0
+        assert margin(t_cct_s=0.25, t_clear_s=0.25) == 0.0
+        # just past the boundary the degree formula starts at 0 too
+        assert margin(t_cct_s=0.25, t_clear_s=np.nextafter(0.25, 1.0)) == pytest.approx(0.0)
 
     @given(
         cct=st.floats(0.01, 1.0, allow_nan=False),
@@ -605,22 +597,21 @@ class TestMargin:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_definitions_and_stays_bounded(self, cct, clear):
-        lab = margin(cct, clear)
+        signed = margin(cct, clear)
         if clear <= cct:
-            assert lab.kind == "margin"
-            assert lab.value == pytest.approx(min(1.0, (cct - clear) / cct), abs=1e-12)
+            # the stable side: the spare fraction of the critical time
+            assert signed >= 0.0
+            assert signed == pytest.approx(min(1.0, (cct - clear) / cct), abs=1e-12)
         else:
-            assert lab.kind == "degree"
-            assert lab.value == pytest.approx(min(1.0, (clear - cct) / clear), abs=1e-12)
-        assert 0.0 <= lab.value <= 1.0
-        assert -1.0 <= lab.signed <= 1.0
-        # the manifest reads the margin side off the sign
-        assert (lab.kind == "margin") == (lab.signed >= 0.0)
+            # the unstable side: minus the overshoot fraction of the clearing time
+            assert signed < 0.0
+            assert -signed == pytest.approx(min(1.0, (clear - cct) / clear), abs=1e-12)
+        assert -1.0 <= signed <= 1.0
 
     def test_signed_value_monotone_in_clearing_time(self):
         cct = 0.2
         clears = np.linspace(0.01, 0.6, 120)
-        signed = [margin(cct, c).signed for c in clears]
+        signed = [margin(cct, c) for c in clears]
         assert all(a >= b - 1e-12 for a, b in zip(signed[:-1], signed[1:]))
 
     def test_invalid_inputs_rejected(self):

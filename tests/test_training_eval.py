@@ -248,8 +248,9 @@ class TestAdam:
             opt.step()
 
     def test_bad_learning_rate_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            Adam({}, lr=0.0)
+        for lr in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive"):
+                Adam({}, lr=lr)
 
     def test_fused_step_matches_per_parameter_loop_bitwise(self):
         def reference(params, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -295,6 +296,17 @@ class TestTrainConfig:
         TrainConfig(accuracy_threshold=1.0).validate()
         with pytest.raises(ValueError, match="threshold"):
             TrainConfig(accuracy_threshold=1.5).validate()
+
+    @pytest.mark.parametrize("field", [
+        "learning_rate", "lambda_cls", "lambda_reg", "alpha_balance", "mse_threshold",
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value}).validate()
+        if field.startswith(("lambda", "alpha")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                LossWeights(**{field: value}).validate()
 
 
 class TestTrain:
@@ -405,6 +417,21 @@ class TestTrain:
         samples, split = toy_setup()
         with pytest.raises(ValueError, match="input dim"):
             train(samples, split, TrainConfig(), ModelConfig(in_dim=99))
+
+    def test_kept_epoch_row_is_the_validation_report(self):
+        """Validation is scored by evaluate's report: the kept epoch's row
+        holds, bit for bit, what evaluate reports for the kept weights. Nine
+        validation samples, 7 right after two epochs: 7/9 is no short binary
+        fraction."""
+        samples, split = toy_setup(n=90)
+        cfg = TrainConfig(epochs=2, accuracy_threshold=1.0, seed=0)
+        result = train(samples, split, cfg, ModelConfig(in_dim=6, seed=0, **SMALL_MODEL))
+        row = result.log_rows[result.best_epoch - 1]
+        report = evaluate(result.model, samples, split.val_ids)
+        joint = sum(right for right, _ in report.joint_correct.values()) / report.n_samples
+        assert (row["val_acc_tas"], row["val_acc_tvs"], row["val_joint_acc"]) == (
+            report.tas.accuracy, report.tvs.accuracy, joint)
+        assert row["val_joint_acc"] == result.best_val_joint == 7 / 9
 
     def test_log_columns(self):
         samples, split = toy_setup()
