@@ -10,6 +10,7 @@ both byte for byte.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import logging
 import os
@@ -43,15 +44,19 @@ from .tds import (
 
 logger = logging.getLogger(__name__)
 
-# saturation / quality flags carried per sample
-FLAG_TAS_CCT_ABOVE = 1  # angle boundary above the search bracket
-FLAG_TAS_CCT_BELOW = 2  # angle boundary below the search bracket
-FLAG_TVS_CCT_ABOVE = 4
-FLAG_TVS_CCT_BELOW = 8
-FLAG_DIVERGED = 16  # the simulation at the scenario clearing time diverged
-FLAG_CLAMPED = 32  # feature values were clamped or replaced
-FLAG_TAS_NONMONOTONE = 64  # angle verdict not monotone over the bracket
-FLAG_TVS_NONMONOTONE = 128
+class Flag(enum.IntFlag):
+    """Saturation and quality flags carried per sample. The manifest counts
+    each as count_<name in lower case>, in member order."""
+
+    TAS_CCT_ABOVE = 1  # angle boundary above the search bracket
+    TAS_CCT_BELOW = 2  # angle boundary below the search bracket
+    TVS_CCT_ABOVE = 4
+    TVS_CCT_BELOW = 8
+    DIVERGED = 16  # the simulation at the scenario clearing time diverged
+    CLAMPED = 32  # feature values were clamped or replaced
+    TAS_NONMONOTONE = 64  # angle verdict not monotone over the bracket
+    TVS_NONMONOTONE = 128
+
 
 _DATASET_MAGIC = b"TSD1"
 _DATASET_VERSION = 1
@@ -132,6 +137,9 @@ def validate_grid(cfg: GridConfig, network: Network) -> None:
         value = getattr(cfg, name)
         if float in (kind, *get_args(kind)) and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
+    # the feature window starts at the fault's sample; tds snaps within 1e-9 s
+    if abs(cfg.fault_start_s - cfg.window_start * cfg.step_s) >= 1e-9:
+        raise ValueError(f"fault start {cfg.fault_start_s} s is not a multiple of step_s")
     n_steps = int(round(cfg.duration_s / cfg.step_s)) + 1
     last_s = (n_steps - 1) * cfg.step_s
     if last_s - cfg.fault_start_s > RECOVERY_WINDOW_S:
@@ -419,19 +427,6 @@ def split_dataset(joint_labels, seed: int, ratios=(0.7, 0.1, 0.2)) -> DatasetSpl
 # ---------------------------------------------------------------------------
 
 
-# manifest count_<name> of each per-sample flag, in manifest order
-_FLAG_COUNTS = (
-    ("tas_cct_above", FLAG_TAS_CCT_ABOVE),
-    ("tas_cct_below", FLAG_TAS_CCT_BELOW),
-    ("tvs_cct_above", FLAG_TVS_CCT_ABOVE),
-    ("tvs_cct_below", FLAG_TVS_CCT_BELOW),
-    ("diverged", FLAG_DIVERGED),
-    ("clamped", FLAG_CLAMPED),
-    ("tas_nonmonotone", FLAG_TAS_NONMONOTONE),
-    ("tvs_nonmonotone", FLAG_TVS_NONMONOTONE),
-)
-
-
 def label_context(
     network: Network,
     eq: EquilibriumState,
@@ -446,10 +441,10 @@ def label_context(
     only in clearing time. The critical clearing times are searched once
     (labeling.find_ccts) and shared by every scenario. The context takes two
     lockstep batches, and no clearing instant is simulated twice: the coarse
-    scan with the grid clearing times, then every probe either bisection can
-    make. assemble_samples turns the grid's traces into samples, which hold
-    every flag and verdict the manifest counts. Nothing here logs:
-    build_dataset reports what the samples say.
+    scan with the grid clearing times, then every lattice point inside either
+    criterion's coarse bracket. assemble_samples turns the grid's traces into
+    samples, which hold every flag and verdict the manifest counts. Nothing
+    here logs: build_dataset reports what the samples say.
     """
     clears = [clearing_time_s(sc, network.nominal_hz) for _, sc in scenarios]
     cct_a, cct_v, traces = find_ccts(
@@ -487,12 +482,12 @@ def assemble_samples(
     float32, so a sample holds what save_dataset writes and load_dataset reads.
     """
     context_flags = (
-        (FLAG_TAS_CCT_ABOVE, cct_a.above_bracket),
-        (FLAG_TAS_CCT_BELOW, cct_a.below_bracket),
-        (FLAG_TVS_CCT_ABOVE, cct_v.above_bracket),
-        (FLAG_TVS_CCT_BELOW, cct_v.below_bracket),
-        (FLAG_TAS_NONMONOTONE, cct_a.nonmonotone),
-        (FLAG_TVS_NONMONOTONE, cct_v.nonmonotone),
+        (Flag.TAS_CCT_ABOVE, cct_a.above_bracket),
+        (Flag.TAS_CCT_BELOW, cct_a.below_bracket),
+        (Flag.TVS_CCT_ABOVE, cct_v.above_bracket),
+        (Flag.TVS_CCT_BELOW, cct_v.below_bracket),
+        (Flag.TAS_NONMONOTONE, cct_a.nonmonotone),
+        (Flag.TVS_NONMONOTONE, cct_v.nonmonotone),
     )
     base_flags = sum(bit for bit, on in context_flags if on)
 
@@ -504,9 +499,9 @@ def assemble_samples(
 
         flags = base_flags
         if trace.diverged:
-            flags |= FLAG_DIVERGED
+            flags |= Flag.DIVERGED
         if clamped:
-            flags |= FLAG_CLAMPED
+            flags |= Flag.CLAMPED
         samples.append(
             Sample(
                 scenario_id=sid,
@@ -518,7 +513,7 @@ def assemble_samples(
                 v_min_pu=_f32(volt_res.v_min_pu),
                 tas_cct_s=_f32(cct_a.t_cct_s),
                 tvs_cct_s=_f32(cct_v.t_cct_s),
-                flags=flags,
+                flags=int(flags),
                 adjacency=adjacency,
                 features=features,
             )
@@ -617,8 +612,8 @@ def _log_context(network: Network, scenario: Scenario, samples: list[Sample]) ->
              f"motor share {scenario.motor_fraction}")
     if not connected(network, without_line=fault.line_index):
         logger.warning("%s: the post-fault network is disconnected", where)
-    for name, bit, cct in (("angle", FLAG_TAS_NONMONOTONE, first.tas_cct_s),
-                           ("voltage", FLAG_TVS_NONMONOTONE, first.tvs_cct_s)):
+    for name, bit, cct in (("angle", Flag.TAS_NONMONOTONE, first.tas_cct_s),
+                           ("voltage", Flag.TVS_NONMONOTONE, first.tvs_cct_s)):
         if first.flags & bit:  # every sample of a context carries its searches' flags
             logger.warning("%s: %s stability is not monotone over the clearing-time "
                            "bracket; using the first boundary, cct %.4f s", where, name, cct)
@@ -645,8 +640,8 @@ def dataset_manifest(
     The configuration is a digest of network and cfg, each cfg field in field
     order, and the window start. failed holds the ids of the scenarios that
     gave no sample. Every count is read off the samples: the joint classes,
-    each flag of _FLAG_COUNTS, and per criterion the samples whose verdict
-    disagrees with the side of their margin (>= 0 is the stable side).
+    each Flag, and per criterion the samples whose verdict disagrees with
+    the side of their margin (>= 0 is the stable side).
     """
     digest = hashlib.sha256()
     digest.update(format_network(network).encode())
@@ -669,8 +664,8 @@ def dataset_manifest(
         "count_unstable_stable": classes[(False, True)],
         "count_unstable_unstable": classes[(False, False)],
     }
-    for name, bit in _FLAG_COUNTS:
-        manifest[f"count_{name}"] = sum(bool(s.flags & bit) for s in samples)
+    for bit in Flag:
+        manifest[f"count_{bit.name.lower()}"] = sum(bool(s.flags & bit) for s in samples)
     manifest["count_tas_disagree"] = sum(_disagrees(s.tas_stable, s.tas_signed) for s in samples)
     manifest["count_tvs_disagree"] = sum(_disagrees(s.tvs_stable, s.tvs_signed) for s in samples)
     return manifest

@@ -10,10 +10,11 @@ rule is: not diverged, and every load bus above the threshold at the last
 sample.
 
 The critical clearing time for either criterion is searched on a lattice of
-quarter cycles, 1 to 30 cycles: a coarse scan every 2 cycles, then bisection
-of the first stable-to-unstable step down to adjacent lattice points. So
-every CCT is resolved to exactly a quarter cycle, and a 2-cycle step holds 7
-points a bisection can probe (the last step, 29 to 30 cycles, holds 3).
+quarter cycles, 1 to 30 cycles: a coarse scan every 2 cycles, then an
+in-order read of the points inside the first stable-to-unstable step. The
+CCT is the lattice point just before the first unstable one, so every CCT is
+resolved to exactly a quarter cycle and is the first boundary. A 2-cycle
+step holds 7 inner points (the last step, 29 to 30 cycles, holds 3).
 Severity labels are normalized margins relative to that boundary.
 
 find_ccts is the one simulated search: it labels both criteria of a fault
@@ -104,8 +105,9 @@ def tvs(trace: Trace) -> VoltageStabilityResult:
 
 # The clearing-time search runs on a lattice of quarter cycles of the
 # network's nominal frequency f: lattice point k clears k / (4 f) seconds
-# after the fault starts. Bracket and coarse scan step in quarter cycles;
-# bisection stops at adjacent points, so the resolution is one quarter cycle.
+# after the fault starts. Bracket and coarse scan step in quarter cycles, and
+# the read inside a step visits every point, so the resolution is one quarter
+# cycle.
 QUARTERS_PER_CYCLE = 4
 K_MIN = 4  # 1 cycle
 K_MAX = 120  # 30 cycles
@@ -142,12 +144,13 @@ class CctResult:
 
 
 def coarse_bracket(grid: Sequence[int], verdicts: Sequence[bool]) -> tuple[int, int] | None:
-    """The coarse step find_cct bisects: its first stable-to-unstable step.
+    """The coarse step find_cct reads: its first stable-to-unstable step.
 
-    None when there is nothing to bisect: the scan starts unstable, or no
-    step goes from stable to unstable. Bisecting the step (lo, hi) can probe
-    exactly the lattice points range(lo + 1, hi), each for some sequence of
-    verdicts.
+    None when there is nothing to read: the scan starts unstable, or no step
+    goes from stable to unstable. Reading the step (lo, hi) asks the lattice
+    points from lo + 1 up, in increasing order, and stops at hi, a scan
+    point, at the latest; so range(lo + 1, hi) holds every point it may ask
+    beyond the scan.
     """
     if not verdicts[0]:
         return None
@@ -162,9 +165,11 @@ def find_cct(stable_at: Callable[[float], bool], nominal_hz: float) -> CctResult
     lattice points. The full bracket is scanned at the coarse step first;
     stability is not always monotone in clearing time, and scanning
     everything both finds the first boundary and flags any reversal in
-    CctResult.nonmonotone. Bisection then narrows the first stable-to-unstable
-    transition to two adjacent lattice points, a quarter cycle apart. The
-    search logs nothing; dataset.build_dataset reports the flag.
+    CctResult.nonmonotone. The points inside the first stable-to-unstable
+    step are then asked in increasing order, and the CCT is the point just
+    before the first unstable one; the step's top is unstable, so the read
+    stops there at the latest. The search logs nothing; dataset.build_dataset
+    reports the flag.
     """
     def stable(k: int) -> bool:
         return bool(stable_at(lattice_s(k, nominal_hz)))
@@ -177,13 +182,9 @@ def find_cct(stable_at: Callable[[float], bool], nominal_hz: float) -> CctResult
     nonmonotone = any(not a and b for a, b in zip(verdicts, verdicts[1:]))
     if bracket is None:
         return CctResult(t_cct_s=lattice_s(K_MAX, nominal_hz), above_bracket=True)
-    lo, hi = bracket
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo = bracket[0]
+    while stable(lo + 1):
+        lo += 1
     return CctResult(t_cct_s=lattice_s(lo, nominal_hz), nonmonotone=nonmonotone)
 
 

@@ -106,6 +106,8 @@ class TestGenerate:
         ("duration_s = -1", "must be positive"),
         ("fault_start_s = -0.5", "outside [0, duration_s)"),
         ("fault_start_s = 10", "outside [0, duration_s)"),
+        # off the 0.01 s sample grid, the window would start before the fault
+        ("fault_start_s = 1.004", "fault start 1.004 s is not a multiple of step_s"),
         ("step_s = nan", "must be positive"),
         ("clearing_cycles = 3, nan", "must be positive"),
         ("duration_s = 12", "recovery window"),

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from tsakit import cli, dataset
 from tsakit.dataset import (
-    FLAG_CLAMPED,
-    FLAG_DIVERGED,
-    FLAG_TAS_CCT_ABOVE,
-    FLAG_TAS_CCT_BELOW,
-    FLAG_TAS_NONMONOTONE,
-    FLAG_TVS_NONMONOTONE,
+    Flag,
     GridConfig,
     Sample,
     build_dataset,
@@ -158,6 +153,14 @@ class TestGrids:
                      replace(cfg, duration_s=12.0, fault_start_s=1.5)):
             with pytest.raises(ValueError, match="recovery window"):
                 validate_grid(long, ieee39)
+
+    def test_validate_rejects_fault_start_off_the_sample_grid(self, ieee39):
+        # the window would start at the sample nearest the fault, before it
+        cfg = desk_grid(ieee39)
+        validate_grid(replace(cfg, fault_start_s=1.0 + 5e-10), ieee39)  # tds snaps it
+        for off in (1.004, 1.0 + 2e-9, 0.995):
+            with pytest.raises(ValueError, match="not a multiple of step_s"):
+                validate_grid(replace(cfg, fault_start_s=off), ieee39)
 
     def test_window_start_is_the_fault_sample(self, ieee39):
         cfg = desk_grid(ieee39)
@@ -547,7 +550,7 @@ class TestManifestAndCsv:
             Sample(
                 scenario_id=7, tas_stable=True, tvs_stable=False, tas_signed=-0.0,
                 tvs_signed=float(np.float32(1 / 3)), tsi_deg=123.5, v_min_pu=0.75,
-                tas_cct_s=0.2, tvs_cct_s=float(np.float32(0.1)), flags=FLAG_CLAMPED,
+                tas_cct_s=0.2, tvs_cct_s=float(np.float32(0.1)), flags=Flag.CLAMPED,
                 adjacency=np.zeros((2, 2), dtype=np.int8),
                 features=np.zeros((2, 4), dtype=np.float32),
             )
@@ -654,17 +657,23 @@ class TestBuildDataset:
         )
         assert total == manifest["n_samples"]
 
+    def test_manifest_counts_each_flag_in_member_order(self, tiny_build):
+        (samples, manifest), _ = tiny_build
+        counts = [key for key in manifest if key.startswith("count_")]
+        assert counts[4:-2] == [f"count_{bit.name.lower()}" for bit in Flag]
+        assert all(type(s.flags) is int for s in samples)
+
     def test_manifest_counts_nonmonotone_and_disagreeing_samples(self, tiny_build):
         (samples, manifest), _ = tiny_build
-        for name, bit in (("tas_nonmonotone", FLAG_TAS_NONMONOTONE),
-                          ("tvs_nonmonotone", FLAG_TVS_NONMONOTONE)):
+        for name, bit in (("tas_nonmonotone", Flag.TAS_NONMONOTONE),
+                          ("tvs_nonmonotone", Flag.TVS_NONMONOTONE)):
             assert manifest[f"count_{name}"] == sum(bool(s.flags & bit) for s in samples)
         # 3 cycles clears well before the boundary, 11 cycles well after it
         assert manifest["count_tas_disagree"] == manifest["count_tvs_disagree"] == 0
 
     def test_contexts_simulate_once_and_release_their_traces(self, ieee39, monkeypatch):
         """Per context: the coarse scan and the grid in one batch, then the
-        bisection trees of both criteria in a second, no clearing instant
+        bracket points of both criteria in a second, no clearing instant
         twice; and no trace of the previous context is alive when the next
         context starts simulating."""
         runs = []  # (fault location, clearing times) per simulation call
@@ -694,7 +703,7 @@ class TestBuildDataset:
             # 3 cycles is a coarse-scan point; 4 cycles is not
             assert len(calls) == 2
             assert calls[0] == coarse + [4.0 / 60.0]
-            # the second batch holds bisection probes only
+            # the second batch holds bracket points only
             assert calls[1] and set(calls[1]) <= probes
             instants = [clearing_instant(1.0, c, 0.01) for clears in calls for c in clears]
             assert len(instants) == len(set(instants))
@@ -722,7 +731,7 @@ class TestBuildDataset:
         samples = label_context(net, eq, FaultSpec(13, 0.5), cfg,
                                 list(enumerate(enumerate_scenarios(cfg))))
         assert len(calls) == 2
-        assert not any(s.flags & (FLAG_TAS_CCT_ABOVE | FLAG_TAS_CCT_BELOW) for s in samples)
+        assert not any(s.flags & (Flag.TAS_CCT_ABOVE | Flag.TAS_CCT_BELOW) for s in samples)
 
 
 class TestAssembleSamples:
@@ -761,9 +770,9 @@ class TestAssembleSamples:
         assert calm.tsi_deg == f32(tsi(traces[0]).tsi_deg)
         assert calm.v_min_pu == f32(tvs(traces[0]).v_min_pu)
         np.testing.assert_array_equal(calm.features, extract_features(traces[0], 10, 4)[0])
-        base = FLAG_TAS_CCT_ABOVE | FLAG_TVS_NONMONOTONE
+        base = Flag.TAS_CCT_ABOVE | Flag.TVS_NONMONOTONE
         assert calm.flags == base
-        assert lost.flags == base | FLAG_DIVERGED | FLAG_CLAMPED
+        assert lost.flags == base | Flag.DIVERGED | Flag.CLAMPED
         counts = dataset_manifest(ieee39, self.CFG, 0, samples, [])
         assert counts["count_tas_cct_above"] == counts["count_tvs_nonmonotone"] == 2
         assert counts["count_diverged"] == counts["count_clamped"] == 1
@@ -868,7 +877,7 @@ def test_label_context_counts_nonmonotone_and_disagreeing_samples(ieee39_eq06, i
     samples = label_context(net, eq, FaultSpec(13, 0.5), cfg,
                             list(enumerate(enumerate_scenarios(cfg))))
     assert [s.tas_stable and s.tvs_stable for s in samples] == [True, True]
-    nonmonotone = FLAG_TAS_NONMONOTONE | FLAG_TVS_NONMONOTONE
+    nonmonotone = Flag.TAS_NONMONOTONE | Flag.TVS_NONMONOTONE
     assert all(s.flags & nonmonotone == nonmonotone for s in samples)
     counts = dataset_manifest(net, cfg, 0, samples, [])
     assert counts["count_tas_nonmonotone"] == counts["count_tvs_nonmonotone"] == 2

@@ -282,6 +282,14 @@ class TestFindCct:
         assert res.nonmonotone
         assert res.t_cct_s == 3.0  # the last lattice point at or below 3.2 s
 
+    def test_reversal_inside_the_bracket_reads_the_first_boundary(self):
+        """Stable up to quarter cycle 16, unstable at 17, stable again at 18
+        and unstable from 19: the scan brackets the step 12 to 20, and the
+        CCT is 16, the point before the first unstable one (a bisection of
+        the step would probe 16, 18 and 19 and stop at 18)."""
+        res = find_cct(lambda t: round(t * 4 * HZ) in (*range(K_MIN, 17), 18), HZ)
+        assert res.t_cct_s == lattice_s(16, HZ)
+
     def test_evaluation_count_bounded(self):
         calls = 0
 
@@ -291,8 +299,9 @@ class TestFindCct:
             return t <= 0.21
 
         find_cct(probe, HZ)
-        # full coarse scan of 16 points plus three bisection steps
-        assert calls == len(COARSE_GRID) + 3 <= 22
+        # the full coarse scan of 16 points, then the bracket 44 to 52
+        # quarter cycles read from 45 up to 51, the first unstable point
+        assert calls == len(COARSE_GRID) + 7 == 23
 
     def test_config_validation(self):
         for hz in (0.0, -60.0):
@@ -308,18 +317,19 @@ class TestFindCct:
         assert [lattice_s(k, 50.0) for k in COARSE_GRID] == [c / 50.0 for c in cycles]
 
 
-class TestBisectionPoints:
+class TestBracketRead:
     @given(
         hz=st.floats(1.0, 1000.0),
         boundary=st.floats(0.0, 1.0),
         flips=st.lists(st.floats(0.0, 1.0), max_size=6),
     )
     @settings(max_examples=300, deadline=None)
-    def test_tree_holds_every_midpoint_find_cct_visits(self, hz, boundary, flips):
+    def test_reads_in_order_up_to_the_first_unstable_point(self, hz, boundary, flips):
         """A monotone step (no flips) or a predicate that reverses at each
-        flip point: find_cct probes only lattice points strictly inside the
-        coarse bracket the scan gives, and bisecting a step of 2**d quarter
-        cycles takes exactly d probes, whatever the verdicts."""
+        flip point: find_cct asks the coarse scan, then the points of the
+        scan's first stable-to-unstable step in increasing order, up to and
+        including the first unstable one, and the CCT is the point before
+        it, whatever the verdicts."""
         t_min, t_max = lattice_s(K_MIN, hz), lattice_s(K_MAX, hz)
         edges = sorted(t_min + (t_max - t_min) * f for f in [boundary, *flips])
 
@@ -327,15 +337,17 @@ class TestBisectionPoints:
             return sum(t > e for e in edges) % 2 == 0
 
         probed = []
-        find_cct(lambda t: probed.append(t) or verdict(t), hz)
+        res = find_cct(lambda t: probed.append(t) or verdict(t), hz)
         grid = [lattice_s(k, hz) for k in COARSE_GRID]
         assert probed[: len(grid)] == grid
         bracket = coarse_bracket(COARSE_GRID, [verdict(t) for t in grid])
-        tree = [] if bracket is None else [lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1])]
-        assert set(probed[len(grid) :]) <= set(tree)
-        assert (bracket is None) == (len(probed) == len(grid))
-        if bracket is not None:
-            assert len(probed) - len(grid) == (bracket[1] - bracket[0]).bit_length() - 1
+        if bracket is None:
+            assert len(probed) == len(grid)
+            return
+        lo, hi = bracket
+        first = next(k for k in range(lo + 1, hi + 1) if not verdict(lattice_s(k, hz)))
+        assert probed[len(grid):] == [lattice_s(k, hz) for k in range(lo + 1, first + 1)]
+        assert res.t_cct_s == lattice_s(first - 1, hz)
 
 
 class TestLattice:
@@ -412,10 +424,20 @@ class TestFindCctSimulated:
         assert tsi(stable_tr).stable
         assert not tsi(unstable_tr).stable
 
+    @pytest.mark.slow
+    def test_voltage_cct_is_the_first_boundary_on_bundled_network(self, ieee39_eq06):
+        """Line 20 at 0.3, motor share 0.6, a paper-grid context: the voltage
+        verdicts at quarter cycles 12 to 20 read 1 1 1 1 1 0 1 0 0, so the
+        first boundary is 4 cycles (a bisection of the step would read 4.5)."""
+        net, eq = ieee39_eq06
+        _, cct_v, _ = find_ccts(net, eq, FaultSpec(20, 0.3), [], 1.0, 10.0, 0.01)
+        assert not cct_v.below_bracket and not cct_v.above_bracket
+        assert cct_v.t_cct_s == lattice_s(16, net.nominal_hz)
+
     def test_cache_shared_between_criteria(self, ieee39_eq06, monkeypatch):
         """Both searches read one verdict map: the probe batch is the union
-        of the two criteria's bisection trees, each instant once and none
-        the first batch simulated."""
+        of the points inside the two criteria's brackets, each instant once
+        and none the first batch simulated."""
         net, eq = ieee39_eq06
         calls, grid_verdicts = [], []
         batch = labeling.run_simulations
@@ -432,19 +454,19 @@ class TestFindCctSimulated:
         hz = net.nominal_hz
         grid = [lattice_s(k, hz) for k in COARSE_GRID]
         assert calls[0] == grid
-        trees = []
+        inner = []
         for which in (0, 1):
             bracket = coarse_bracket(COARSE_GRID, [v[which] for v in grid_verdicts])
             if bracket is not None:
-                trees += [lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1])]
-        assert trees
+                inner += [lattice_s(k, hz) for k in range(bracket[0] + 1, bracket[1])]
+        assert inner
 
         def instant(c):
             return clearing_instant(1.0, c, 0.01)
 
         probed = [instant(c) for c in calls[1]]
         assert len(probed) == len(set(probed))
-        assert set(probed) == {instant(p) for p in trees} - {instant(t) for t in grid}
+        assert set(probed) == {instant(p) for p in inner} - {instant(t) for t in grid}
 
     def test_find_ccts_equals_separate_searches_in_two_batches(self, ieee39_eq06,
                                                                 monkeypatch):
@@ -514,7 +536,7 @@ class TestFindCctSimulated:
     def test_desk_context_probes_at_most_7_points_per_criterion(self, ieee39, ieee39_eq06,
                                                                 monkeypatch):
         """One desk context: two batches, and the second holds at most the 7
-        lattice points inside each bisected criterion's 2-cycle bracket."""
+        lattice points inside each bracketed criterion's 2-cycle step."""
         net, eq = ieee39_eq06
         cfg = desk_grid(ieee39)
         calls, first_verdicts = [], []
@@ -534,11 +556,11 @@ class TestFindCctSimulated:
         assert len(calls) == 2
         # the desk's odd clearing cycles are coarse-scan points
         assert calls[0] == [lattice_s(k, net.nominal_hz) for k in COARSE_GRID]
-        bisected = sum(
+        bracketed = sum(
             coarse_bracket(COARSE_GRID, [v[which] for v in first_verdicts]) is not None
             for which in (0, 1)
         )
-        assert 1 <= bisected and len(calls[1]) <= 7 * bisected
+        assert 1 <= bracketed and len(calls[1]) <= 7 * bracketed
 
     def test_28_cycle_probe_and_grid_value_keep_their_own_traces(self, ieee39_eq06):
         """A float midpoint of 27 and 29 cycles, each summed from 1 cycle in
