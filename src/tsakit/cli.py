@@ -70,8 +70,8 @@ def read_config(path: str | Path) -> dict:
         raise CliError(f"cannot read config file: {exc}") from exc
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        line = line.partition("#")[0].strip()
+        if not line:
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -196,7 +196,7 @@ def assess_window(model, v_mag, v_ang, slack_bus: int, adjacency, timestamp: flo
 
 def _event(model, features, graph, timestamp: float) -> MonitorEvent:
     """The event of one window's float32 features on a prepared graph."""
-    out = model.infer(np.asarray(features, dtype=float)[None], graph)
+    out = model.infer(features[None], graph)
     tas_stable = bool(out.tas_logits[0].argmax() == STABLE_CLASS)
     tvs_stable = bool(out.tvs_logits[0].argmax() == STABLE_CLASS)
     return MonitorEvent(
@@ -272,7 +272,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_label(args) -> int:
-    samples, _ = _load_dataset_checked(args.data)
+    samples, _ = _open_input("dataset", Path(args.data), load_dataset)
     out = Path(args.out) if args.out else Path("labels.csv")
     if out.is_dir():
         out = out / "labels.csv"
@@ -281,14 +281,8 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _load_dataset_checked(path):
-    if not path:
-        raise CliError("this command needs --data pointing at a dataset file")
-    return _open_input("dataset", Path(path), load_dataset)
-
-
 def cmd_train(args) -> int:
-    samples, _ = _load_dataset_checked(args.data)
+    samples, _ = _open_input("dataset", Path(args.data), load_dataset)
     overrides = read_config(args.config) if args.config else {}
     train_fields, model_fields = train_settings_from_config(overrides)
     if args.epochs is not None:
@@ -345,8 +339,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    samples, _ = _load_dataset_checked(args.data)
-    model = _load_checkpoint_checked(args.checkpoint)
+    samples, _ = _open_input("dataset", Path(args.data), load_dataset)
+    model = _open_input("checkpoint", Path(args.checkpoint), load_checkpoint)
     in_dim = samples[0].features.shape[1]
     if model.config.in_dim != in_dim:
         raise CliError(
@@ -364,14 +358,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_checkpoint_checked(path):
-    if not path:
-        raise CliError("this command needs --checkpoint")
-    return _open_input("checkpoint", Path(path), load_checkpoint)
-
-
 def cmd_monitor(args) -> int:
-    model = _load_checkpoint_checked(args.checkpoint)
+    model = _open_input("checkpoint", Path(args.checkpoint), load_checkpoint)
     if model.config.in_dim % 2:
         raise CliError("checkpoint input dim is odd; not a voltage-window model")
     window_steps = model.config.in_dim // 2

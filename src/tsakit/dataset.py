@@ -23,7 +23,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .grid_model import FaultSpec, Network, adjacency_from_network, connected, format_network
+from .grid_model import (
+    FaultSpec, Network, adjacency_from_network, connected, format_network, validate_fault,
+)
 from .grid_model import _ENCODE  # the network file's writer of each value type
 from .labeling import (
     RECOVERY_WINDOW_S,
@@ -114,13 +116,9 @@ def validate_grid(cfg: GridConfig, network: Network) -> None:
             raise ValueError(f"{name} is empty")
         if len(set(axis)) != len(axis):  # one scenario under two ids
             raise ValueError(f"{name} repeats a value")
-    eligible = set(network.fault_eligible_lines())
     for idx in cfg.lines:
-        if idx not in eligible:
-            raise ValueError(f"line {idx} is not fault eligible")
-    for loc in cfg.location_fractions:
-        if not 0.0 < loc < 1.0:
-            raise ValueError(f"fault location {loc} outside (0, 1)")
+        for loc in cfg.location_fractions:
+            validate_fault(network, FaultSpec(idx, loc))
     for frac in cfg.motor_fractions:
         if not 0.0 <= frac <= 1.0:
             raise ValueError(f"motor fraction {frac} outside [0, 1]")
@@ -302,8 +300,6 @@ def features_from_window(v_mag, v_ang, slack_bus: int):
 
 def extract_features(trace, window_start: int, window_steps: int):
     """Feature matrix for a window of a simulated trace; see features_from_window."""
-    if window_steps <= 0:
-        raise ValueError("window must have at least one step")
     if window_start < 0 or window_start + window_steps > trace.n_steps:
         raise ValueError("feature window lies outside the trace")
     sl = slice(window_start, window_start + window_steps)
@@ -591,7 +587,7 @@ def build_dataset(network: Network, cfg: GridConfig, seed: int = 0, jobs: int | 
     samples: list[Sample] = []
     workers = min(jobs or _available_cpus(), len(contexts))
     for labelled in _label_contexts(contexts, workers):
-        _log_context(network, scenarios[labelled[0].scenario_id], labelled)
+        _log_context(scenarios[labelled[0].scenario_id], labelled)
         for sample in labelled:
             samples.append(sample)
             done = sample.scenario_id + 1
@@ -605,12 +601,12 @@ def _disagrees(stable: bool, signed: float) -> bool:
     return (signed >= 0.0) != stable
 
 
-def _log_context(network: Network, scenario: Scenario, samples: list[Sample]) -> None:
+def _log_context(scenario: Scenario, samples: list[Sample]) -> None:
     """Log what the samples of scenario's fault context say; see build_dataset."""
     fault, first = scenario.fault, samples[0]
     where = (f"line {fault.line_index} at {fault.location_fraction}, "
              f"motor share {scenario.motor_fraction}")
-    if not connected(network, without_line=fault.line_index):
+    if not connected(first.adjacency):
         logger.warning("%s: the post-fault network is disconnected", where)
     for name, bit, cct in (("angle", Flag.TAS_NONMONOTONE, first.tas_cct_s),
                            ("voltage", Flag.TVS_NONMONOTONE, first.tvs_cct_s)):

@@ -176,29 +176,19 @@ def validate_network(network: Network) -> None:
             raise NetworkValidationError(f"load at bus {ld.bus}: negative p_total")
         if not 0.0 <= ld.motor_fraction <= 1.0:
             raise NetworkValidationError(f"load at bus {ld.bus}: motor_fraction outside [0, 1]")
-    if not connected(network):
+    if not connected(adjacency_from_network(network)):
         raise NetworkValidationError("network graph is not connected")
 
 
-def connected(network: Network, without_line: int | None = None) -> bool:
-    """Whether every bus reaches bus 0, with line without_line out of service."""
-    n = network.n_bus
-    adj = [[] for _ in range(n)]
-    for i, ln in enumerate(network.lines):
-        if i == without_line:
-            continue
-        adj[ln.from_bus].append(ln.to_bus)
-        adj[ln.to_bus].append(ln.from_bus)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
+def connected(adjacency: np.ndarray) -> bool:
+    """Whether every bus of an adjacency matrix reaches bus 0."""
+    reached = np.zeros(len(adjacency), dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = (adjacency[frontier] != 0).any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
 
 def validate_fault(network: Network, fault: FaultSpec) -> None:

@@ -255,9 +255,7 @@ def _motor_loads(network: Network) -> list[CompositeLoad]:
     return [ld for ld in network.loads if ld.motor_fraction * ld.p_total > 0.0]
 
 
-def solve_equilibrium(
-    network: Network, tol: float = 1e-10, max_iter: int = 50
-) -> EquilibriumState:
+def solve_equilibrium(network: Network) -> EquilibriumState:
     """Solve the pre-fault equilibrium of the full differential-algebraic model.
 
     The network equations are augmented with one internal node per generator,
@@ -302,12 +300,10 @@ def solve_equilibrium(
     vm[n:] = [g.e_prime_mag for g in gens]
     va = np.zeros(size)
 
-    v_aug, mismatch, iterations, converged = newton_power_flow(
-        y_aug, kinds, p_spec, q_spec, vm, va, tol=tol, max_iter=max_iter
-    )
+    v_aug, mismatch, iterations, converged = newton_power_flow(y_aug, kinds, p_spec, q_spec, vm, va)
     if not converged:
         raise PowerFlowError(
-            f"equilibrium did not converge in {max_iter} iterations "
+            f"equilibrium did not converge in {iterations} iterations "
             f"(mismatch {mismatch:.3e})"
         )
 
@@ -611,22 +607,11 @@ def run_simulations(
         None if fault is None else clearing_instant(fault_start_s, c, step_s)
         for c in clear_times
     ]
-    fault_on = np.inf if t_fault is None else t_fault
-    fault_off = np.array([np.inf if t is None else t for t in t_clear])
-
-    def phase_at(t, rows: np.ndarray) -> np.ndarray:
-        return np.where(t < fault_on, _PRE, np.where(t < fault_off[rows], _FAULT, _POST))
-
-    # per member: step index -> its switching instants strictly inside that step
-    inner: list[dict] = []
-    for t_c in t_clear:
-        splits: dict = {}
-        for s in (t_fault, t_c):
-            if s is not None:
-                for k in np.flatnonzero((times[:-1] < s) & (s < times[1:])):
-                    splits.setdefault(int(k), []).append(s)
-        inner.append(splits)
-    split_steps = set().union(*inner)
+    # member i's fault-on and fault-off instants (inf where none); its phase at
+    # t is the number of them at or before t: _PRE, _FAULT or _POST
+    switches = np.full((n_members, 2), np.inf)
+    if fault is not None:
+        switches[:, 0], switches[:, 1] = t_fault, t_clear
 
     ng, n, nm = model.n_gen, model.n, model.n_motor
     # member-major, so each step is recorded with one assignment per field and
@@ -642,7 +627,7 @@ def run_simulations(
 
     for k in range(n_steps):
         t_k = k * step_s
-        phase = phase_at(t_k, live)
+        phase = (switches[live] <= t_k).sum(axis=1)
         # k1 of this step's first span; its network solve is also the recorded one
         k1, v = model.rhs(phase, x, record=True)
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(v).all(axis=1))
@@ -664,18 +649,20 @@ def run_simulations(
         if k == n_steps - 1:
             break
         t_next = (k + 1) * step_s
-        if k not in split_steps:
+        instants = switches[live]
+        inside = (t_k < instants) & (instants < t_next)
+        if not inside.any():
             x = _rk4_span(model, phase, t_next - t_k, x, k1)
             continue
         # a member with a switching instant inside this step integrates it as
         # sub-spans; the others take the whole step in the first span
-        points = [[t_k, *inner[i].get(k, ()), t_next] for i in live]
+        points = [[t_k, *row[m], t_next] for row, m in zip(instants, inside)]
         for j in range(max(map(len, points)) - 1):
             rows = np.array([r for r, p in enumerate(points) if len(p) > j + 1])
-            a = np.array([points[r][j] for r in rows])
-            h = (np.array([points[r][j + 1] for r in rows]) - a)[:, None]
+            a = np.array([[points[r][j]] for r in rows])
+            h = np.array([[points[r][j + 1]] for r in rows]) - a
             if j > 0:
-                phase = phase_at(a, live[rows])
+                phase = (switches[live[rows]] <= a).sum(axis=1)
                 k1 = model.rhs(phase, x[rows])[0]
             x[rows] = _rk4_span(model, phase, h, x[rows], k1)
 

@@ -390,7 +390,7 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     train_ids = np.asarray(split.train_ids)
     val_ids = np.asarray(split.val_ids)
     inv_degree = model._prepare_adjacency(adjacency).inv_degree
-    val_feat = features[val_ids].astype(np.float64)
+    val_feat = features[val_ids]
     val_graph = model.prepare_graph(adjacency[val_ids])
     val_targets = {k: v[val_ids] for k, v in targets.items()}
 

@@ -305,7 +305,8 @@ class TestTrain:
     def test_config_file_overrides(self, toy_dataset, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(
-            "epochs = 2\nhidden_dim = 8\nn_experts = 2\nexpert_hidden = 4\n"
+            # a comment may follow a value, as in the network file
+            "epochs = 2\nhidden_dim = 8  # narrow\nn_experts = 2\nexpert_hidden = 4\n"
             "accuracy_threshold = 1.0\nmse_threshold = none\n"
         )
         rc = cli.main([

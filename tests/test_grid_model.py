@@ -18,6 +18,7 @@ from tsakit.grid_model import (
     NetworkValidationError,
     adjacency_from_network,
     build_admittance,
+    connected,
     format_network,
     parse_network,
     split_line,
@@ -503,6 +504,24 @@ class TestAdjacency:
             with pytest.raises(ValueError, match="outside"):
                 adjacency_from_network(ieee39, without_line=index)
         assert adjacency_from_network(ieee39, without_line=45).shape == (39, 39)  # last line
+
+
+class TestConnected:
+    @pytest.mark.parametrize("edges, n, expected", [
+        ([(0, 1), (1, 2), (2, 3)], 4, True),  # a path
+        ([(0, 1), (2, 3)], 4, False),  # two islands
+        ([], 1, True),  # one bus
+    ])
+    def test_small_graphs(self, edges, n, expected):
+        adj = np.zeros((n, n), dtype=np.int8)
+        for i, j in edges:
+            adj[i, j] = adj[j, i] = 1
+        assert connected(adj) is expected
+
+    def test_bundled_network_without_a_line(self, ieee39):
+        assert connected(adjacency_from_network(ieee39))
+        assert not connected(adjacency_from_network(ieee39, without_line=21))  # a bridge
+        assert connected(adjacency_from_network(ieee39, without_line=13))
 
 
 # ---------------------------------------------------------------------------

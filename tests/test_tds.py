@@ -391,6 +391,27 @@ class TestLockstep:
             alone = run_simulation(net, eq, self.FAULT, clear_s, duration_s=1.6)
             assert same_trace(trace, alone), clear_s
 
+    def test_both_switching_instants_inside_one_step(self, ieee39_eq06, monkeypatch):
+        """Off the sample grid, a 0.004 s fault splits step 100 in three for its
+        member; a 0.05 s member clears in a later step."""
+        net, eq = ieee39_eq06
+        spans = []  # (h, phase) of member 0 in each span of a split step
+        rk4 = tds._rk4_span
+
+        def spy(model, phase, h, x, k1):
+            if np.ndim(h):
+                spans.append((float(h[0, 0]), int(phase[0])))
+            return rk4(model, phase, h, x, k1)
+
+        monkeypatch.setattr(tds, "_rk4_span", spy)
+        batch = run_simulations(net, eq, self.FAULT, [0.004, 0.05], fault_start_s=1.003,
+                                duration_s=1.1)
+        assert [phase for _, phase in spans[:3]] == [0, 1, 2]
+        assert [h for h, _ in spans[:3]] == pytest.approx([0.003, 0.004, 0.003], abs=1e-12)
+        monkeypatch.undo()
+        alone = run_simulation(net, eq, self.FAULT, 0.004, fault_start_s=1.003, duration_s=1.1)
+        assert same_trace(batch[0], alone)
+
     def test_member_order_does_not_matter(self, ieee39_eq06):
         net, eq = ieee39_eq06
         forward = run_simulations(net, eq, self.FAULT, self.CLEARS, duration_s=1.3)
