@@ -1,6 +1,7 @@
 """Reverse-mode autodiff and the graph mixture-of-experts stability model."""
 
 from .model import (
+    STABLE_CLASS,
     TASKS,
     ModelConfig,
     ModelOutput,
@@ -15,6 +16,7 @@ from .model import (
 from .tensor import Program, Tensor
 
 __all__ = [
+    "STABLE_CLASS",
     "TASKS",
     "ModelConfig",
     "ModelOutput",

@@ -41,6 +41,7 @@ import numpy as np
 from .tensor import Tensor, affine, float_array, relu, softmax, swapaxes, tanh
 
 TASKS = ("tas_cls", "tvs_cls", "tas_reg", "tvs_reg")
+STABLE_CLASS = 1  # index into the 2-class logits; class 0 is unstable
 
 _CHECKPOINT_MAGIC = b"TSM1"
 _CHECKPOINT_VERSION = 1
@@ -79,6 +80,11 @@ class ModelOutput:
     def gate_weights(self) -> dict:
         """task -> its (batch, n_experts) gate weights, a slice of gates."""
         return {task: self.gates[i] for i, task in enumerate(TASKS)}
+
+    def verdicts(self) -> tuple[np.ndarray, np.ndarray]:
+        """(TAS stable, TVS stable) bool vectors of an untaped pass: the one verdict rule."""
+        return (self.tas_logits.argmax(axis=1) == STABLE_CLASS,
+                self.tvs_logits.argmax(axis=1) == STABLE_CLASS)
 
 
 class PreparedGraph(NamedTuple):

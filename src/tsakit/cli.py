@@ -40,7 +40,6 @@ from .dataset import (
 )
 from .grid_model import adjacency_from_network, load_network
 from .training_eval import (
-    STABLE_CLASS,
     TrainConfig,
     evaluate,
     format_report,
@@ -197,8 +196,7 @@ def assess_window(model, v_mag, v_ang, slack_bus: int, adjacency, timestamp: flo
 def _event(model, features, graph, timestamp: float) -> MonitorEvent:
     """The event of one window's float32 features on a prepared graph."""
     out = model.infer(features[None], graph)
-    tas_stable = bool(out.tas_logits[0].argmax() == STABLE_CLASS)
-    tvs_stable = bool(out.tvs_logits[0].argmax() == STABLE_CLASS)
+    tas_stable, tvs_stable = (bool(v[0]) for v in out.verdicts())
     return MonitorEvent(
         timestamp=timestamp,
         tas_decision="stable" if tas_stable else "unstable",
@@ -288,20 +286,21 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         train_fields["epochs"] = args.epochs
     train_cfg = TrainConfig(seed=args.seed, **train_fields)
+    model_cfg = ModelConfig(in_dim=samples[0].features.shape[1], seed=args.seed, **model_fields)
     try:
         train_cfg.validate()
+        model_cfg.validate()
     except ValueError as exc:
         raise CliError(f"invalid training config: {exc}") from exc
     split = split_dataset([s.joint_label for s in samples], seed=args.seed)
-    in_dim = samples[0].features.shape[1]
     out = _out_dir(args)
 
     rows = []
     for repeat in range(args.repeats):
         run_seed = args.seed + repeat
-        cfg = replace(train_cfg, seed=run_seed)
-        model_cfg = ModelConfig(in_dim=in_dim, seed=run_seed, **model_fields)
-        result = train(samples, split, cfg, model_cfg)
+        result = train(
+            samples, split, replace(train_cfg, seed=run_seed), replace(model_cfg, seed=run_seed)
+        )
         suffix = "" if args.repeats == 1 else f"_seed{run_seed}"
         _write_output(save_checkpoint, result.model, out / f"checkpoint{suffix}.tsm")
         if result.log_rows:  # a run aborted in its first epoch logged none
@@ -309,8 +308,6 @@ def cmd_train(args) -> int:
         report = evaluate(result.model, samples, split.test_ids)
         rows.append(
             {
-                "seed": run_seed,
-                "epochs": len(result.log_rows),
                 "val_joint": result.best_val_joint,
                 "tas_acc": report.tas.accuracy,
                 "tvs_acc": report.tvs.accuracy,
@@ -325,7 +322,7 @@ def cmd_train(args) -> int:
         )
         print(
             f"seed {run_seed}: {state} after {len(result.log_rows)} epochs, "
-            f"val joint {val_joint}, test acc "
+            f"val joint {val_joint}, kept epoch {result.best_epoch}, test acc "
             f"tas {report.tas.accuracy:.4f} tvs {report.tvs.accuracy:.4f}, "
             f"test mse tas {report.tas_mse:.5f} tvs {report.tvs_mse:.5f}"
         )
@@ -375,6 +372,7 @@ def cmd_monitor(args) -> int:
     window = StreamWindow(n_bus, window_steps, network.slack_bus)
     width = 1 + 2 * n_bus
     n_rows = repaired = emitted = topologies = 0
+    last_time = -math.inf
     skipped = Counter()
     try:
         for lineno, line in enumerate(stream, start=1):
@@ -418,11 +416,19 @@ def cmd_monitor(args) -> int:
                 logger.warning("line %d: non-numeric field or non-finite time; skipped", lineno)
                 skipped["non_numeric"] += 1
                 continue
+            t = float(values[0])
+            if t <= last_time:
+                logger.warning(
+                    "line %d: time %s is not after the previous row's time; skipped", lineno, t,
+                )
+                skipped["out_of_order"] += 1
+                continue
+            last_time = t
             repaired += window.push(values[1 : 1 + n_bus], values[1 + n_bus :])
             n_rows += 1
             if window.full:
                 features, _ = window.features()
-                event = _event(model, features, graph, float(values[0]))
+                event = _event(model, features, graph, t)
                 print(format_event(event), flush=True)
                 emitted += 1
     finally:
@@ -430,9 +436,9 @@ def cmd_monitor(args) -> int:
             stream.close()
     logger.info(
         "stream ended: %d valid rows (%d repaired), %d events, %d topology records applied; "
-        "lines skipped: %d fields, %d non-numeric, %d topology",
+        "lines skipped: %d fields, %d non-numeric, %d topology, %d out of order",
         n_rows, repaired, emitted, topologies,
-        skipped["fields"], skipped["non_numeric"], skipped["topology"],
+        skipped["fields"], skipped["non_numeric"], skipped["topology"], skipped["out_of_order"],
     )
     return 0
 

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff_nn import (
-    TASKS,
     ModelConfig,
     ModelOutput,
     PreparedGraph,
@@ -57,8 +56,6 @@ from .autodiff_nn import (
 )
 
 logger = logging.getLogger(__name__)
-
-STABLE_CLASS = 1  # index into the 2-class logits; class 0 is unstable
 
 # Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -336,27 +333,20 @@ def _arrays_from_samples(samples):
     return features, adjacency, targets
 
 
-def predict(model: StabilityModel, features, adjacency, batch_size: int = 64) -> dict:
-    """Tape-free forward in chunks; verdicts, margins, (tasks, samples, experts) gates.
+def predict(model: StabilityModel, features, graph: PreparedGraph, batch_size: int = 64) -> ModelOutput:
+    """Tape-free forward in chunks, joined into one ModelOutput.
 
-    The adjacency is an array or the PreparedGraph prepare_graph made of it;
-    an array is prepared once here, and each chunk takes a slice of the graph."""
-    graph = adjacency if isinstance(adjacency, PreparedGraph) else model.prepare_graph(adjacency)
+    graph is the PreparedGraph prepare_graph made of the samples' adjacency;
+    each chunk takes a slice of it. The heads join along the sample axis,
+    the (tasks, samples, experts) gates along their second axis."""
     chunks = []
     for lo in range(0, features.shape[0], batch_size):
         part = slice(lo, lo + batch_size)
         chunks.append(model.infer(features[part], PreparedGraph(*(a[part] for a in graph))))
-    return {
-        "tas_stable": np.concatenate(
-            [c.tas_logits.argmax(axis=1) == STABLE_CLASS for c in chunks]
-        ),
-        "tvs_stable": np.concatenate(
-            [c.tvs_logits.argmax(axis=1) == STABLE_CLASS for c in chunks]
-        ),
-        "tas_margin": np.concatenate([c.tas_margin_hat[:, 0] for c in chunks]),
-        "tvs_margin": np.concatenate([c.tvs_margin_hat[:, 0] for c in chunks]),
-        "gates": np.concatenate([c.gates for c in chunks], axis=1),
-    }
+    return ModelOutput(**{
+        f.name: np.concatenate([getattr(c, f.name) for c in chunks], axis=int(f.name == "gates"))
+        for f in fields(ModelOutput)
+    })
 
 
 def train(samples, split, config: TrainConfig, model_config: ModelConfig | None = None) -> TrainResult:
@@ -439,19 +429,19 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
         if aborted:
             break
 
-        val_pred = predict(model, val_feat, val_graph)
-        report = _report(val_pred, val_targets)
+        val_out = predict(model, val_feat, val_graph)
+        report = _report(val_out, val_targets)
         joint = sum(right for right, _ in report.joint_correct.values()) / report.n_samples
         val_mse = max(report.tas_mse, report.tvs_mse)
         # the gates averaged over tasks and samples together, not per task
-        utilization = val_pred["gates"].mean(axis=(0, 1))
+        utilization = val_out.gates.mean(axis=(0, 1))
         row = {
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),
             "val_acc_tas": report.tas.accuracy,
             "val_acc_tvs": report.tvs.accuracy,
             "val_joint_acc": joint,
-            "balance_loss": float(load_balance_loss(val_pred["gates"])),
+            "balance_loss": float(load_balance_loss(val_out.gates)),
         }
         for e, u in enumerate(utilization):
             row[f"expert_util_{e}"] = float(u)
@@ -501,6 +491,9 @@ def _cell(value) -> str:
 
 @dataclass
 class EvalReport:
+    """What evaluate reports; report_to_csv writes its scalar fields in this order."""
+
+    n_samples: int
     tas: Metrics
     tvs: Metrics
     tas_mse: float
@@ -509,9 +502,8 @@ class EvalReport:
     tvs_mae: float
     mean_margin_tas: float | None  # predicted margin averaged over stable samples
     mean_margin_tvs: float | None
-    expert_utilization: dict = field(default_factory=dict)  # task -> (N,) array
-    n_samples: int = 0
-    joint_correct: dict = field(default_factory=dict)  # "SU" etc. -> (both right, total)
+    expert_utilization: dict  # task -> (N,) array
+    joint_correct: dict  # "SU" etc. -> (both right, total)
 
 
 def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
@@ -525,26 +517,29 @@ def evaluate(model: StabilityModel, samples, ids) -> EvalReport:
     if ids.size == 0:
         raise ValueError("evaluation needs at least one sample")
     features, adjacency, targets = _arrays_from_samples([samples[i] for i in ids])
-    return _report(predict(model, features, adjacency), targets)
+    return _report(predict(model, features, model.prepare_graph(adjacency)), targets)
 
 
-def _report(pred: dict, targets: dict) -> EvalReport:
+def _report(out: ModelOutput, targets: dict) -> EvalReport:
     """The report of predict's output against class and margin targets."""
     tas_actual = targets["tas_cls"].astype(bool)
     tvs_actual = targets["tvs_cls"].astype(bool)
-    tas_m = metrics(confusion(tas_actual, pred["tas_stable"]))
-    tvs_m = metrics(confusion(tvs_actual, pred["tvs_stable"]))
-    tas_mse, tas_mae = regression_metrics(targets["tas_reg"], pred["tas_margin"])
-    tvs_mse, tvs_mae = regression_metrics(targets["tvs_reg"], pred["tvs_margin"])
-    mm_tas = float(pred["tas_margin"][tas_actual].mean()) if tas_actual.any() else None
-    mm_tvs = float(pred["tvs_margin"][tvs_actual].mean()) if tvs_actual.any() else None
-    utilization = {task: pred["gates"][i].mean(axis=0) for i, task in enumerate(TASKS)}
-    both_right = (pred["tas_stable"] == tas_actual) & (pred["tvs_stable"] == tvs_actual)
+    tas_stable, tvs_stable = out.verdicts()
+    tas_margin, tvs_margin = out.tas_margin_hat[:, 0], out.tvs_margin_hat[:, 0]
+    tas_m = metrics(confusion(tas_actual, tas_stable))
+    tvs_m = metrics(confusion(tvs_actual, tvs_stable))
+    tas_mse, tas_mae = regression_metrics(targets["tas_reg"], tas_margin)
+    tvs_mse, tvs_mae = regression_metrics(targets["tvs_reg"], tvs_margin)
+    mm_tas = float(tas_margin[tas_actual].mean()) if tas_actual.any() else None
+    mm_tvs = float(tvs_margin[tvs_actual].mean()) if tvs_actual.any() else None
+    utilization = {task: g.mean(axis=0) for task, g in out.gate_weights.items()}
+    both_right = (tas_stable == tas_actual) & (tvs_stable == tvs_actual)
     joint = {}
     for name in ("SS", "SU", "US", "UU"):  # TAS then TVS reference verdict, S = stable
         members = (tas_actual == (name[0] == "S")) & (tvs_actual == (name[1] == "S"))
         joint[name] = (int(both_right[members].sum()), int(members.sum()))
     return EvalReport(
+        n_samples=int(tas_actual.size),
         tas=tas_m,
         tvs=tvs_m,
         tas_mse=tas_mse,
@@ -554,7 +549,6 @@ def _report(pred: dict, targets: dict) -> EvalReport:
         mean_margin_tas=mm_tas,
         mean_margin_tvs=mm_tvs,
         expert_utilization=utilization,
-        n_samples=int(tas_actual.size),
         joint_correct=joint,
     )
 
@@ -585,23 +579,15 @@ def format_report(report: EvalReport) -> str:
 
 
 def report_to_csv(report: EvalReport, path: str | Path) -> None:
-    cells = {
-        "n_samples": report.n_samples,
-        "tas_accuracy": report.tas.accuracy,
-        "tas_mdr": report.tas.mdr,
-        "tas_fpr": report.tas.fpr,
-        "tas_g": report.tas.g_mean,
-        "tvs_accuracy": report.tvs.accuracy,
-        "tvs_mdr": report.tvs.mdr,
-        "tvs_fpr": report.tvs.fpr,
-        "tvs_g": report.tvs.g_mean,
-        "tas_mse": report.tas_mse,
-        "tas_mae": report.tas_mae,
-        "tvs_mse": report.tvs_mse,
-        "tvs_mae": report.tvs_mae,
-        "mean_margin_tas": report.mean_margin_tas,
-        "mean_margin_tvs": report.mean_margin_tvs,
-    }
+    """A header and a value row: the report's scalar fields in field order,
+    each Metrics field as one <task>_<metric> column per metric."""
+    cells = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, Metrics):
+            cells.update((f"{f.name}_{m.name}", getattr(value, m.name)) for m in fields(value))
+        elif not isinstance(value, dict):
+            cells[f.name] = value
     header = ",".join(cells)
     values = ",".join(map(_cell, cells.values()))
     Path(path).write_text(header + "\n" + values + "\n")

@@ -229,6 +229,8 @@ class TestTrain:
         ("mse_threshold = nan", "mse_threshold must be finite"),
         ("learning_rate = inf", "learning_rate must be finite"),
         ("lambda_cls = nan", "lambda_cls must be finite"),
+        ("n_experts = 1", "a mixture needs at least two experts"),
+        ("hidden_dim = 0", "model dimensions must be positive"),
     ])
     def test_invalid_training_value_rejected_before_use(
         self, toy_dataset, tmp_path, capsys, line, message
@@ -286,6 +288,32 @@ class TestTrain:
             f"tvs {float(ev['tvs_accuracy']):.4f}, "
             f"test mse tas {float(ev['tas_mse']):.5f} tvs {float(ev['tvs_mse']):.5f}"
         ) in printed
+
+    def test_summary_names_the_epoch_the_checkpoint_holds(self, toy_dataset, tmp_path, capsys):
+        """The kept epoch, not the epochs run: it is the one epoch whose
+        logged validation gate utilization the written checkpoint reproduces."""
+        from tsakit.autodiff_nn import load_checkpoint
+        from tsakit.dataset import split_dataset
+        from tsakit.training_eval import _arrays_from_samples, predict
+
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("learning_rate = 0.01\naccuracy_threshold = 1.0\nmse_threshold = 1e-9\n")
+        rc = cli.main([
+            "train", "--data", str(toy_dataset), "--out", str(tmp_path),
+            "--seed", "0", "--epochs", "8", "--config", str(cfg),
+        ])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        kept = int(re.search(r"after 8 epochs, val joint \S+, kept epoch (\d+), ", printed)[1])
+        assert kept < 8
+        samples, _ = load_dataset(toy_dataset)
+        split = split_dataset([s.joint_label for s in samples], seed=0)
+        features, adjacency, _ = _arrays_from_samples([samples[i] for i in split.val_ids])
+        model = load_checkpoint(tmp_path / "checkpoint.tsm")
+        util = predict(model, features, model.prepare_graph(adjacency)).gates.mean(axis=(0, 1))
+        log = [line.split(",") for line in (tmp_path / "training_log.csv").read_text().splitlines()]
+        cells = ["%.10g" % u for u in util]
+        assert [int(row[0]) for row in log[1:] if row[-len(cells):] == cells] == [kept]
 
     def test_identical_runs_identical_checkpoints(self, toy_dataset, tmp_path):
         outs = []
@@ -527,6 +555,28 @@ class TestMonitor:
         warnings = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(warnings) == 5
         assert sum("non-numeric" in r.getMessage() for r in warnings) == 4
+
+    def test_rows_whose_time_does_not_advance_are_skipped(self, trained, tmp_path, capsys, caplog):
+        """A repeated row and a row moved earlier are skipped with a warning
+        and counted; the events are those of the stream without them."""
+        stream = tmp_path / "s.csv"
+        write_stream(stream, rows=6)
+        rows = stream.read_text().splitlines()
+        args = ["monitor", "--checkpoint", str(trained / "checkpoint.tsm"), "--stream", str(stream)]
+        assert cli.main(args) == 0
+        plain = capsys.readouterr().out
+        stream.write_text("\n".join(rows[:3] + rows[2:5] + rows[1:2] + rows[5:]) + "\n")
+        caplog.set_level(logging.INFO, logger="tsakit.cli")
+        caplog.clear()
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == plain
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "line 4: time 0.02 is not after the previous row's time; skipped",
+            "line 7: time 0.01 is not after the previous row's time; skipped",
+        ]
+        assert "stream ended: 6 valid rows (0 repaired), 4 events" in caplog.text
+        assert "0 topology, 2 out of order" in caplog.text
 
     def test_comments_and_blanks_ignored(self, trained, tmp_path, capsys):
         stream = tmp_path / "s.csv"
@@ -790,7 +840,7 @@ class TestMonitorReplayMatchesOffline:
             assert summary == [
                 f"stream ended: {n_rows} valid rows ({repaired} repaired), {n_events} events, "
                 f"{int(topology is not None)} topology records applied; lines skipped: "
-                "%d fields, %d non-numeric, %d topology" % skipped
+                "%d fields, %d non-numeric, %d topology, 0 out of order" % skipped
             ]
 
             # the valid rows, each with the topology in force when it arrived

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -543,3 +545,10 @@ class TestBundledNetwork:
     def test_round_trips(self, ieee39):
         assert parse_network(format_network(ieee39)) == ieee39
         assert format_network(ieee39) == Path(packaged_network_path()).read_text()
+
+    def test_generator_script_writes_the_bundled_file(self, tmp_path):
+        """scripts/make_ieee39.py regenerates the packaged network byte for byte."""
+        script = Path(__file__).resolve().parent.parent / "scripts" / "make_ieee39.py"
+        out = tmp_path / "ieee39.net"
+        subprocess.run([sys.executable, str(script), str(out)], check=True, capture_output=True)
+        assert out.read_bytes() == Path(packaged_network_path()).read_bytes()

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from tsakit.autodiff_nn import (
+    STABLE_CLASS,
     TASKS,
     ModelConfig,
+    ModelOutput,
     StabilityModel,
     Tensor,
     load_balance_loss,
@@ -444,17 +446,29 @@ class TestInfer:
             assert a.tobytes() == t.data.tobytes()
 
     def test_predict_matches_the_taped_forward(self, rng):
-        from tsakit.training_eval import STABLE_CLASS, predict
+        from tsakit.training_eval import predict
 
         model = small_model(seed=8)
         x, adj = self.graphs(rng, 4)
-        pred = predict(model, x, adj)
+        pred = predict(model, x, model.prepare_graph(adj))
         out = model.forward(x, adj)
-        assert np.array_equal(pred["tas_stable"], out.tas_logits.data.argmax(axis=1) == STABLE_CLASS)
-        assert np.array_equal(pred["tvs_stable"], out.tvs_logits.data.argmax(axis=1) == STABLE_CLASS)
-        assert pred["tas_margin"].tobytes() == out.tas_margin_hat.data[:, 0].tobytes()
-        assert pred["tvs_margin"].tobytes() == out.tvs_margin_hat.data[:, 0].tobytes()
-        assert pred["gates"].tobytes() == out.gates.data.tobytes()
+        assert isinstance(pred, ModelOutput)
+        for got, want in zip(self.fields(pred), self.fields(out)):
+            assert got.tobytes() == want.data.tobytes()
+        assert pred.gates.tobytes() == out.gates.data.tobytes()
+        tas, tvs = pred.verdicts()
+        assert np.array_equal(tas, out.tas_logits.data.argmax(axis=1) == STABLE_CLASS)
+        assert np.array_equal(tvs, out.tvs_logits.data.argmax(axis=1) == STABLE_CLASS)
+
+    def test_verdicts_read_the_stable_class(self):
+        """A verdict is stable where the stable class's logit is the larger;
+        a tie reads as the first class, unstable."""
+        logits = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+        gates = np.full((len(TASKS), 3, 2), 0.5)
+        out = ModelOutput(logits, logits[::-1], np.zeros((3, 1)), np.zeros((3, 1)), gates)
+        tas, tvs = out.verdicts()
+        assert tas.tolist() == [True, False, False]
+        assert tvs.tolist() == [False, False, True]
 
     def test_reads_the_current_parameter_values(self, rng):
         """infer reads the parameters' current arrays, as training replaces them."""

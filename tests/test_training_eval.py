@@ -344,16 +344,17 @@ class TestTrain:
         accuracy ranks before the lower error of epoch 4."""
         samples, split = toy_setup()
         script = iter([(1, 0.5), (2, 0.05), (2, 0.08), (3, 0.01)])
-        def scripted(model, features, adjacency, batch_size=64):
-            out = predict(model, features, adjacency, batch_size)
+        def scripted(model, features, graph, batch_size=64):
+            out = predict(model, features, graph, batch_size)
             wrong, error = next(script)
+            heads = {}
             for task in ("tas", "tvs"):
                 truth = np.array([getattr(samples[i], f"{task}_stable") for i in split.val_ids])
                 truth[:wrong] = ~truth[:wrong]
-                out[f"{task}_stable"] = truth
-                out[f"{task}_margin"] = np.array(
-                    [getattr(samples[i], f"{task}_signed") + error for i in split.val_ids])
-            return out
+                heads[f"{task}_logits"] = np.eye(2)[truth.astype(int)]  # [0, 1] is stable
+                heads[f"{task}_margin_hat"] = np.array(
+                    [[getattr(samples[i], f"{task}_signed") + error] for i in split.val_ids])
+            return replace(out, **heads)
 
         monkeypatch.setattr(training_eval, "predict", scripted)
         cfg = TrainConfig(epochs=4, accuracy_threshold=1.0, mse_threshold=mse_threshold, seed=0)
@@ -609,14 +610,15 @@ class TestPreparedGraphs:
         for batch_size in (7, 64):  # 40 samples: six chunks of 7 and a partial one, or one
             chunks = [model.infer(features[lo : lo + batch_size], adjacency[lo : lo + batch_size])
                       for lo in range(0, len(samples), batch_size)]
-            want = [np.concatenate([c.tas_margin_hat[:, 0] for c in chunks]),
+            want = [np.concatenate([c.tas_margin_hat for c in chunks]),
                     np.concatenate([c.tvs_logits for c in chunks]),
                     np.concatenate([c.gates for c in chunks], axis=1)]
-            for got in (predict(model, features, adjacency, batch_size),
+            for got in (predict(model, features, graph, batch_size),
                         predict(model, features.astype(np.float64), graph, batch_size)):
-                assert got["tas_margin"].tobytes() == want[0].tobytes()
-                assert np.array_equal(got["tvs_stable"], want[1].argmax(axis=1) == 1)
-                assert got["gates"].tobytes() == want[2].tobytes()
+                assert isinstance(got, ModelOutput)
+                assert got.tas_margin_hat.tobytes() == want[0].tobytes()
+                assert got.tvs_logits.tobytes() == want[1].tobytes()
+                assert got.gates.tobytes() == want[2].tobytes()
 
 
 def _report_fields(report):
@@ -710,9 +712,9 @@ class TestEvaluate:
         report = evaluate(result.model, samples, split.test_ids)
         subset = [samples[i] for i in split.test_ids]
         features, adjacency, targets = _arrays_from_samples(subset)
-        pred = predict(result.model, features, adjacency)
-        manual = metrics(confusion(targets["tas_cls"].astype(bool), pred["tas_stable"]))
-        assert report.tas == manual
+        tas, tvs = predict(result.model, features, result.model.prepare_graph(adjacency)).verdicts()
+        assert report.tas == metrics(confusion(targets["tas_cls"].astype(bool), tas))
+        assert report.tvs == metrics(confusion(targets["tvs_cls"].astype(bool), tvs))
 
     def test_utilization_is_simplex_per_task(self, trained_toy):
         samples, split, result = trained_toy
@@ -794,3 +796,20 @@ class TestLogAndReportFiles:
         header, values = path.read_text().splitlines()
         assert "tas_mdr" in header
         assert "undefined" in values
+
+    def test_report_csv_columns_follow_the_report_fields(self, tmp_path, trained_toy):
+        """The header lists EvalReport's scalar fields in field order, each
+        Metrics field as <task>_<metric>, and the values row matches it."""
+        samples, split, result = trained_toy
+        report = evaluate(result.model, samples, split.test_ids)
+        path = tmp_path / "report.csv"
+        report_to_csv(report, path)
+        header, values = (line.split(",") for line in path.read_text().splitlines())
+        assert header == [
+            "n_samples",
+            "tas_accuracy", "tas_mdr", "tas_fpr", "tas_g_mean",
+            "tvs_accuracy", "tvs_mdr", "tvs_fpr", "tvs_g_mean",
+            "tas_mse", "tas_mae", "tvs_mse", "tvs_mae", "mean_margin_tas", "mean_margin_tvs",
+        ]
+        assert values[0] == str(report.n_samples)
+        assert (values[4], values[9]) == ("%.10g" % report.tas.g_mean, "%.10g" % report.tas_mse)
