@@ -34,6 +34,9 @@ Run from anywhere, with the parent checkout first:
 
 With --json the workload's summary and every run's values are written
 under "workloads" in that file; the other workloads already in it stay.
+Each workload's entry names the two trees it compared under "git_describe":
+each side's `git describe --always --dirty`, or null when the side is not a
+git checkout or git fails.
 """
 
 from __future__ import annotations
@@ -46,6 +49,19 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+
+def git_describe(checkout: Path) -> str | None:
+    """`git describe --always --dirty` of checkout; None when checkout is not
+    the root of a git checkout or git fails."""
+    if not (checkout / ".git").exists():
+        return None
+    cmd = ["git", "-C", str(checkout), "describe", "--always", "--dirty"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -154,6 +170,8 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
+    trees = {side: git_describe(path) for side, path in checkouts.items()}
+    print("; ".join(f"{side} {trees[side]}" for side in SIDES), flush=True)
 
     runs = []
     for i, seed in enumerate(seeds):
@@ -194,6 +212,7 @@ def main(argv=None) -> int:
         doc.setdefault("workloads", {})[args.workload] = {
             "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
                        f"--seconds {args.seconds:g} --trace 0",
+            "git_describe": trees,
             "seeds": [first, last],
             "pairs": len(runs),
             "failed_operations": failed,

@@ -241,9 +241,6 @@ class StabilityModel:
         p = self._params_like(pooled)
         return softmax(affine(pooled, p["gates.w"], p["gates.b"]), axis=-1)
 
-    def gate(self, pooled, task: str):
-        return self.gates(pooled)[TASKS.index(task)]
-
     def expert_outputs(self, pooled):
         """All experts applied to the pooled embedding: (batch, N, d_h)."""
         p = self._params_like(pooled)

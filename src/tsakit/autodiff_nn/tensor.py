@@ -1,12 +1,15 @@
 """Dense reverse-mode automatic differentiation over numpy arrays.
 
-Every operation records its inputs, a forward closure that computes its
-value from theirs and a closure that routes the output gradient back to
-them; backward() runs the backward closures in reverse topological order.
-Only the handful of operations the stability model needs exist here.
-Gradients accumulate into .grad like any tape system, so training code
-zeroes parameter gradients between steps. A backward closure computes an
-operand's gradient only when that operand requires one, and a stored
+Every operation records its inputs and a forward closure that computes its
+value from theirs. _node builds each one from that closure and one
+vector-Jacobian product (vjp) per differentiable input, which maps the
+output gradient to that input's gradient; its one backward closure reduces
+each such gradient to its input's shape and accumulates it, for the inputs
+that require one. affine alone writes its own backward closure, since it
+hands x its gradient slice by slice. backward() runs the backward closures
+in reverse topological order. Only the handful of operations the stability
+model needs exist here. Gradients accumulate into .grad like any tape
+system, so training code zeroes parameter gradients between steps. A stored
 gradient array is never written in place, so an array may be shared between
 nodes and with the caller's seed.
 
@@ -21,8 +24,8 @@ The functions relu, tanh, softmax, swapaxes and affine take either a
 Tensor, which records its tape edge, or an ndarray, which records nothing.
 Every other operation the model uses is an operator or method that both
 types share, so one model definition serves training (Tensors) and tape-free
-inference (arrays). A Tensor method computes its value through the array
-branch of the matching function, so both forms give the same bits.
+inference (arrays). A function's Tensor branch computes its value through
+its own array branch, so both forms give the same bits.
 
 Record and replay. A Program calls a function once on leaf Tensors of its
 input arrays, eagerly, and records every node that call creates, in creation
@@ -71,32 +74,61 @@ def _as_tensor(value) -> "Tensor":
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _node(forward_fn, parents, *vjps) -> "Tensor":
+    """The node whose value is forward_fn(); vjps[i] gives parents[i] its gradient.
+
+    A vjp maps the output gradient to its parent's gradient, which is then
+    reduced to the parent's shape. A parent that tracks no gradient is
+    skipped, and a parent past the last vjp takes none."""
+
+    def backward_fn(g):
+        for parent, vjp in zip(parents, vjps):
+            if parent.requires_grad:
+                parent._accumulate(_sum_to_shape(vjp(g), parent.data.shape))
+
+    return Tensor._result(forward_fn, parents, backward_fn)
+
+
 def relu(x):
     """max(x, 0) of a Tensor (taped) or an ndarray (untaped)."""
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+    if not isinstance(x, Tensor):
+        return np.maximum(x, 0.0)
+    return _node(lambda: relu(x.data), (x,), lambda g: g * (x.data > 0.0))
+
+
+# tanh and softmax recompute their value in backward from the input's
+# current data, which gives the forward's bits; a closure that read it from
+# its own node would make the two a reference cycle that holds the whole
+# graph until the garbage collector runs
 
 
 def tanh(x):
     """Elementwise tanh of a Tensor (taped) or an ndarray (untaped)."""
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
+    if not isinstance(x, Tensor):
+        return np.tanh(x)
+    return _node(lambda: tanh(x.data), (x,), lambda g: g * (1.0 - tanh(x.data) ** 2))
 
 
 def softmax(x, axis: int = -1):
     """Softmax along axis of a Tensor (taped) or an ndarray (untaped):
     shift by the maximum, exponentiate, normalise."""
-    if isinstance(x, Tensor):
-        return x.softmax(axis=axis)
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    if not isinstance(x, Tensor):
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        return e / e.sum(axis=axis, keepdims=True)
+
+    def vjp(g):
+        value = softmax(x.data, axis=axis)
+        inner = (g * value).sum(axis=axis, keepdims=True)
+        return value * (g - inner)
+
+    return _node(lambda: softmax(x.data, axis=axis), (x,), vjp)
 
 
 def swapaxes(x, a: int, b: int):
     """Exchange two axes of a Tensor (taped) or an ndarray (untaped)."""
     if not isinstance(x, Tensor):
         return np.swapaxes(x, a, b)
-    return x._result(
-        lambda: np.swapaxes(x.data, a, b), (x,), lambda g: x._accumulate(np.swapaxes(g, a, b))
-    )
+    return _node(lambda: np.swapaxes(x.data, a, b), (x,), lambda g: np.swapaxes(g, a, b))
 
 
 def affine(x, w, c):
@@ -212,8 +244,6 @@ class Tensor:
         return _as_tensor(value)
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self, grad=None) -> None:
@@ -237,120 +267,73 @@ class Tensor:
         self.grad = None
 
     def __getitem__(self, index) -> "Tensor":
-        def backward_fn(g):
+        def vjp(g):
             full = np.zeros_like(self.data)
             full[index] = g
-            self._accumulate(full)
+            return full
 
-        return self._result(lambda: self.data[index], (self,), backward_fn)
+        return _node(lambda: self.data[index], (self,), vjp)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
         other = self._operand(other)
-
-        def backward_fn(g):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_sum_to_shape(g, other.data.shape))
-
-        return self._result(lambda: self.data + other.data, (self, other), backward_fn)
+        return _node(lambda: self.data + other.data, (self, other), lambda g: g, lambda g: g)
 
     def __neg__(self) -> "Tensor":
-        def backward_fn(g):
-            self._accumulate(-g)
-
-        return self._result(lambda: -self.data, (self,), backward_fn)
+        return _node(lambda: -self.data, (self,), lambda g: -g)
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._operand(other))
 
     def __mul__(self, other) -> "Tensor":
         other = self._operand(other)
-
-        def backward_fn(g):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_sum_to_shape(g * self.data, other.data.shape))
-
-        return self._result(lambda: self.data * other.data, (self, other), backward_fn)
+        return _node(
+            lambda: self.data * other.data, (self, other),
+            lambda g: g * other.data, lambda g: g * self.data,
+        )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = self._operand(other)
-
-        def backward_fn(g):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _sum_to_shape(-g * self.data / other.data**2, other.data.shape)
-                )
-
-        return self._result(lambda: self.data / other.data, (self, other), backward_fn)
+        return _node(
+            lambda: self.data / other.data, (self, other),
+            lambda g: g / other.data, lambda g: -g * self.data / other.data**2,
+        )
 
     def __pow__(self, exponent) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-
-        def backward_fn(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return self._result(lambda: self.data**exponent, (self,), backward_fn)
+        return _node(
+            lambda: self.data**exponent, (self,),
+            lambda g: g * exponent * self.data ** (exponent - 1),
+        )
 
     def __matmul__(self, other) -> "Tensor":
         other = self._operand(other)
         if self.data.ndim < 2 or other.data.ndim < 2:
             raise ValueError("matmul operands must have at least 2 dimensions")
-
-        def backward_fn(g):
-            if self.requires_grad:
-                self._accumulate(
-                    _sum_to_shape(g @ np.swapaxes(other.data, -1, -2), self.data.shape)
-                )
-            if other.requires_grad:
-                other._accumulate(
-                    _sum_to_shape(np.swapaxes(self.data, -1, -2) @ g, other.data.shape)
-                )
-
-        return self._result(lambda: self.data @ other.data, (self, other), backward_fn)
+        return _node(
+            lambda: self.data @ other.data, (self, other),
+            lambda g: g @ np.swapaxes(other.data, -1, -2),
+            lambda g: np.swapaxes(self.data, -1, -2) @ g,
+        )
 
     def __rmatmul__(self, other) -> "Tensor":
         return _as_tensor(other) @ self
 
-    # -- elementwise nonlinearities -----------------------------------------
-
-    def relu(self) -> "Tensor":
-        def backward_fn(g):
-            self._accumulate(g * (self.data > 0.0))
-
-        return self._result(lambda: relu(self.data), (self,), backward_fn)
-
-    # tanh and softmax recompute their value in backward from the input's
-    # current data, which gives the forward's bits; a closure that read it
-    # from its own node would make the two a reference cycle that holds the
-    # whole graph until the garbage collector runs
-
-    def tanh(self) -> "Tensor":
-        def backward_fn(g):
-            self._accumulate(g * (1.0 - tanh(self.data) ** 2))
-
-        return self._result(lambda: tanh(self.data), (self,), backward_fn)
-
     # -- reductions and shaping ---------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def backward_fn(g):
+        def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             full = np.empty_like(self.data)
             full[...] = g
-            self._accumulate(full)
+            return full
 
-        return self._result(lambda: self.data.sum(axis=axis, keepdims=keepdims), (self,), backward_fn)
+        return _node(lambda: self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -363,44 +346,19 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-
-        def backward_fn(g):
-            self._accumulate(g.reshape(self.data.shape))
-
-        return self._result(lambda: self.data.reshape(shape), (self,), backward_fn)
-
-    @staticmethod
-    def stack(tensors, axis: int = 0) -> "Tensor":
-        tensors = [_as_tensor(t) for t in tensors]
-        if not tensors:
-            raise ValueError("stack needs at least one tensor")
-
-        def backward_fn(g):
-            pieces = np.split(g, len(tensors), axis=axis)
-            for t, piece in zip(tensors, pieces):
-                t._accumulate(np.squeeze(piece, axis=axis))
-
-        return Tensor._result(
-            lambda: np.stack([t.data for t in tensors], axis=axis), tensors, backward_fn
+        return _node(
+            lambda: self.data.reshape(shape), (self,), lambda g: g.reshape(self.data.shape)
         )
 
     # -- fused primitives with known derivatives ----------------------------
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        def backward_fn(g):
-            value = softmax(self.data, axis=axis)
-            inner = (g * value).sum(axis=axis, keepdims=True)
-            self._accumulate(value * (g - inner))
-
-        return self._result(lambda: softmax(self.data, axis=axis), (self,), backward_fn)
 
     def cross_entropy_logits(self, targets) -> "Tensor":
         """Mean cross-entropy of integer class targets against logit rows.
 
         targets is an integer vector, or a Tensor holding the class indices
-        (as floats, like every Tensor), which a Program can take as an input.
-        Log-sum-exp is computed against the row maximum, so extreme logits
-        stay finite.
+        (as floats, like every Tensor), which a Program can take as an input;
+        it takes no gradient. Log-sum-exp is computed against the row
+        maximum, so extreme logits stay finite.
         """
         if self.data.ndim != 2:
             raise ValueError("expected a (batch, classes) logit matrix")
@@ -420,13 +378,13 @@ class Tensor:
             picked = self.data[rows, targets.data.astype(int)]
             return (lse - picked).mean()
 
-        def backward_fn(g):
+        def vjp(g):
             soft = np.exp(self.data - self.data.max(axis=1, keepdims=True))
             soft /= soft.sum(axis=1, keepdims=True)
             soft[rows, targets.data.astype(int)] -= 1.0
-            self._accumulate(float(g) * soft / n)
+            return float(g) * soft / n
 
-        return self._result(forward_fn, (self, targets), backward_fn)
+        return _node(forward_fn, (self, targets), vjp)
 
 
 class Program:

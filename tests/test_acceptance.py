@@ -220,7 +220,7 @@ def test_criterion_03_gate_simplex_and_moe_algebra():
         per_task = 2500  # x4 tasks = 10,000 gate evaluations
         for task in TASKS:
             pooled = Tensor(rng.standard_normal((per_task, 64)) * 2.0)
-            gates = model.gate(pooled, task).data
+            gates = model.gates(pooled)[TASKS.index(task)].data
             worst_sum = max(worst_sum, float(np.abs(gates.sum(axis=1) - 1.0).max()))
         assert worst_sum <= 1e-6
 

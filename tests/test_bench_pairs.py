@@ -1,6 +1,8 @@
-"""The per-metric verdict of scripts/bench_pairs.py on synthetic runs."""
+"""The per-metric verdict of scripts/bench_pairs.py on synthetic runs, and the
+tree names it records."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,28 @@ def test_rss_fit_at_equal_operations(bench_pairs):
     assert fit["mb_per_operation"] == pytest.approx(1.0)
     assert fit["change_minus_parent_mb"] == pytest.approx(2.0)
     assert fit["change_minus_parent_share"] == pytest.approx(0.02)
+
+
+def test_git_describe_names_the_tree(bench_pairs, tmp_path):
+    """null outside a checkout; the commit, then the commit marked dirty once a
+    tracked file changes."""
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.git_describe(plain) is None
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+             *args], check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (repo / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "one commit")
+    head = git("rev-parse", "--short", "HEAD")
+    assert bench_pairs.git_describe(repo) == head
+    (repo / "tracked.txt").write_text("two\n")
+    assert bench_pairs.git_describe(repo) == f"{head}-dirty"

@@ -18,6 +18,7 @@ from tsakit.autodiff_nn import (
     moe_combine,
     save_checkpoint,
 )
+from tsakit.autodiff_nn.tensor import softmax
 
 
 def small_model(seed=0, in_dim=6, hidden=8, experts=4, expert_hidden=5):
@@ -145,29 +146,29 @@ class TestGate:
         model = small_model()
         model.params["gates.w"].data[0] = np.zeros((8, 4))
         model.params["gates.b"].data[0, 0] = np.zeros(4)
-        g = model.gate(Tensor(rng.standard_normal((5, 8))), "tas_cls")
+        g = model.gates(Tensor(rng.standard_normal((5, 8))))[TASKS.index("tas_cls")]
         np.testing.assert_allclose(g.data, 0.25, atol=1e-12)
 
     def test_dominant_logit_saturates(self):
         model = small_model()
         model.params["gates.w"].data[1] = np.zeros((8, 4))
         model.params["gates.b"].data[1, 0] = np.array([20.0, 0.0, 0.0, 0.0])
-        g = model.gate(Tensor(np.zeros((1, 8))), "tvs_cls")
+        g = model.gates(Tensor(np.zeros((1, 8))))[TASKS.index("tvs_cls")]
         assert g.data[0, 0] > 0.9999
 
     def test_logit_shift_invariance(self, rng):
         model = small_model()
         pooled = Tensor(rng.standard_normal((4, 8)))
-        base = model.gate(pooled, "tas_reg").data
+        base = model.gates(pooled)[TASKS.index("tas_reg")].data
         model.params["gates.b"].data[2, 0] = model.params["gates.b"].data[2, 0] + 7.3
-        shifted = model.gate(pooled, "tas_reg").data
+        shifted = model.gates(pooled)[TASKS.index("tas_reg")].data
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
     def test_simplex_on_random_inputs(self, rng):
         model = small_model(seed=3)
         pooled = Tensor(rng.standard_normal((1000, 8)) * 5.0)
         for task in TASKS:
-            g = model.gate(pooled, task).data
+            g = model.gates(pooled)[TASKS.index(task)].data
             assert g.min() >= 0.0
             np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-6)
 
@@ -251,22 +252,17 @@ class TestLoadBalance:
             assert isinstance(loss, np.floating)
             assert loss.tobytes() == load_balance_loss(Tensor(g)).data.tobytes()
 
-    def test_stacked_gates_give_the_bits_of_their_restacked_slices(self, rng):
-        """The loss on a taped float32 (tasks, batch, experts) gate tensor has the
-        value and gradient bytes of stacking its per-task slices first, with the
-        gates also feeding another consumer, as they feed the expert mixture."""
+    def test_stacked_gates_keep_a_float32_loss_and_gradient(self, rng):
+        """The loss on a taped float32 (tasks, batch, experts) gate tensor, with
+        the gates also feeding another consumer as they feed the expert
+        mixture, is float32 in its value and in every gradient."""
         logits = rng.standard_normal((4, 16, 4)).astype(np.float32)
         weights = rng.standard_normal((4, 16, 4)).astype(np.float32)
-        results = []
-        for restack in (False, True):
-            leaf = Tensor(logits, requires_grad=True)
-            gates = leaf.softmax(axis=-1)
-            routed = Tensor.stack([gates[i] for i in range(4)]) if restack else gates
-            balance = load_balance_loss(routed)
-            ((gates * weights).sum() + balance).backward()
-            assert balance.dtype == leaf.grad.dtype == np.float32
-            results.append((balance.data.tobytes(), gates.grad.tobytes(), leaf.grad.tobytes()))
-        assert results[0] == results[1]
+        leaf = Tensor(logits, requires_grad=True)
+        gates = softmax(leaf, axis=-1)
+        balance = load_balance_loss(gates)
+        ((gates * weights).sum() + balance).backward()
+        assert balance.dtype == gates.grad.dtype == leaf.grad.dtype == np.float32
 
     def test_stacked_task_axis_accepted(self, rng):
         g = rng.dirichlet(np.ones(4), size=(3, 5))
@@ -284,7 +280,8 @@ class TestForward:
         x, adj = random_graph(rng, 6, 6)
         out = model.forward(x[None], adj[None])
         _, pooled = model.encode(Tensor(x[None]), adj[None])
-        combined = moe_combine(model.gate(pooled, "tas_cls"), model.expert_outputs(pooled)).data
+        gate = model.gates(pooled)[TASKS.index("tas_cls")]
+        combined = moe_combine(gate, model.expert_outputs(pooled)).data
         w = model.params["head.tas_cls.w"].data
         b = model.params["head.tas_cls.b"].data
         np.testing.assert_array_equal(out.tas_logits.data, combined @ w + b)
@@ -350,7 +347,7 @@ class TestForward:
             + out.tvs_logits.cross_entropy_logits(np.array([1, 0]))
             + ((out.tas_margin_hat - 0.3) ** 2).mean()
             + ((out.tvs_margin_hat + 0.1) ** 2).mean()
-            + load_balance_loss(Tensor.stack(list(out.gate_weights.values())))
+            + load_balance_loss(out.gates)
         )
         loss.backward()
         for name, p in model.params.items():
@@ -369,7 +366,7 @@ class TestForward:
                 + out.tvs_logits.cross_entropy_logits(targets)
                 + ((out.tas_margin_hat - 0.2) ** 2).mean()
                 + ((out.tvs_margin_hat + 0.4) ** 2).mean()
-                + 0.01 * load_balance_loss(Tensor.stack(list(out.gate_weights.values())))
+                + 0.01 * load_balance_loss(out.gates)
             )
             return loss
 
