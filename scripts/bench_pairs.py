@@ -25,6 +25,10 @@ and as a share of the parent's median beside the metric's bound: the slope
 is memory the harness keeps per operation, the difference the program's
 own. It also reports whether the output digests agree in every pair.
 
+It exits 1 when the output digests differ in any pair or the change failed
+more operations than the parent, and 0 otherwise; it prints and writes
+--json alike either way.
+
 Run from anywhere, with the parent checkout first:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload train \\
@@ -222,7 +226,7 @@ def main(argv=None) -> int:
             "runs": runs,
         }
         args.json.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0
+    return 0 if identical and failed["change"] <= failed["parent"] else 1
 
 
 if __name__ == "__main__":

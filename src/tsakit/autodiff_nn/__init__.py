@@ -11,6 +11,7 @@ from .model import (
     load_balance_loss,
     load_checkpoint,
     moe_combine,
+    neighbour_mean,
     save_checkpoint,
 )
 from .tensor import Program, Tensor
@@ -28,5 +29,6 @@ __all__ = [
     "load_balance_loss",
     "load_checkpoint",
     "moe_combine",
+    "neighbour_mean",
     "save_checkpoint",
 ]

@@ -100,6 +100,11 @@ def _inverse_degree(adj: np.ndarray) -> np.ndarray:
     return np.where(deg > 0.0, 1.0 / np.maximum(deg, 1.0), 0.0)
 
 
+def neighbour_mean(h, adj, inv_deg):
+    """Mean of each node's neighbours' rows of h, zero for an isolated node."""
+    return (adj @ h) * inv_deg
+
+
 class _ParamArrays:
     """Read-only view of a parameter dict as its current arrays."""
 
@@ -205,23 +210,27 @@ class StabilityModel:
     # -- architecture pieces ------------------------------------------------
     # each runs on Tensors (taped) or ndarrays (untaped), the form of its input
 
-    def graphsage_layer(self, h, adj, inv_deg, layer: int, activate: bool = True):
+    def graphsage_layer(self, h, adj, inv_deg, layer: int, activate: bool = True, neigh=None):
+        """One layer on h; neigh is neighbour_mean(h, adj, inv_deg) when the caller has it."""
         if h.shape[-2] != adj.shape[-1]:
             raise ValueError("node count of features and adjacency differ")
         p = self._params_like(h)
         w_self, w_neigh, b = self._sage_names[layer]
-        neigh = (adj @ h) * inv_deg  # mean over neighbors, zero when isolated
+        if neigh is None:
+            neigh = neighbour_mean(h, adj, inv_deg)
         out = affine(h, p[w_self], neigh @ p[w_neigh])
         out = out + p[b]  # last, as in (h @ W_self + neigh @ W_neigh) + b
         return relu(out) if activate else out
 
-    def encode(self, features, adjacency):
+    def encode(self, features, adjacency, feature_mean=None):
         """Stacked layers then mean pooling: (node embeddings, pooled).
 
         Tensor features give Tensors on the tape; anything else is read as an
         array (float32 stays float32, the rest is float64) and gives ndarrays.
         The adjacency is an array or a PreparedGraph, whose arrays may be
-        Tensor leaves (a recorded training step's inputs)."""
+        Tensor leaves (a recorded training step's inputs). feature_mean, when
+        given, is neighbour_mean of the features over that graph, which the
+        first layer then reads in place of computing it."""
         h = features if isinstance(features, Tensor) else float_array(features)
         if h.ndim == 2:
             h = h.reshape(1, *h.shape)
@@ -232,7 +241,8 @@ class StabilityModel:
         adj, inv_deg = self._prepare_adjacency(adjacency)
         last = self.config.n_layers - 1
         for layer in range(self.config.n_layers):
-            h = self.graphsage_layer(h, adj, inv_deg, layer, activate=layer < last)
+            neigh = feature_mean if layer == 0 else None
+            h = self.graphsage_layer(h, adj, inv_deg, layer, activate=layer < last, neigh=neigh)
         pooled = h.mean(axis=1)
         return h, pooled
 
@@ -254,14 +264,14 @@ class StabilityModel:
         out = combined @ p[w] + p[b]
         return tanh(out) if task.endswith("_reg") else out
 
-    def forward(self, features, adjacency) -> ModelOutput:
+    def forward(self, features, adjacency, feature_mean=None) -> ModelOutput:
         """Full pass on the tape, for training: every field is a Tensor.
 
-        A Program that records this pass passes the features and a
-        PreparedGraph of the adjacency and its inverse degree as its Tensor
-        input leaves."""
+        A Program that records this pass passes the features, a PreparedGraph
+        of the adjacency and its inverse degree, and the features' neighbour
+        mean over it (see encode) as its Tensor input leaves."""
         h = features if isinstance(features, Tensor) else Tensor(features)
-        return self._run(h, adjacency)
+        return self._run(h, adjacency, feature_mean)
 
     def infer(self, features, adjacency) -> ModelOutput:
         """The same pass without a tape, in float64: every field is a float64 ndarray.
@@ -270,9 +280,9 @@ class StabilityModel:
         graph = adjacency if isinstance(adjacency, PreparedGraph) else self.prepare_graph(adjacency)
         return self._run(np.asarray(features, dtype=np.float64), graph)
 
-    def _run(self, features, adjacency) -> ModelOutput:
+    def _run(self, features, adjacency, feature_mean=None) -> ModelOutput:
         """Encode, apply the experts, mix them per task, then the heads."""
-        _, pooled = self.encode(features, adjacency)
+        _, pooled = self.encode(features, adjacency, feature_mean)
         experts = self.expert_outputs(pooled)
         gates = self.gates(pooled)
         combined = moe_combine(gates, experts)

@@ -13,6 +13,15 @@ system, so training code zeroes parameter gradients between steps. A stored
 gradient array is never written in place, so an array may be shared between
 nodes and with the caller's seed.
 
+A node is an operation a model states, never a piece of one. a - b is one
+node, the same IEEE operation as a + (-b), and mean is one node, the sum
+over the count of its terms in the operand's dtype, sharing sum's
+broadcast-back; both give the bits of those compositions. The left
+operand's gradient of a product against a 2-D right operand (a weight
+shared over a batch) folds the output gradient's leading axes into one 2-D
+product, which is faster than numpy's broadcast product and gives its bits
+on the shapes tests/test_autodiff.py pins.
+
 A Tensor holds float32 or float64 data: float32 arrays and numpy float32
 scalars stay float32, and anything else becomes float64. A Python number
 used as an operand takes the Tensor's dtype, which is numpy's own rule for
@@ -74,6 +83,17 @@ def _as_tensor(value) -> "Tensor":
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _times_transpose(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """g @ swapaxes(w, -1, -2): a product's gradient for its left operand.
+
+    Against a 2-D w, g's leading axes fold into one 2-D product: one BLAS
+    call that reads w through its transpose flag, as each call of the
+    broadcast product does, in place of one call per leading index."""
+    if w.ndim == 2 and g.ndim > 2:
+        return (g.reshape(-1, g.shape[-1]) @ w.T).reshape(*g.shape[:-1], w.shape[0])
+    return g @ np.swapaxes(w, -1, -2)
+
+
 def _node(forward_fn, parents, *vjps) -> "Tensor":
     """The node whose value is forward_fn(); vjps[i] gives parents[i] its gradient.
 
@@ -93,7 +113,7 @@ def relu(x):
     """max(x, 0) of a Tensor (taped) or an ndarray (untaped)."""
     if not isinstance(x, Tensor):
         return np.maximum(x, 0.0)
-    return _node(lambda: relu(x.data), (x,), lambda g: g * (x.data > 0.0))
+    return _node(lambda: relu(x.data), (x,), lambda g: g * (x.data > 0.0).astype(g.dtype))
 
 
 # tanh and softmax recompute their value in backward from the input's
@@ -144,7 +164,7 @@ def affine(x, w, c):
 
     def backward_fn(g):
         if x.requires_grad:
-            gx = g @ np.swapaxes(w.data, -1, -2)
+            gx = _times_transpose(g, w.data)
             for part in gx.reshape(-1, *gx.shape[gx.ndim - x.ndim :]):
                 x._accumulate(_sum_to_shape(part, x.data.shape))
         if w.requires_grad:
@@ -267,6 +287,18 @@ class Tensor:
         self.grad = None
 
     def __getitem__(self, index) -> "Tensor":
+        """A basic index: ints, slices, None and Ellipsis, alone or in a tuple.
+
+        The gradient is assigned into a zero array, which is right only when
+        no entry is picked twice, so an array, list or mask index is refused."""
+        for part in index if isinstance(index, tuple) else (index,):
+            if isinstance(part, bool) or not (
+                part is None or part is Ellipsis or isinstance(part, (int, np.integer, slice))
+            ):
+                raise TypeError(
+                    f"Tensor index {index!r} is not a basic index (int, slice, None, ...)"
+                )
+
         def vjp(g):
             full = np.zeros_like(self.data)
             full[index] = g
@@ -284,7 +316,8 @@ class Tensor:
         return _node(lambda: -self.data, (self,), lambda g: -g)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-self._operand(other))
+        other = self._operand(other)
+        return _node(lambda: self.data - other.data, (self, other), lambda g: g, lambda g: -g)
 
     def __mul__(self, other) -> "Tensor":
         other = self._operand(other)
@@ -316,7 +349,7 @@ class Tensor:
             raise ValueError("matmul operands must have at least 2 dimensions")
         return _node(
             lambda: self.data @ other.data, (self, other),
-            lambda g: g @ np.swapaxes(other.data, -1, -2),
+            lambda g: _times_transpose(g, other.data),
             lambda g: np.swapaxes(self.data, -1, -2) @ g,
         )
 
@@ -325,23 +358,32 @@ class Tensor:
 
     # -- reductions and shaping ---------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            full = np.empty_like(self.data)
-            full[...] = g
-            return full
+    def _spread(self, g: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+        """g, the gradient of a reduction over axis, broadcast back to self's shape."""
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        full = np.empty_like(self.data)
+        full[...] = g
+        return full
 
-        return _node(lambda: self.data.sum(axis=axis, keepdims=keepdims), (self,), vjp)
+    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        return _node(
+            lambda: self.data.sum(axis=axis, keepdims=keepdims), (self,),
+            lambda g: self._spread(g, axis, keepdims),
+        )
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+        """The sum over axis divided by the count of its terms, in self's dtype."""
         if axis is None:
             count = self.data.size
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / float(count)
+        count = np.asarray(count, dtype=self.data.dtype)
+        return _node(
+            lambda: self.data.sum(axis=axis, keepdims=keepdims) / count, (self,),
+            lambda g: self._spread(g / count, axis, keepdims),
+        )
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -1,5 +1,7 @@
 """Tape correctness: every operation against central finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,69 @@ class TestBasicOps:
     def test_matmul_rejects_vectors(self):
         with pytest.raises(ValueError, match="2 dimensions"):
             Tensor([1.0, 2.0]) @ Tensor([[1.0], [2.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inner", [16, 40, 64])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 16])
+    def test_left_gradient_against_a_2d_weight_is_the_broadcast_product(self, rng, batch,
+                                                                        inner, dtype):
+        """matmul and affine fold a (batch, 39, inner) gradient against a 2-D
+        weight into one 2-D product, with the bits of g @ swapaxes(w, -1, -2):
+        for a (64, inner) weight and for a square one."""
+        g = rng.standard_normal((batch, 39, inner)).astype(dtype)
+        for shape in ((64, inner), (inner, inner)):
+            w = rng.standard_normal(shape).astype(dtype)
+            want = (g @ np.swapaxes(w, -1, -2)).tobytes()
+            for product in (lambda x: x @ w, lambda x: affine(x, w, np.zeros(inner, dtype))):
+                x = Tensor(rng.standard_normal((batch, 39, shape[0])).astype(dtype),
+                           requires_grad=True)
+                product(x).backward(g)
+                assert x.grad.tobytes() == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fused, composed", [
+        (lambda a, b: a - b, lambda a, b: a + (-b)),
+        (lambda a, b: b - a, lambda a, b: b + (-a)),
+        (lambda a, b: a - 2.0, lambda a, b: a + (-Tensor(np.asarray(2.0, a.dtype)))),
+        (lambda a, b: a.mean(), lambda a, b: a.sum() / 12.0),
+        (lambda a, b: a.mean(axis=1), lambda a, b: a.sum(axis=1) / 4.0),
+        (lambda a, b: a.mean(axis=0, keepdims=True),
+         lambda a, b: a.sum(axis=0, keepdims=True) / 3.0),
+        (lambda a, b: a.mean(axis=(0, 1)), lambda a, b: a.sum(axis=(0, 1)) / 12.0),
+    ], ids=["sub", "sub_broadcast_first", "sub_number", "mean", "mean_axis", "mean_keepdims",
+            "mean_axes"])
+    def test_one_node_gives_the_bits_of_its_composition(self, rng, dtype, fused, composed):
+        """a - b is a + (-b), and a mean the sum over its count, bit for bit
+        in value and in every gradient: a (3, 4) and b (4,)."""
+        data = [rng.standard_normal(s).astype(dtype) for s in ((3, 4), (4,))]
+        results = []
+        for build in (fused, composed):
+            a, b = (Tensor(d, requires_grad=True) for d in data)
+            out = build(a, b)
+            out.backward(np.linspace(-1.5, 2.0, out.data.size).reshape(out.shape))
+            results.append([out.data.tobytes()] + [None if t.grad is None else t.grad.tobytes()
+                                                   for t in (a, b)])
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("index", [
+        np.array([0, 0]), [0, 0], np.array([True, False, True]), (slice(None), [0]), True,
+    ], ids=["int_array", "int_list", "mask", "list_in_tuple", "bool"])
+    def test_index_refuses_array_and_mask_indices(self, index):
+        """Its gradient is assigned into zeros, which a repeated entry would
+        need to accumulate."""
+        t = Tensor(np.ones((3, 3)), requires_grad=True)
+        with pytest.raises(TypeError, match=re.escape(repr(index))):
+            t[index]
+
+    @pytest.mark.parametrize("index", [
+        1, np.int64(2), slice(1, None), (slice(None), slice(0, 3, 2)), (1, Ellipsis, None),
+    ], ids=["int", "numpy_int", "slice", "tuple_of_slices", "int_ellipsis_none"])
+    def test_basic_index_gradient(self, index):
+        t = Tensor(np.arange(9.0).reshape(3, 3), requires_grad=True)
+        t[index].sum().backward()
+        want = np.zeros((3, 3))
+        want[index] = 1.0
+        assert t.grad.tobytes() == want.tobytes()
 
 
 class TestNonlinearities:
@@ -379,6 +444,7 @@ FLOAT32_OPS = {
     "add_number": lambda x, v, w, c: x + 1.5,
     "sub": lambda x, v, w, c: x - v,
     "sub_int": lambda x, v, w, c: x - 2,
+    "sub_mean": lambda x, v, w, c: x - x.mean(axis=0),
     "neg": lambda x, v, w, c: -x,
     "mul": lambda x, v, w, c: x * v,
     "mul_number": lambda x, v, w, c: x * 0.1,

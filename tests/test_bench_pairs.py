@@ -1,7 +1,8 @@
-"""The per-metric verdict of scripts/bench_pairs.py on synthetic runs, and the
-tree names it records."""
+"""The per-metric verdict of scripts/bench_pairs.py on synthetic runs, the
+tree names it records and its exit code."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -116,3 +117,41 @@ def test_git_describe_names_the_tree(bench_pairs, tmp_path):
     assert bench_pairs.git_describe(repo) == head
     (repo / "tracked.txt").write_text("two\n")
     assert bench_pairs.git_describe(repo) == f"{head}-dirty"
+
+
+@pytest.mark.parametrize("digests, failed, code", [
+    ({"parent": "a", "change": "a"}, {"parent": 0, "change": 0}, 0),
+    ({"parent": "a", "change": "b"}, {"parent": 0, "change": 0}, 1),  # the numerics drifted
+    ({"parent": "a", "change": "a"}, {"parent": 0, "change": 1}, 1),  # the change failed more
+    ({"parent": "a", "change": "a"}, {"parent": 2, "change": 1}, 0),
+])
+def test_exit_code_names_drift_and_failures(bench_pairs, monkeypatch, tmp_path, digests, failed,
+                                            code):
+    """main exits 1 when a pair's digests differ or the change failed more
+    operations than the parent, and writes its JSON either way. The drift
+    and the failures sit in the second of three pairs."""
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    end_to_end = [{"name": name, **spec} for name, spec in SPEC.items()]
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
+    side_of = {path.resolve(): side for side, path in checkouts.items()}
+
+    def run_once(checkout, workload, seed, seconds):
+        side = side_of[checkout]
+        second = seed == 12
+        return {
+            "metrics": {"throughput_per_s": 100.0, "peak_rss_mb": 50.0 + seed},
+            "correct": 5, "failed": failed[side] if second else 0, "operations": seed,
+            "digests": {"out_sha256": digests[side] if second else "a"},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    report = tmp_path / "bench.json"
+    argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "train",
+            "--seeds", "11-13", "--json", str(report)]
+    assert bench_pairs.main(argv) == code
+    entry = json.loads(report.read_text())["workloads"]["train"]
+    assert entry["pairs"] == 3
+    assert entry["digests_identical_every_pair"] == (digests["parent"] == digests["change"])
+    assert entry["failed_operations"] == failed

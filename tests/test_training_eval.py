@@ -550,6 +550,27 @@ class TestReplayedSteps:
             assert params_seen[k] == params, k
         assert _snapshot_bytes(result.model) == epoch_ends[result.best_epoch - 1]
 
+    def test_every_recorded_node_tracks_a_gradient(self, monkeypatch):
+        """A recorded default-model step holds 57 nodes, each on a path from a
+        parameter: what reads only the batch's data, such as the first
+        layer's neighbour mean or the margin targets, is an input leaf."""
+        recorded = []
+
+        class RecordedProgram(training_eval.Program):
+            def __init__(self, fn, arrays):
+                super().__init__(fn, arrays)
+                recorded.append(self)
+
+        monkeypatch.setattr(training_eval, "Program", RecordedProgram)
+        samples = varied_samples()
+        split = split_dataset([s.joint_label for s in samples], seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=16, accuracy_threshold=1.0, mse_threshold=1e-300)
+        train(samples, split, cfg)
+        assert len(recorded) == 2  # a batch of 16 and the partial last one
+        for program in recorded:
+            assert len(program._nodes) == 57
+            assert all(node.requires_grad for node in program._nodes)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
     def test_non_finite_loss_restores_the_eager_weights(self, monkeypatch):
         """A learning rate that makes the loss non-finite in epoch 2, on the
