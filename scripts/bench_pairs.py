@@ -25,9 +25,14 @@ and as a share of the parent's median beside the metric's bound: the slope
 is memory the harness keeps per operation, the difference the program's
 own. It also reports whether the output digests agree in every pair.
 
-It exits 1 when the output digests differ in any pair or the change failed
-more operations than the parent, and 0 otherwise; it prints and writes
---json alike either way.
+Before the runs it hashes each side's harness, `BENCHMARK.json` and every
+file under `perfbench/`, and prints whether the two match, naming the files
+that differ: runs of two different harnesses do not compare the program
+alone.
+
+It exits 1 when the harnesses differ, the output digests differ in any
+pair or the change failed more operations than the parent, and 0
+otherwise; it prints and writes --json alike either way.
 
 Run from anywhere, with the parent checkout first:
 
@@ -40,12 +45,14 @@ With --json the workload's summary and every run's values are written
 under "workloads" in that file; the other workloads already in it stay.
 Each workload's entry names the two trees it compared under "git_describe":
 each side's `git describe --always --dirty`, or null when the side is not a
-git checkout or git fails.
+git checkout or git fails. "harness_sha256" holds each side's sha256 of
+every harness file, by path.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -66,6 +73,19 @@ def git_describe(checkout: Path) -> str | None:
     except OSError:
         return None
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def harness_digests(checkout: Path) -> dict[str, str]:
+    """sha256 of BENCHMARK.json and of every file under perfbench/, by path
+    relative to checkout; the bytecode a run writes under __pycache__ is
+    left out."""
+    paths = [checkout / "BENCHMARK.json", *sorted((checkout / "perfbench").rglob("*"))]
+    digests = {}
+    for path in paths:
+        rel = path.relative_to(checkout)
+        if path.is_file() and "__pycache__" not in rel.parts:
+            digests[rel.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -176,6 +196,13 @@ def main(argv=None) -> int:
     end_to_end = {m["name"]: m for m in spec["end_to_end"]}
     trees = {side: git_describe(path) for side, path in checkouts.items()}
     print("; ".join(f"{side} {trees[side]}" for side in SIDES), flush=True)
+    harness = {side: harness_digests(path) for side, path in checkouts.items()}
+    differ = sorted(
+        name for name in harness["parent"].keys() | harness["change"].keys()
+        if harness["parent"].get(name) != harness["change"].get(name)
+    )
+    print("harness (BENCHMARK.json, perfbench/): "
+          + (f"DIFFERS in {', '.join(differ)}" if differ else "identical"), flush=True)
 
     runs = []
     for i, seed in enumerate(seeds):
@@ -209,7 +236,8 @@ def main(argv=None) -> int:
               f"(bound {100 * end_to_end['peak_rss_mb']['bound']:g}%)")
     failed = {s: sum(r[s]["failed"] for r in runs) for s in SIDES}
     identical = all(r["digests_identical"] for r in runs)
-    print(f"failed operations: {failed}; digests identical in every pair: {identical}")
+    print(f"failed operations: {failed}; digests identical in every pair: {identical}; "
+          f"harness identical: {not differ}")
 
     if args.json:
         doc = json.loads(args.json.read_text()) if args.json.exists() else {}
@@ -217,6 +245,8 @@ def main(argv=None) -> int:
             "command": f"python3 perfbench/run.py --workload {args.workload} --seed S "
                        f"--seconds {args.seconds:g} --trace 0",
             "git_describe": trees,
+            "harness_sha256": harness,
+            "harness_identical": not differ,
             "seeds": [first, last],
             "pairs": len(runs),
             "failed_operations": failed,
@@ -226,7 +256,7 @@ def main(argv=None) -> int:
             "runs": runs,
         }
         args.json.write_text(json.dumps(doc, indent=2) + "\n")
-    return 0 if identical and failed["change"] <= failed["parent"] else 1
+    return 0 if identical and not differ and failed["change"] <= failed["parent"] else 1
 
 
 if __name__ == "__main__":

@@ -433,12 +433,11 @@ class Program:
     """One graph recorded eagerly, then replayed on new input arrays.
 
     Program(fn, arrays) makes a leaf Tensor of each named input array and
-    calls fn(inputs) -> (root, outputs), where root is the scalar to
-    differentiate and outputs any Tensors the caller reads after a pass.
-    run(arrays) replays that pass on new arrays of the recorded shapes and
-    dtypes; backward() seeds root with one. The recording call is an eager
-    pass, so after construction the nodes hold its values and backward()
-    may follow at once.
+    calls fn(inputs) -> root, the scalar to differentiate. run(arrays)
+    replays that pass on new arrays of the recorded shapes and dtypes, and
+    root.data then holds its value; backward() seeds root with one. The
+    recording call is an eager pass, so after construction the nodes hold
+    its values and backward() may follow at once.
     """
 
     def __init__(self, fn, arrays: dict):
@@ -448,7 +447,7 @@ class Program:
         self.inputs = {name: Tensor(a) for name, a in arrays.items()}
         _recording = nodes = []
         try:
-            self.root, self.outputs = fn(self.inputs)
+            self.root = fn(self.inputs)
         finally:
             _recording = None
         if not self.root.requires_grad or self.root.data.size != 1:

@@ -338,7 +338,6 @@ class DatasetSplit:
     train_ids: np.ndarray
     val_ids: np.ndarray
     test_ids: np.ndarray
-    seed: int
 
 
 def split_dataset(joint_labels, seed: int, ratios=(0.7, 0.1, 0.2)) -> DatasetSplit:
@@ -414,7 +413,6 @@ def split_dataset(joint_labels, seed: int, ratios=(0.7, 0.1, 0.2)) -> DatasetSpl
         train_ids=np.array(sorted(parts[0]), dtype=int),
         val_ids=np.array(sorted(parts[1]), dtype=int),
         test_ids=np.array(sorted(parts[2]), dtype=int),
-        seed=seed,
     )
 
 

@@ -19,7 +19,7 @@ BUS_KINDS = ("slack", "pv", "pq")
 
 # Bolted three-phase fault modeled as a large shunt admittance at the fault
 # point. Large but finite keeps the nodal matrix well conditioned.
-DEFAULT_FAULT_ADMITTANCE = complex(0.0, -1.0e6)
+FAULT_ADMITTANCE = complex(0.0, -1.0e6)
 
 
 class NetworkParseError(ValueError):
@@ -104,7 +104,6 @@ class FaultSpec:
 
     line_index: int
     location_fraction: float
-    fault_admittance: complex = DEFAULT_FAULT_ADMITTANCE
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,7 @@ def build_admittance(
         )
         _stamp_line(y_mat, sec1)
         _stamp_line(y_mat, sec2)
-        y_mat[mid, mid] += fault.fault_admittance
+        y_mat[mid, mid] += FAULT_ADMITTANCE
     return y_mat
 
 

@@ -1,12 +1,14 @@
 """Multi-task training loop, classification metrics, and evaluation reports.
 
-Training minimizes weighted cross-entropy on both stability verdicts plus
-squared error on both signed margins plus the gate balance penalty, with
-adaptive-moment gradient descent. Validation joint accuracy (both verdicts
-correct on a sample) and, when a target is set, the validation margin error
-drive early stopping and best-checkpoint retention. Each epoch's validation
-is scored by the report evaluate returns, and the retained weights are a
-copy of the optimizer's one flat parameter buffer.
+Training minimizes one loss, multitask_loss: cross-entropy on both
+stability verdicts, squared error on both signed margins and the gate
+balance penalty, weighted by TrainConfig's lambda_cls, lambda_reg and
+alpha_balance, with adaptive-moment gradient descent. Validation joint
+accuracy (both verdicts correct on a sample) and, when a target is set,
+the validation margin error drive early stopping and best-checkpoint
+retention. Each epoch's validation is scored by the report evaluate
+returns, and the retained weights are a copy of the optimizer's one flat
+parameter buffer.
 Everything is seeded and single-threaded, so a fixed configuration
 reproduces the training log and the checkpoint bit for bit.
 
@@ -21,12 +23,13 @@ float64, on those float32 weights.
 A training step's graph does not change between batches of one size, so
 train records it once and replays it. The first step of each batch size
 runs on the eager tape inside a tensor.Program, which records the nodes it
-creates; every later step of that size rebinds the program's inputs to the
-batch and replays the same numpy calls in the same order, so the
-parameters and the checkpoint get the eager bits. The inputs are the
-batch's features, adjacency, inverse degree, first-layer neighbour mean,
-class targets and margin targets, and the parameters are read in place, so
-every recorded node tracks a gradient. train still calls optimizer.step
+creates; its root is the step's loss, the value train logs. Every later
+step of that size rebinds the program's inputs to the batch and replays
+the same numpy calls in the same order, so the parameters and the
+checkpoint get the eager bits. The inputs are the batch's features,
+adjacency, inverse degree, first-layer neighbour mean, class targets and
+margin targets, and the parameters are read in place, so every recorded
+node tracks a gradient. train still calls optimizer.step
 once per step. The programs live only for one train call.
 
 A sample's graph and features do not change while it trains, so train
@@ -149,70 +152,31 @@ def regression_metrics(targets, predictions) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(config) -> None:
-    """Reject a float field of a config dataclass that holds nan or an infinity."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_cls: float = 1.0
-    lambda_reg: float = 1.0
-    alpha_balance: float = 0.01
-
-    def validate(self) -> None:
-        _check_finite(self)
-        if min(self.lambda_cls, self.lambda_reg, self.alpha_balance) < 0.0:
-            raise ValueError("loss weights must be nonnegative")
-
-
-def multitask_loss(outputs: ModelOutput, targets: dict, weights: LossWeights):
-    """Weighted sum of both task families plus the balance penalty.
+def multitask_loss(outputs: ModelOutput, targets: dict, config: TrainConfig) -> Tensor:
+    """The scalar loss: config's weighted sum of both task families plus
+    the balance penalty.
 
     targets carries "tas_cls"/"tvs_cls" as integer class vectors (1 =
     stable) and "tas_reg"/"tvs_reg" as float vectors in [-1, 1], read in
     the outputs' dtype; any of them may instead be a Tensor leaf, as a
-    recorded training step passes them. Returns the scalar loss tensor and
-    a float breakdown for logging.
+    recorded training step passes them.
     """
-    terms = _loss_terms(outputs, targets, weights)
-    return terms["total"], _loss_parts(terms)
-
-
-def _loss_terms(outputs: ModelOutput, targets: dict, weights: LossWeights) -> dict:
-    """Every term of multitask_loss as a Tensor, the weighted total included."""
-    weights.validate()
+    config.validate()
     dtype = outputs.tas_margin_hat.dtype
 
     def margins(value):
         return value if isinstance(value, Tensor) else np.asarray(value, dtype=dtype)
 
-    terms = {
-        "ce_tas": outputs.tas_logits.cross_entropy_logits(targets["tas_cls"]),
-        "ce_tvs": outputs.tvs_logits.cross_entropy_logits(targets["tvs_cls"]),
-        "reg_tas": ((outputs.tas_margin_hat.reshape(-1) - margins(targets["tas_reg"])) ** 2).mean(),
-        "reg_tvs": ((outputs.tvs_margin_hat.reshape(-1) - margins(targets["tvs_reg"])) ** 2).mean(),
-        "balance": load_balance_loss(outputs.gates),
-    }
-    terms["total"] = (
-        weights.lambda_cls * (terms["ce_tas"] + terms["ce_tvs"])
-        + weights.lambda_reg * (terms["reg_tas"] + terms["reg_tvs"])
-        + weights.alpha_balance * terms["balance"]
+    ce_tas = outputs.tas_logits.cross_entropy_logits(targets["tas_cls"])
+    ce_tvs = outputs.tvs_logits.cross_entropy_logits(targets["tvs_cls"])
+    reg_tas = ((outputs.tas_margin_hat.reshape(-1) - margins(targets["tas_reg"])) ** 2).mean()
+    reg_tvs = ((outputs.tvs_margin_hat.reshape(-1) - margins(targets["tvs_reg"])) ** 2).mean()
+    balance = load_balance_loss(outputs.gates)
+    return (
+        config.lambda_cls * (ce_tas + ce_tvs)
+        + config.lambda_reg * (reg_tas + reg_tvs)
+        + config.alpha_balance * balance
     )
-    return terms
-
-
-def _loss_parts(terms: dict) -> dict:
-    """The float breakdown of a loss's current term values."""
-    return {
-        "cls": float(terms["ce_tas"].data) + float(terms["ce_tvs"].data),
-        "reg": float(terms["reg_tas"].data) + float(terms["reg_tvs"].data),
-        "balance": float(terms["balance"].data),
-        "total": float(terms["total"].data),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +260,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _check_finite(self)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.epochs < 1:
             raise ValueError("need at least one epoch")
         if self.batch_size < 1:
@@ -307,11 +274,8 @@ class TrainConfig:
             raise ValueError("accuracy threshold must lie in [0, 1]")
         if self.mse_threshold is not None and self.mse_threshold <= 0.0:
             raise ValueError("mse threshold must be positive when set")
-        LossWeights(self.lambda_cls, self.lambda_reg, self.alpha_balance).validate()
-
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.lambda_cls, self.lambda_reg, self.alpha_balance)
+        if min(self.lambda_cls, self.lambda_reg, self.alpha_balance) < 0.0:
+            raise ValueError("loss weights must be nonnegative")
 
 
 @dataclass
@@ -381,7 +345,6 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
         p.data = p.data.astype(np.float32)
     optimizer = Adam(model.params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    weights = config.loss_weights
 
     train_ids = np.asarray(split.train_ids)
     val_ids = np.asarray(split.val_ids)
@@ -402,8 +365,7 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
     def step_loss(inputs: dict):
         graph = PreparedGraph(inputs["adjacency"], inputs["inv_degree"])
         out = model.forward(inputs["features"], graph, inputs["feature_mean"])
-        terms = _loss_terms(out, inputs, weights)
-        return terms["total"], terms
+        return multitask_loss(out, inputs, config)
 
     programs: dict[int, Program] = {}  # batch size -> its recorded step
     for epoch in range(1, config.epochs + 1):
@@ -421,8 +383,8 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
                 program = programs[len(ids)] = Program(step_loss, batch)
             else:
                 program.run(batch)
-            parts = _loss_parts(program.outputs)
-            if not np.isfinite(parts["total"]):
+            loss = float(program.root.data)
+            if not np.isfinite(loss):
                 logger.error(
                     "non-finite loss at epoch %d (batch at %d); restoring the "
                     "best checkpoint and aborting", epoch, lo,
@@ -432,7 +394,7 @@ def train(samples, split, config: TrainConfig, model_config: ModelConfig | None 
             optimizer.zero_grad()
             program.backward()
             optimizer.step()
-            batch_losses.append(parts["total"])
+            batch_losses.append(loss)
         if aborted:
             break
 

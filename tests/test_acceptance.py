@@ -33,7 +33,6 @@ from tsakit.labeling import K_MAX, K_MIN, find_cct, lattice_s
 from tsakit.tds import run_simulation
 from tsakit.training_eval import (
     ConfusionMatrix,
-    LossWeights,
     TrainConfig,
     evaluate,
     metrics,
@@ -166,17 +165,17 @@ def test_criterion_02_gradient_check():
             "tas_reg": rng.uniform(-1, 1, size=batch),
             "tvs_reg": rng.uniform(-1, 1, size=batch),
         }
-        weights = LossWeights()
+        weights = TrainConfig()
 
         def loss_value():
             out = model.forward(features, adjacency)
-            loss, _ = multitask_loss(out, targets, weights)
+            loss = multitask_loss(out, targets, weights)
             return float(loss.data)
 
         for p in model.params.values():
             p.zero_grad()
         out = model.forward(features, adjacency)
-        loss, _ = multitask_loss(out, targets, weights)
+        loss = multitask_loss(out, targets, weights)
         loss.backward()
 
         names = list(model.params)

@@ -1,5 +1,5 @@
 """The per-metric verdict of scripts/bench_pairs.py on synthetic runs, the
-tree names it records and its exit code."""
+tree names and harness digests it records and its exit code."""
 
 import importlib.util
 import json
@@ -119,22 +119,22 @@ def test_git_describe_names_the_tree(bench_pairs, tmp_path):
     assert bench_pairs.git_describe(repo) == f"{head}-dirty"
 
 
-@pytest.mark.parametrize("digests, failed, code", [
-    ({"parent": "a", "change": "a"}, {"parent": 0, "change": 0}, 0),
-    ({"parent": "a", "change": "b"}, {"parent": 0, "change": 0}, 1),  # the numerics drifted
-    ({"parent": "a", "change": "a"}, {"parent": 0, "change": 1}, 1),  # the change failed more
-    ({"parent": "a", "change": "a"}, {"parent": 2, "change": 1}, 0),
-])
-def test_exit_code_names_drift_and_failures(bench_pairs, monkeypatch, tmp_path, digests, failed,
-                                            code):
-    """main exits 1 when a pair's digests differ or the change failed more
-    operations than the parent, and writes its JSON either way. The drift
-    and the failures sit in the second of three pairs."""
-    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
-    for path in checkouts.values():
-        path.mkdir()
+def harness_trees(tmp_path):
+    """Two checkouts holding the same BENCHMARK.json and perfbench/ files."""
+    checkouts = {side: tmp_path / side for side in ("parent", "change")}
     end_to_end = [{"name": name, **spec} for name, spec in SPEC.items()]
-    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
+    for path in checkouts.values():
+        (path / "perfbench").mkdir(parents=True)
+        (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
+        (path / "perfbench" / "run.py").write_text("print('run')\n")
+    return checkouts
+
+
+def stub_runs(bench_pairs, monkeypatch, checkouts, digests=None, failed=None):
+    """Replace run_once with three seeds' synthetic runs; the second pair,
+    seed 12, carries the given output digests and failures."""
+    digests = digests or {"parent": "a", "change": "a"}
+    failed = failed or {"parent": 0, "change": 0}
     side_of = {path.resolve(): side for side, path in checkouts.items()}
 
     def run_once(checkout, workload, seed, seconds):
@@ -147,11 +147,59 @@ def test_exit_code_names_drift_and_failures(bench_pairs, monkeypatch, tmp_path, 
         }
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    report = tmp_path / "bench.json"
+
+
+def run_main(bench_pairs, checkouts, report):
     argv = [str(checkouts["parent"]), str(checkouts["change"]), "--workload", "train",
             "--seeds", "11-13", "--json", str(report)]
-    assert bench_pairs.main(argv) == code
+    return bench_pairs.main(argv)
+
+
+@pytest.mark.parametrize("digests, failed, code", [
+    ({"parent": "a", "change": "a"}, {"parent": 0, "change": 0}, 0),
+    ({"parent": "a", "change": "b"}, {"parent": 0, "change": 0}, 1),  # the numerics drifted
+    ({"parent": "a", "change": "a"}, {"parent": 0, "change": 1}, 1),  # the change failed more
+    ({"parent": "a", "change": "a"}, {"parent": 2, "change": 1}, 0),
+])
+def test_exit_code_names_drift_and_failures(bench_pairs, monkeypatch, tmp_path, digests, failed,
+                                            code):
+    """main exits 1 when a pair's digests differ or the change failed more
+    operations than the parent, and writes its JSON either way. The drift
+    and the failures sit in the second of three pairs."""
+    checkouts = harness_trees(tmp_path)
+    stub_runs(bench_pairs, monkeypatch, checkouts, digests, failed)
+    report = tmp_path / "bench.json"
+    assert run_main(bench_pairs, checkouts, report) == code
     entry = json.loads(report.read_text())["workloads"]["train"]
     assert entry["pairs"] == 3
     assert entry["digests_identical_every_pair"] == (digests["parent"] == digests["change"])
     assert entry["failed_operations"] == failed
+
+
+def test_a_different_harness_exits_1(bench_pairs, monkeypatch, tmp_path, capsys):
+    """Each side's harness digests are recorded; bytecode under __pycache__
+    does not count, a changed perfbench/ file makes main exit 1 and is
+    named, and the runs are still printed and written."""
+    checkouts = harness_trees(tmp_path)
+    stub_runs(bench_pairs, monkeypatch, checkouts)
+    cache = checkouts["change"] / "perfbench" / "__pycache__"
+    cache.mkdir()
+    (cache / "run.cpython-311.pyc").write_bytes(b"compiled")
+    report = tmp_path / "bench.json"
+    assert run_main(bench_pairs, checkouts, report) == 0
+    entry = json.loads(report.read_text())["workloads"]["train"]
+    assert entry["harness_identical"]
+    digests = entry["harness_sha256"]
+    assert list(digests["parent"]) == ["BENCHMARK.json", "perfbench/run.py"]
+    assert digests["parent"] == digests["change"]
+    assert "harness (BENCHMARK.json, perfbench/): identical" in capsys.readouterr().out
+
+    (checkouts["change"] / "perfbench" / "run.py").write_text("print('faster run')\n")
+    assert run_main(bench_pairs, checkouts, report) == 1
+    assert "DIFFERS in perfbench/run.py" in capsys.readouterr().out
+    entry = json.loads(report.read_text())["workloads"]["train"]
+    assert not entry["harness_identical"]
+    assert entry["pairs"] == 3 and entry["digests_identical_every_pair"]
+    digests = entry["harness_sha256"]
+    assert digests["parent"]["BENCHMARK.json"] == digests["change"]["BENCHMARK.json"]
+    assert digests["parent"]["perfbench/run.py"] != digests["change"]["perfbench/run.py"]

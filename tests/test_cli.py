@@ -229,6 +229,7 @@ class TestTrain:
         ("mse_threshold = nan", "mse_threshold must be finite"),
         ("learning_rate = inf", "learning_rate must be finite"),
         ("lambda_cls = nan", "lambda_cls must be finite"),
+        ("lambda_reg = -1", "invalid training config: loss weights must be nonnegative"),
         ("n_experts = 1", "a mixture needs at least two experts"),
         ("hidden_dim = 0", "model dimensions must be positive"),
     ])

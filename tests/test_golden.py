@@ -53,7 +53,7 @@ def tiny_run(ieee39, tmp_path_factory):
     save_dataset(samples, out / "dataset.tsd")
     write_manifest(manifest, out / "manifest.txt")
     both = np.array([0, 1])
-    split = DatasetSplit(train_ids=both, val_ids=both, test_ids=np.array([], dtype=int), seed=0)
+    split = DatasetSplit(train_ids=both, val_ids=both, test_ids=np.array([], dtype=int))
     result = train(
         samples, split, TrainConfig(epochs=3, batch_size=2, seed=0),
         ModelConfig(in_dim=2 * GRID.window_steps, hidden_dim=16, expert_hidden=16, seed=0),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tsakit import packaged_network_path
 from tsakit.grid_model import (
+    FAULT_ADMITTANCE,
     Bus,
     CompositeLoad,
     FaultSpec,
@@ -374,9 +375,9 @@ class TestAdmittance:
             resid[sec.to_bus, sec.to_bus] -= ys + hb
             resid[sec.from_bus, sec.to_bus] += ys
             resid[sec.to_bus, sec.from_bus] += ys
-        resid[mid, mid] -= fault.fault_admittance
+        resid[mid, mid] -= FAULT_ADMITTANCE
         # midpoint diagonal cancels a 1e6-scale shunt, so compare relatively
-        assert abs(resid[2, 2]) < 1e-12 * abs(fault.fault_admittance)
+        assert abs(resid[2, 2]) < 1e-12 * abs(FAULT_ADMITTANCE)
         assert np.max(np.abs(resid[2, :2])) < 1e-12
         assert np.max(np.abs(resid[:2, 2])) < 1e-12
         ln = net.lines[0]

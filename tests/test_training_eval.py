@@ -22,7 +22,6 @@ from tsakit.training_eval import (
     Adam,
     _arrays_from_samples,
     ConfusionMatrix,
-    LossWeights,
     TrainConfig,
     confusion,
     evaluate,
@@ -163,9 +162,12 @@ class TestMultitaskLoss:
             "tas_cls": np.array([1, 0]), "tvs_cls": np.array([1, 0]),
             "tas_reg": np.array([0.5, -0.5]), "tvs_reg": np.array([0.25, -0.75]),
         }
-        loss, parts = multitask_loss(out, targets, LossWeights())
+        loss = multitask_loss(out, targets, TrainConfig())
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
-        assert parts["balance"] == pytest.approx(0.0, abs=1e-15)
+        balance = multitask_loss(
+            out, targets, TrainConfig(lambda_cls=0.0, lambda_reg=0.0, alpha_balance=1.0)
+        )
+        assert float(balance.data) == pytest.approx(0.0, abs=1e-15)
 
     def test_uniform_logits_give_log2_per_task(self):
         out = synthetic_output(
@@ -175,9 +177,10 @@ class TestMultitaskLoss:
             "tas_cls": np.array([0, 1, 0, 1]), "tvs_cls": np.array([1, 1, 0, 0]),
             "tas_reg": np.zeros(4), "tvs_reg": np.zeros(4),
         }
-        _, parts = multitask_loss(out, targets, LossWeights())
-        assert parts["cls"] == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
-        assert parts["reg"] == pytest.approx(0.0, abs=1e-15)
+        cls = multitask_loss(out, targets, TrainConfig(lambda_reg=0.0, alpha_balance=0.0))
+        assert float(cls.data) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
+        reg = multitask_loss(out, targets, TrainConfig(lambda_cls=0.0, alpha_balance=0.0))
+        assert float(reg.data) == pytest.approx(0.0, abs=1e-15)
 
     def test_random_batch_matches_term_oracle(self, rng):
         batch = 6
@@ -193,8 +196,8 @@ class TestMultitaskLoss:
             "tas_reg": rng.uniform(-1, 1, batch),
             "tvs_reg": rng.uniform(-1, 1, batch),
         }
-        weights = LossWeights(lambda_cls=0.7, lambda_reg=1.3, alpha_balance=0.05)
-        loss, _ = multitask_loss(out, targets, weights)
+        weights = TrainConfig(lambda_cls=0.7, lambda_reg=1.3, alpha_balance=0.05)
+        loss = multitask_loss(out, targets, weights)
 
         def ce(logits, t):
             total = 0.0
@@ -219,7 +222,7 @@ class TestMultitaskLoss:
             "tas_reg": np.zeros(1), "tvs_reg": np.zeros(1),
         }
         with pytest.raises(ValueError, match="nonnegative"):
-            multitask_loss(out, targets, LossWeights(lambda_cls=-1.0))
+            multitask_loss(out, targets, TrainConfig(lambda_cls=-1.0))
 
 
 class TestAdam:
@@ -304,9 +307,6 @@ class TestTrainConfig:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value}).validate()
-        if field.startswith(("lambda", "alpha")):
-            with pytest.raises(ValueError, match=f"{field} must be finite"):
-                LossWeights(**{field: value}).validate()
 
 
 class TestTrain:
@@ -409,7 +409,7 @@ class TestTrain:
         samples, split = toy_setup()
         empty = type(split)(
             train_ids=np.array([], dtype=int), val_ids=split.val_ids,
-            test_ids=split.test_ids, seed=0,
+            test_ids=split.test_ids,
         )
         with pytest.raises(ValueError, match="nonempty"):
             train(samples, empty, TrainConfig())
@@ -471,7 +471,7 @@ def varied_samples(n=40, seed=0):
 def eager_steps(samples, split, cfg, model_cfg):
     """train's steps written out on the eager tape: forward, multitask_loss,
     backward and Adam.step for each batch in train's order, with no early
-    stop. Returns each step's loss parts and parameters after its update,
+    stop. Returns each step's loss and parameters after its update,
     then the parameters at the end of each epoch, and the (epoch, batch
     start) of the first non-finite loss, where the steps end, or None."""
     features, adjacency, targets = _arrays_from_samples(samples)
@@ -487,15 +487,13 @@ def eager_steps(samples, split, cfg, model_cfg):
         for lo in range(0, len(order), cfg.batch_size):
             ids = order[lo : lo + cfg.batch_size]
             out = model.forward(features[ids], adjacency[ids])
-            loss, parts = multitask_loss(
-                out, {k: v[ids] for k, v in targets.items()}, cfg.loss_weights
-            )
-            if not np.isfinite(parts["total"]):
+            loss = multitask_loss(out, {k: v[ids] for k, v in targets.items()}, cfg)
+            if not np.isfinite(float(loss.data)):
                 return steps, epoch_ends, (epoch, lo)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            steps.append((parts, _snapshot_bytes(model)))
+            steps.append((float(loss.data), _snapshot_bytes(model)))
         epoch_ends.append(_snapshot_bytes(model))
     return steps, epoch_ends, None
 
@@ -510,21 +508,27 @@ class TestReplayedSteps:
 
     @staticmethod
     def spied_train(monkeypatch, samples, split, cfg, model_cfg):
-        """train's loss parts per batch and parameters after each Adam.step."""
-        parts_seen, params_seen = [], []
-        loss_parts, step = training_eval._loss_parts, Adam.step
+        """train's loss per batch, the value of its recorded or replayed
+        root, and parameters after each Adam.step."""
+        losses_seen, params_seen = [], []
+        step = Adam.step
 
-        def spy_parts(terms):
-            parts_seen.append(loss_parts(terms))
-            return parts_seen[-1]
+        class SpiedProgram(training_eval.Program):
+            def __init__(self, fn, arrays):
+                super().__init__(fn, arrays)
+                losses_seen.append(float(self.root.data))
+
+            def run(self, arrays):
+                super().run(arrays)
+                losses_seen.append(float(self.root.data))
 
         def spy_step(self):
             step(self)
             params_seen.append({name: p.data.tobytes() for name, p in self.params.items()})
 
-        monkeypatch.setattr(training_eval, "_loss_parts", spy_parts)
+        monkeypatch.setattr(training_eval, "Program", SpiedProgram)
         monkeypatch.setattr(Adam, "step", spy_step)
-        return train(samples, split, cfg, model_cfg), parts_seen, params_seen
+        return train(samples, split, cfg, model_cfg), losses_seen, params_seen
 
     @pytest.mark.parametrize("n, batch_size", [(40, 16), (40, 5), (40, 9), (20, 1)])
     def test_every_step_matches_the_eager_tape_bitwise(self, monkeypatch, n, batch_size):
@@ -539,14 +543,14 @@ class TestReplayedSteps:
         model_cfg = ModelConfig(in_dim=6, seed=0, **SMALL_MODEL)
         want, epoch_ends, stop = eager_steps(samples, split, cfg, model_cfg)
         assert stop is None
-        result, parts_seen, params_seen = self.spied_train(
+        result, losses_seen, params_seen = self.spied_train(
             monkeypatch, samples, split, cfg, model_cfg
         )
         per_epoch = -(-len(split.train_ids) // batch_size)
         assert len(want) == 3 * per_epoch
-        assert len(parts_seen) == len(params_seen) == len(want)  # one Adam.step per step
-        for k, (parts, params) in enumerate(want):
-            assert parts_seen[k] == parts, k
+        assert len(losses_seen) == len(params_seen) == len(want)  # one Adam.step per step
+        for k, (loss, params) in enumerate(want):
+            assert losses_seen[k] == loss, k
             assert params_seen[k] == params, k
         assert _snapshot_bytes(result.model) == epoch_ends[result.best_epoch - 1]
 
@@ -585,13 +589,13 @@ class TestReplayedSteps:
         model_cfg = ModelConfig(in_dim=6, seed=0, **SMALL_MODEL)
         want, epoch_ends, stop = eager_steps(samples, split, cfg, model_cfg)
         assert stop == (2, 16)
-        result, parts_seen, params_seen = self.spied_train(
+        result, losses_seen, params_seen = self.spied_train(
             monkeypatch, samples, split, cfg, model_cfg
         )
         assert result.aborted
         assert (len(result.log_rows), result.best_epoch) == (1, 1)
-        assert [parts for parts, _ in want] == parts_seen[:-1]
-        assert not np.isfinite(parts_seen[-1]["total"])
+        assert [loss for loss, _ in want] == losses_seen[:-1]
+        assert not np.isfinite(losses_seen[-1])
         assert [params for _, params in want] == params_seen  # no step on the bad batch
         assert _snapshot_bytes(result.model) == epoch_ends[0]
 
@@ -699,7 +703,7 @@ class TestFloat32Training:
                 k: v.astype(dtype) if k.endswith("_reg") else v for k, v in targets.items()
             }
             out = model.forward(features.astype(dtype), adjacency.astype(dtype))
-            loss, _ = multitask_loss(out, batch_targets, LossWeights())
+            loss = multitask_loss(out, batch_targets, TrainConfig())
             assert loss.dtype == dtype
             loss.backward()
         for name, p32 in models[np.float32].params.items():
